@@ -43,7 +43,13 @@ from .sampler import (
     sample_pauli,
     sample_spin,
 )
-from .recon import EstimationResult, ReconstructedMatrix, estimate, reconstruct_matrix
+from .recon import (
+    EstimationResult,
+    ReconstructedMatrix,
+    check_quorum,
+    estimate,
+    reconstruct_matrix,
+)
 from .serialize import (
     load_quorum,
     load_state,
@@ -247,14 +253,6 @@ def cmd_sample(args) -> None:
     print(f"wrote {args.out} ({len(records)} records)")
 
 
-def _check_record_quorum(records, method: str) -> None:
-    ids = {r.quorum for r in records}
-    if ids != {method}:
-        raise UsageError(
-            f"records carry quorum {sorted(ids)} but the method is '{method}'"
-        )
-
-
 def _reconstruct_nonunitary(args) -> None:
     if args.records:
         raise UsageError("method nonunitary is an exact route from a state file; "
@@ -313,7 +311,7 @@ def cmd_reconstruct(args) -> None:
     records = records_from_csv(args.records)
     if not records:
         raise UsageError(f"{args.records} holds no records")
-    _check_record_quorum(records, method)
+    check_quorum(records, method)
 
     squeeze = _squeeze_params(args)
     if squeeze is not None and method != "homodyne":

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..errors import UsageError, DimensionMismatchError
+from ..errors import DimensionMismatchError, NumericPreconditionError, UsageError
 from ..operators import Operator, annihilation
 from ..states import DensityMatrix
 from . import _cahill
@@ -31,6 +31,7 @@ from .config import EstimatorConfig, SqueezeParams
 
 __all__ = [
     "homodyne_kernel_matrix",
+    "homodyne_kernel_block",
     "homodyne_estimate",
     "squeezed_homodyne_estimate",
     "exact_homodyne_average",
@@ -42,6 +43,7 @@ __all__ = [
 _PANELS = 256
 _PANEL_ORDER = 16
 _DENSE_Q_POINTS = 4097
+_IMAG_TOL = 1e-10
 
 
 def oscillator_wavefunctions(dim: int, q: np.ndarray) -> np.ndarray:
@@ -94,11 +96,34 @@ def _f_at(qs: np.ndarray, dim: int, k_max: float, reg_eps: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _dense_f_grid(dim: int, k_max: float, reg_eps: float):
-    """Dense q-grid F table plus its per-element cubic splines for the fast path."""
+    """Dense q-grid F table (d, d, nq) for the spline fast paths."""
     q_max = math.sqrt(dim) + 6.0
     qs = np.linspace(-q_max, q_max, _DENSE_Q_POINTS)
     f = _f_at(qs, dim, k_max, reg_eps)
     return qs, f
+
+
+def _real_table(f: np.ndarray) -> np.ndarray:
+    """F.real, after checking that the imaginary part is quadrature roundoff.
+
+    F_nm(q) is real analytically: the k and -k halves of the symmetric
+    rule are complex conjugates of each other.
+    """
+    scale = float(np.max(np.abs(f)))
+    imag = float(np.max(np.abs(f.imag)))
+    if imag > _IMAG_TOL * scale:
+        raise NumericPreconditionError(
+            f"pattern-function table has imaginary part {imag:.3e} "
+            f"(max |F| = {scale:.3e}); the k rule is not symmetric"
+        )
+    return f.real
+
+
+@functools.lru_cache(maxsize=4)
+def _f_spline(dim: int, k_max: float, reg_eps: float):
+    """One cubic spline through all d^2 columns of the real F table."""
+    qs, f = _dense_f_grid(dim, k_max, reg_eps)
+    return qs, CubicSpline(qs, _real_table(f).reshape(dim * dim, -1).T)
 
 
 def homodyne_kernel_matrix(q: float, phi: float, cfg: EstimatorConfig) -> Operator:
@@ -132,15 +157,31 @@ def _band_splines(a_mat: np.ndarray, cfg: EstimatorConfig):
     return qs, splines
 
 
-def _record_arrays(records: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-    phis = np.fromiter((r.setting.coords[0] for r in records), dtype=float, count=len(records))
-    qs = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
-    return phis, qs
+def homodyne_kernel_block(arrays, lo: int, hi: int, cfg: EstimatorConfig,
+                          squeeze: Optional[SqueezeParams] = None) -> np.ndarray:
+    """Kernels e^{i(k-n)phi} F_kn(q) for settings phi and outcomes q.
+
+    With squeeze the block is S^dag K S, the kernel that
+    squeezed_homodyne_estimate traces against.
+    """
+    settings, outcomes = arrays
+    dim = cfg.dim
+    grid, spline = _f_spline(dim, cfg.k_max, cfg.reg_eps)
+    qc = np.clip(outcomes[lo:hi], grid[0], grid[-1])  # beyond the grid the kernel is ~0
+    u = np.exp(1j * settings[lo:hi, 0, None] * np.arange(dim))
+    block = u[:, :, None] * u.conj()[:, None, :]
+    block *= spline(qc).reshape(-1, dim, dim)
+    if squeeze is not None:
+        s = effective_squeezer(squeeze, dim).mat
+        block = s.conj().T @ block @ s
+    return block
 
 
-def _estimate_from_splines(a_mat: np.ndarray, phis, qs, cfg: EstimatorConfig):
-    from ..recon import Accumulator
+def _estimate_from_splines(a_mat: np.ndarray, records: Sequence, cfg: EstimatorConfig):
+    from ..recon import Accumulator, record_arrays
 
+    settings, qs = record_arrays(records, 1)
+    phis = settings[:, 0]
     grid, splines = _band_splines(a_mat, cfg)
     q_lo, q_hi = grid[0], grid[-1]
     acc = Accumulator()
@@ -160,8 +201,7 @@ def homodyne_estimate(a: Operator, records: Sequence, cfg: EstimatorConfig):
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
     if len(records) < 2:
         raise UsageError("homodyne_estimate needs at least 2 records")
-    phis, qs = _record_arrays(records)
-    return _estimate_from_splines(a.mat, phis, qs, cfg)
+    return _estimate_from_splines(a.mat, records, cfg)
 
 
 def effective_squeezer(sq: SqueezeParams, dim: int) -> Operator:
@@ -195,8 +235,7 @@ def squeezed_homodyne_estimate(a: Operator, records: Sequence, sq: SqueezeParams
         raise UsageError("squeezed_homodyne_estimate needs at least 2 records")
     s = effective_squeezer(sq, cfg.dim).mat
     a_tilde = s @ a.mat @ s.conj().T
-    phis, qs = _record_arrays(records)
-    return _estimate_from_splines(a_tilde, phis, qs, cfg)
+    return _estimate_from_splines(a_tilde, records, cfg)
 
 
 def _as_matrix(rho) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
     "kerr_sideband_coefficients",
     "kerr_exact_element",
     "kerr_estimate",
+    "kerr_kernel_block",
     "kerr_epsilon_sweep",
 ]
 
@@ -62,19 +63,16 @@ def kerr_kernel_regularized(n: int, eps: float, phi, psi):
 
 
 def _phase_vectors(psis: np.ndarray, phis: np.ndarray, dim: int) -> np.ndarray:
-    """u_a(psi, phi) = e^{i(psi a^2 + phi a)}; p is the bilinear u^dag rho u."""
+    """u_a = e^{i(psi a^2 + phi a)} over broadcast psis, phis; p is the bilinear u^dag rho u."""
     a = np.arange(dim)
-    return np.exp(
-        1j * (psis[:, None, None] * (a * a)[None, None, :]
-              + phis[None, :, None] * a[None, None, :])
-    )
+    return np.exp(1j * (np.multiply.outer(psis, a * a) + np.multiply.outer(phis, a)))
 
 
 def kerr_phase_distribution(rho: DensityMatrix, psis, phis) -> np.ndarray:
     """p(phi, psi) on the grid psis x phis; real and non-negative."""
     psis = np.atleast_1d(np.asarray(psis, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    u = _phase_vectors(psis, phis, rho.dim)
+    u = _phase_vectors(psis[:, None], phis[None, :], rho.dim)
     return np.einsum("qpa,ab,qpb->qp", u.conj(), rho.mat, u, optimize=True).real
 
 
@@ -146,22 +144,33 @@ def kerr_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
         if n < 0 or n + d < 0 or n >= cfg.dim or n + d >= cfg.dim:
             raise InvalidSpecError("element indices must lie inside the configured dimension")
 
-    from ..recon import Accumulator
+    from ..recon import Accumulator, record_arrays
 
-    psis = np.fromiter((r.setting.coords[0] for r in records), dtype=float, count=len(records))
-    phis = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
+    settings, phis = record_arrays(records, 1)
+    psis = settings[:, 0]
     acc = Accumulator()
     for i in range(0, psis.size, _CHUNK):
         ps, ph = psis[i : i + _CHUNK], phis[i : i + _CHUNK]
         if isinstance(target, Operator):
-            aidx = np.arange(cfg.dim)
-            u = np.exp(1j * (ps[:, None] * (aidx * aidx)[None, :] + ph[:, None] * aidx[None, :]))
+            u = _phase_vectors(ps, ph, cfg.dim)
             # value_i = sum_{r != c} A_rc conj(u_r) u_c; equals the kernel sum over elements
             vals = np.einsum("gr,rc,gc->g", u.conj(), a_mat, u, optimize=True)
         else:
             vals = kerr_kernel(target[0], target[1], ph, ps)
         acc.push(vals)
     return acc.result()
+
+
+def kerr_kernel_block(arrays, lo: int, hi: int, cfg: EstimatorConfig) -> np.ndarray:
+    """Kernels conj(u_n) u_k for settings psi and outcomes phi; zero diagonal.
+
+    The records do not determine the diagonal, so it is left at zero.
+    """
+    settings, outcomes = arrays
+    u = _phase_vectors(settings[lo:hi, 0], outcomes[lo:hi], cfg.dim)
+    block = u[:, :, None] * u.conj()[:, None, :]
+    block[:, np.arange(cfg.dim), np.arange(cfg.dim)] = 0.0
+    return block
 
 
 def kerr_epsilon_sweep(rho: DensityMatrix, n: int, eps_values: Sequence[float],

@@ -29,6 +29,8 @@ __all__ = [
     "displaced_parity_kernel",
     "displaced_parity_kernel_matrix_route",
     "parity_kernel_element",
+    "parity_kernel_block",
+    "check_parity_boundary",
     "displaced_parity_expectation",
     "parity_estimate",
     "parity_exact_element",
@@ -94,16 +96,41 @@ def _coeff_stack(a_mat: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_bias(target, radius: float, dim: int) -> float:
-    """Largest |kernel|/4 on the proposal boundary; >1e-3 flags a truncated tail."""
+def check_parity_boundary(target, cfg: EstimatorConfig) -> None:
+    """Raise GridError when the largest |kernel|/4 on the proposal boundary exceeds 1e-3.
+
+    A kernel that is not negligible at |b| = R has a truncated tail.
+    target is an Operator, an (n, d) element, or None for every matrix
+    unit at once (the block that reconstruct_matrix averages).
+    """
+    radius = cfg.parity_radius()
     ring = radius * np.exp(2j * np.pi * np.arange(_BIAS_ANGLES) / _BIAS_ANGLES)
-    if isinstance(target, Operator):
+    if target is None:
+        vals = np.abs(_cahill.disp_stack(2.0 * ring, cfg.dim))
+    elif isinstance(target, Operator):
         scale = max(1.0, float(np.max(np.abs(target.mat))))
         vals = np.abs(_coeff_stack(target.mat, ring)) / (4.0 * scale)
     else:
-        n, d = target
-        vals = np.abs(displaced_parity_kernel(n, d, ring)) / 4.0
-    return float(np.max(vals))
+        vals = np.abs(displaced_parity_kernel(target[0], target[1], ring)) / 4.0
+    if np.max(vals) > 1e-3:
+        raise GridError(
+            f"kernel mass at the proposal boundary |b| = {radius:.3g} exceeds 1e-3; "
+            "increase proposal_radius"
+        )
+
+
+def parity_kernel_block(arrays, lo: int, hi: int, cfg: EstimatorConfig) -> np.ndarray:
+    """Weighted kernels R^2 s 4 P D(2b) for settings (Re b, Im b) and parities s.
+
+    The proposal-boundary check is the caller's, once per record set.
+    """
+    settings, outcomes = arrays
+    radius = cfg.parity_radius()
+    betas = settings[lo:hi, 0] + 1j * settings[lo:hi, 1]
+    block = _cahill.disp_stack(2.0 * betas, cfg.dim)
+    block *= (4.0 * radius * radius) * _parity_signs(cfg.dim)[None, :, None]
+    block *= outcomes[lo:hi, None, None]
+    return block
 
 
 def parity_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
@@ -125,19 +152,12 @@ def parity_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
         n, d = target
         if n < 0 or d < 0:
             raise InvalidSpecError("element target needs n >= 0 and d >= 0")
-    if _boundary_bias(target, radius, cfg.dim) > 1e-3:
-        raise GridError(
-            f"kernel mass at the proposal boundary |b| = {radius:.3g} exceeds 1e-3; "
-            "increase proposal_radius"
-        )
+    check_parity_boundary(target, cfg)
 
-    from ..recon import Accumulator
+    from ..recon import Accumulator, record_arrays
 
-    betas = np.fromiter(
-        (r.setting.coords[0] + 1j * r.setting.coords[1] for r in records),
-        dtype=complex, count=len(records),
-    )
-    signs = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
+    settings, signs = record_arrays(records, 2)
+    betas = settings[:, 0] + 1j * settings[:, 1]
     weight = radius * radius
     acc = Accumulator()
     for i in range(0, betas.size, _CHUNK):

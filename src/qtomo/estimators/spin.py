@@ -25,6 +25,7 @@ __all__ = [
     "spin_kernel",
     "spin_kernel_quadrature",
     "spin_estimate",
+    "spin_kernel_block",
     "spin_quadrature_expectation",
     "pauli_estimate",
     "sphere_rule",
@@ -40,11 +41,27 @@ def _unit(direction) -> np.ndarray:
     return n
 
 
-def _j_index(m: float, twice_s: int) -> int:
-    j = m + twice_s / 2.0
-    if abs(j - round(j)) > 1e-9 or not (-0.5 < round(j) < twice_s + 0.5):
-        raise InvalidSpecError(f"m = {m} is not an eigenvalue for 2s = {twice_s}")
-    return int(round(j))
+def _outcome_indices(ms: np.ndarray, twice_s: int) -> np.ndarray:
+    """Ascending eigenvalue index j = m + s of each outcome; rejects any other m."""
+    js = ms + twice_s / 2.0
+    ok = np.isfinite(js)
+    jr = np.round(np.where(ok, js, 0.0))
+    ok &= (np.abs(js - jr) <= 1e-9) & (jr >= 0) & (jr <= twice_s)
+    if not np.all(ok):
+        bad = ms[~ok][0]
+        raise InvalidSpecError(
+            f"outcome m = {bad} is not an eigenvalue of S.n for 2s = {twice_s}"
+        )
+    return jr.astype(int)
+
+
+def _stencils(js: np.ndarray, twice_s: int) -> np.ndarray:
+    """Closed-form weights c per record: 2s+1 at j, -(2s+1)/2 at in-range neighbors."""
+    rows = np.arange(js.size)
+    pad = np.zeros((js.size, twice_s + 3))
+    pad[rows, js + 1] = twice_s + 1
+    pad[rows, js] = pad[rows, js + 2] = -0.5 * (twice_s + 1)
+    return pad[:, 1:-1]
 
 
 def _eigenframe(direction, twice_s: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -55,23 +72,14 @@ def _eigenframe(direction, twice_s: int) -> Tuple[np.ndarray, np.ndarray]:
     return evals, vecs
 
 
-def _closed_form(diag: np.ndarray, j: int, twice_s: int) -> complex:
-    val = diag[j]
-    if j > 0:
-        val -= 0.5 * diag[j - 1]
-    if j < twice_s:
-        val -= 0.5 * diag[j + 1]
-    return (twice_s + 1) * val
-
-
 def spin_kernel(a: Operator, m: float, direction, twice_s: int) -> complex:
     """Closed-form R[A](m, n)."""
     if a.dim != twice_s + 1:
         raise DimensionMismatchError(f"operator dim {a.dim} vs 2s+1 = {twice_s + 1}")
-    j = _j_index(m, twice_s)
+    js = _outcome_indices(np.array([m], dtype=float), twice_s)
     _, vecs = _eigenframe(direction, twice_s)
     diag = np.einsum("aj,ab,bj->j", vecs.conj(), a.mat, vecs, optimize=True)
-    return complex(_closed_form(diag, j, twice_s))
+    return complex(_stencils(js, twice_s)[0] @ diag)
 
 
 def spin_kernel_quadrature(a: Operator, m: float, direction, twice_s: int,
@@ -79,7 +87,7 @@ def spin_kernel_quadrature(a: Operator, m: float, direction, twice_s: int,
     """Oracle route: numeric psi-integral of sin^2(psi/2) Tr[A e^{-i psi (S.n - m)}]."""
     if a.dim != twice_s + 1:
         raise DimensionMismatchError(f"operator dim {a.dim} vs 2s+1 = {twice_s + 1}")
-    _j_index(m, twice_s)  # validate m even though the integral tolerates any shift
+    _outcome_indices(np.array([m], dtype=float), twice_s)  # the integral tolerates any m
     evals, vecs = _eigenframe(direction, twice_s)
     diag = np.einsum("aj,ab,bj->j", vecs.conj(), a.mat, vecs, optimize=True)
     psi = 2.0 * np.pi * np.arange(n_psi) / n_psi
@@ -88,38 +96,40 @@ def spin_kernel_quadrature(a: Operator, m: float, direction, twice_s: int,
     return complex((twice_s + 1) / np.pi * (2.0 * np.pi / n_psi) * np.sum(integrand))
 
 
+def _eigvecs(dirs: np.ndarray, twice_s: int) -> np.ndarray:
+    """Eigenvector columns of S.n per direction, eigenvalues ascending; (n, d, d)."""
+    sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
+    mats = dirs[:, 0, None, None] * sx + dirs[:, 1, None, None] * sy + dirs[:, 2, None, None] * sz
+    return np.linalg.eigh(mats)[1]
+
+
+def spin_kernel_block(arrays, lo: int, hi: int, twice_s: int) -> np.ndarray:
+    """Kernels V diag(c) V^dag for settings n (direction) and outcomes m.
+
+    V holds the S.n eigenvectors and c the closed-form stencil at m.
+    """
+    settings, outcomes = arrays
+    c = _stencils(_outcome_indices(outcomes[lo:hi], twice_s), twice_s)
+    vecs = _eigvecs(settings[lo:hi], twice_s)
+    return (vecs * c[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+
+
 def spin_estimate(a: Operator, records: Sequence, twice_s: int):
     """Sample mean of the closed-form kernel over (direction, outcome) records."""
     if a.dim != twice_s + 1:
         raise DimensionMismatchError(f"operator dim {a.dim} vs 2s+1 = {twice_s + 1}")
     if len(records) < 2:
         raise UsageError("spin_estimate needs at least 2 records")
-    from ..recon import Accumulator
+    from ..recon import Accumulator, record_arrays
 
-    sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
-    dirs = np.array([r.setting.coords for r in records], dtype=float)
-    ms = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
-    js = ms + twice_s / 2.0
-    if np.max(np.abs(js - np.round(js))) > 1e-9 or np.min(js) < -0.5 or np.max(js) > twice_s + 0.5:
-        raise InvalidSpecError("record outcome is not an eigenvalue of S.n")
-    js = np.round(js).astype(int)
+    dirs, ms = record_arrays(records, 3)
+    c = _stencils(_outcome_indices(ms, twice_s), twice_s)
 
     acc = Accumulator()
     for i in range(0, len(records), _CHUNK):
-        d = dirs[i : i + _CHUNK]
-        mats = (
-            d[:, 0, None, None] * sx + d[:, 1, None, None] * sy + d[:, 2, None, None] * sz
-        )
-        _, vecs = np.linalg.eigh(mats)
+        vecs = _eigvecs(dirs[i : i + _CHUNK], twice_s)
         diag = np.einsum("gaj,ab,gbj->gj", vecs.conj(), a.mat, vecs, optimize=True)
-        pad = np.zeros((diag.shape[0], diag.shape[1] + 2), dtype=complex)
-        pad[:, 1:-1] = diag
-        jc = js[i : i + _CHUNK]
-        rows = np.arange(jc.size)
-        vals = (twice_s + 1) * (
-            pad[rows, jc + 1] - 0.5 * (pad[rows, jc] + pad[rows, jc + 2])
-        )
-        acc.push(vals)
+        acc.push(np.einsum("gj,gj->g", c[i : i + _CHUNK], diag))
     return acc.result()
 
 
@@ -155,13 +165,13 @@ def spin_quadrature_expectation(a: Operator, rho: DensityMatrix, twice_s: int,
     if a.dim != twice_s + 1 or rho.dim != twice_s + 1:
         raise DimensionMismatchError("operator/state dims must equal 2s+1")
     dirs, weights = sphere_rule(twice_s, n_polar, n_azimuth)
+    stencils = _stencils(np.arange(twice_s + 1), twice_s)  # row j: outcome index j
     total = 0.0 + 0.0j
     for nvec, w in zip(dirs, weights):
         evals, vecs = _eigenframe(nvec, twice_s)
         diag_a = np.einsum("aj,ab,bj->j", vecs.conj(), a.mat, vecs, optimize=True)
         probs = np.einsum("aj,ab,bj->j", vecs.conj(), rho.mat, vecs, optimize=True).real
-        for j in range(twice_s + 1):
-            total += w * probs[j] * _closed_form(diag_a, j, twice_s)
+        total += w * (probs @ (stencils @ diag_a))
     return complex(total)
 
 

@@ -10,13 +10,19 @@ of the real part plus the variance of the imaginary part.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UsageError
-from .operators import Operator, fock_matrix_unit, spin_matrices
+from .errors import DimensionMismatchError, InvalidSpecError, UsageError
+from .estimators.homodyne import homodyne_kernel_block
+from .estimators.kerr import kerr_kernel_block
+from .estimators.parity import check_parity_boundary, parity_kernel_block
+from .estimators.spin import pauli_estimate, spin_kernel_block
+from .operators import Operator, fock_matrix_unit
 from .states import DensityMatrix
 
 __all__ = [
@@ -30,6 +36,10 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+# Bytes of one complex (n, d, d) kernel block in reconstruct_matrix: 8192 records at d = 8.
+_BLOCK_BYTES = 8 << 20
+# Setting coordinates per record: phi; (Re b, Im b); direction; Kerr strength psi.
+_SETTING_ARITY = {"homodyne": 1, "parity": 2, "spin": 3, "kerr": 1}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,7 +124,7 @@ class ReconstructedMatrix:
         return self.elements[k][n]
 
 
-def _check_quorum(records: Sequence, expected: str) -> None:
+def check_quorum(records: Sequence, expected: str) -> None:
     ids = {r.quorum for r in records}
     if ids != {expected}:
         raise UsageError(
@@ -122,93 +132,46 @@ def _check_quorum(records: Sequence, expected: str) -> None:
         )
 
 
-def _homodyne_elements(records, cfg, squeeze):
-    from .estimators.homodyne import homodyne_estimate, squeezed_homodyne_estimate
-
-    out = {}
-    for k in range(cfg.dim):
-        for n in range(cfg.dim):
-            a = fock_matrix_unit(n, k, cfg.dim)  # Tr[rho |n><k|] = <k|rho|n>
-            if squeeze is None:
-                out[(k, n)] = homodyne_estimate(a, records, cfg)
-            else:
-                out[(k, n)] = squeezed_homodyne_estimate(a, records, squeeze, cfg)
-    return out
+def record_arrays(records: Sequence, arity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Settings (N, arity) and outcomes (N,) as float arrays, pulled out once."""
+    coords = [r.setting.coords for r in records]
+    if set(map(len, coords)) != {arity}:
+        raise InvalidSpecError(f"records need {arity} setting coordinates each")
+    settings = np.fromiter(itertools.chain.from_iterable(coords), dtype=float,
+                           count=len(coords) * arity)
+    outcomes = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
+    return settings.reshape(-1, arity), outcomes
 
 
-def _parity_elements(records, cfg):
-    from .estimators.parity import parity_kernel_element
+def _block_elements(records: Sequence, arity: int, block: Callable, dim: int,
+                    diagonal: bool = True) -> Dict[Tuple[int, int], EstimationResult]:
+    """One pass over the records: per chunk one kernel block, one push per element.
 
-    radius = cfg.parity_radius()
-    weight = radius * radius
-    betas = np.fromiter(
-        (r.setting.coords[0] + 1j * r.setting.coords[1] for r in records),
-        dtype=complex, count=len(records),
-    )
-    signs = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
-
-    out = {}
-    for k in range(cfg.dim):
-        for n in range(cfg.dim):
-            acc = Accumulator()
-            for i in range(0, betas.size, _CHUNK):
-                kv = parity_kernel_element(k, n, betas[i : i + _CHUNK])
-                acc.push(weight * signs[i : i + _CHUNK] * kv)
-            out[(k, n)] = acc.result()
-    return out
-
-
-def _spin_elements(records, twice_s):
-    dim = twice_s + 1
-    sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
-    dirs = np.array([r.setting.coords for r in records], dtype=float)
-    ms = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
-    js = np.round(ms + twice_s / 2.0).astype(int)
-
-    accs = {(k, n): Accumulator() for k in range(dim) for n in range(dim)}
-    for i in range(0, len(records), _CHUNK):
-        d = dirs[i : i + _CHUNK]
-        jc = js[i : i + _CHUNK]
-        mats = d[:, 0, None, None] * sx + d[:, 1, None, None] * sy + d[:, 2, None, None] * sz
-        _, vecs = np.linalg.eigh(mats)
-        rows = np.arange(jc.size)
-        for k in range(dim):
-            for n in range(dim):
-                # (V^dag |n><k| V)_{jj} = conj(V_nj) V_kj
-                diag = vecs[:, n, :].conj() * vecs[:, k, :]
-                pad = np.zeros((diag.shape[0], dim + 2), dtype=complex)
-                pad[:, 1:-1] = diag
-                vals = (twice_s + 1) * (
-                    pad[rows, jc + 1] - 0.5 * (pad[rows, jc] + pad[rows, jc + 2])
-                )
-                accs[(k, n)].push(vals)
+    block(arrays, lo, hi), with arrays = record_arrays(records, arity), is
+    a family's <family>_kernel_block: the (hi - lo, dim, dim) kernel
+    matrices of records lo..hi, whose element [i, k, n] estimates <k|rho|n>.
+    """
+    arrays = record_arrays(records, arity)
+    accs = {(k, n): Accumulator() for k in range(dim) for n in range(dim)
+            if diagonal or k != n}
+    step = max(1, _BLOCK_BYTES // (16 * dim * dim))
+    for lo in range(0, len(records), step):
+        kb = block(arrays, lo, min(lo + step, len(records))).reshape(-1, dim * dim)
+        # Element-major copy, in cache-sized slabs: d^2 strided column reads cost more.
+        rows = np.empty((dim * dim, kb.shape[0]), dtype=complex)
+        for i in range(0, kb.shape[0], 256):
+            rows[:, i : i + 256] = kb[i : i + 256].T
+        for (k, n), acc in accs.items():
+            acc.push(rows[k * dim + n])
     return {key: acc.result() for key, acc in accs.items()}
 
 
 def _pauli_elements(records):
-    from .estimators.spin import pauli_estimate
-
     out = {}
     for k in range(2):
         for n in range(2):
             out[(k, n)] = pauli_estimate(fock_matrix_unit(n, k, 2), records)
     return out
-
-
-def _kerr_elements(records, cfg):
-    dim = cfg.dim
-    psis = np.fromiter((r.setting.coords[0] for r in records), dtype=float, count=len(records))
-    phis = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
-    idx = np.arange(dim)
-    accs = {(k, n): Accumulator() for k in range(dim) for n in range(dim) if k != n}
-    for i in range(0, psis.size, _CHUNK):
-        u = np.exp(1j * (psis[i : i + _CHUNK, None] * (idx * idx)[None, :]
-                         + phis[i : i + _CHUNK, None] * idx[None, :]))
-        for k in range(dim):
-            for n in range(dim):
-                if k != n:
-                    accs[(k, n)].push(u[:, n].conj() * u[:, k])
-    return {key: acc.result() for key, acc in accs.items()}
 
 
 def reconstruct_matrix(records: Sequence, method: str, n_max: int,
@@ -225,32 +188,31 @@ def reconstruct_matrix(records: Sequence, method: str, n_max: int,
     methods = ("homodyne", "parity", "spin", "pauli", "kerr")
     if method not in methods:
         raise UsageError(f"unknown method '{method}'; choose from {methods}")
-    _check_quorum(records, method)
+    check_quorum(records, method)
     dim = n_max + 1
 
-    if method == "homodyne":
-        if cfg is None or cfg.dim < dim:
-            raise UsageError("homodyne reconstruction needs cfg with dim > n_max")
-        work = dataclasses.replace(cfg, dim=dim) if cfg.dim != dim else cfg
-        results = _homodyne_elements(records, work, squeeze)
-    elif method == "parity":
-        if cfg is None or cfg.dim < dim:
-            raise UsageError("parity reconstruction needs cfg with dim > n_max")
-        work = dataclasses.replace(cfg, dim=dim) if cfg.dim != dim else cfg
-        results = _parity_elements(records, work)
-    elif method == "spin":
-        if twice_s is None or twice_s + 1 != dim:
-            raise UsageError("spin reconstruction needs twice_s with 2s = n_max * 2")
-        results = _spin_elements(records, twice_s)
-    elif method == "pauli":
+    if method == "pauli":
         if dim != 2:
             raise UsageError("pauli reconstruction is for n_max = 1")
         results = _pauli_elements(records)
     else:
-        if cfg is None or cfg.dim < dim:
-            raise UsageError("kerr reconstruction needs cfg with dim > n_max")
-        work = dataclasses.replace(cfg, dim=dim) if cfg.dim != dim else cfg
-        results = _kerr_elements(records, work)
+        if method == "spin":
+            if twice_s is None or twice_s + 1 != dim:
+                raise UsageError("spin reconstruction needs twice_s with 2s = n_max * 2")
+            block = functools.partial(spin_kernel_block, twice_s=twice_s)
+        else:
+            if cfg is None or cfg.dim < dim:
+                raise UsageError(f"{method} reconstruction needs cfg with dim > n_max")
+            work = dataclasses.replace(cfg, dim=dim) if cfg.dim != dim else cfg
+            if method == "homodyne":
+                block = functools.partial(homodyne_kernel_block, cfg=work, squeeze=squeeze)
+            elif method == "parity":
+                check_parity_boundary(None, work)
+                block = functools.partial(parity_kernel_block, cfg=work)
+            else:
+                block = functools.partial(kerr_kernel_block, cfg=work)
+        results = _block_elements(records, _SETTING_ARITY[method], block, dim,
+                                  diagonal=method != "kerr")
 
     elements = tuple(
         tuple(results.get((k, n)) for n in range(dim)) for k in range(dim)

@@ -168,11 +168,17 @@ def records_from_csv(path) -> List[MeasurementRecord]:
             if len(row) != len(_CSV_HEADER):
                 raise InvalidSpecError(f"{path}: malformed row {row}")
             quorum = row[0]
-            coords = tuple(float(c) for c in row[1:4] if c != "")
+            try:
+                coords = tuple(float(c) for c in row[1:4] if c != "")
+                outcome = (float(row[4]),)
+            except ValueError:
+                raise InvalidSpecError(
+                    f"{path}: line {reader.line_num}: non-numeric field in row {row}"
+                ) from None
             out.append(MeasurementRecord(
                 quorum=quorum,
                 setting=SettingLabel(quorum, coords),
-                outcome=(float(row[4]),),
+                outcome=outcome,
             ))
     return out
 

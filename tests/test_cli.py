@@ -176,6 +176,15 @@ class TestReconstruct:
                                   "--n-max", "3", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_non_numeric_csv_field_is_a_usage_error(self, capsys, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text("quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,0.5,,,x\n")
+        code, _, err = run(capsys, ["reconstruct", "--method", "homodyne",
+                                    "--records", str(records), "--n-max", "3",
+                                    "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "line 3" in err and "Traceback" not in err
+
     def test_json_errors_on_stderr(self, capsys, tmp_path):
         code, _, err = run(capsys, ["reconstruct", "--method", "parity",
                                     "--json-errors", "--n-max", "3",

@@ -71,8 +71,9 @@ class TestKernel:
             assert abs(closed - oracle) <= 1e-9
 
     def test_invalid_eigenvalue_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            spin_kernel(pauli("z"), 0.3, Z_AXIS, 1)
+        for m in (0.3, float("nan")):
+            with pytest.raises(InvalidSpecError):
+                spin_kernel(pauli("z"), m, Z_AXIS, 1)
 
 
 class TestSpinEstimate:

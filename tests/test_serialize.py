@@ -169,6 +169,12 @@ class TestRecordsCsv:
         with pytest.raises(InvalidSpecError):
             records_from_csv(p)
 
+    def test_non_numeric_field_names_file_and_line(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_text("quorum,s1,s2,s3,o1\nparity,0.0,0.0,,1\nparity,0.5,abc,,-1\n")
+        with pytest.raises(InvalidSpecError, match=r"records\.csv: line 3"):
+            records_from_csv(p)
+
     def test_oversized_setting_rejected(self, tmp_path):
         bad = [MeasurementRecord("x", SettingLabel("x", (1.0, 2.0, 3.0, 4.0)), (0.0,))]
         with pytest.raises(InvalidSpecError):
