@@ -9,6 +9,7 @@ operators / states   matrix builders and basic containers
 frames               spanning sets, duals, bi-orthogonality and rank checks
 dualbasis            Gram-Schmidt and pseudoinverse dual construction
 estimators           per-quorum kernels and estimators
+records              columnar record batches and the quorum family table
 sampler              synthetic measurement records, reproducible streams
 recon                streaming accumulation, density-matrix assembly
 serialize            file formats (JSON documents, record CSV)
@@ -48,7 +49,8 @@ from .dualbasis import (
     weigert_spin_quorum,
 )
 from .estimators import EstimatorConfig, SqueezeParams
-from .sampler import MeasurementRecord, RngStream
+from .records import FAMILIES, RecordBatch
+from .sampler import RngStream
 from .recon import (
     Accumulator,
     EstimationResult,
@@ -96,7 +98,8 @@ __all__ = [
     "spiral_directions",
     "EstimatorConfig",
     "SqueezeParams",
-    "MeasurementRecord",
+    "FAMILIES",
+    "RecordBatch",
     "RngStream",
     "Accumulator",
     "EstimationResult",

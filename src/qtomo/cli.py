@@ -46,10 +46,10 @@ from .sampler import (
 from .recon import (
     EstimationResult,
     ReconstructedMatrix,
-    check_quorum,
     estimate,
     reconstruct_matrix,
 )
+from .records import FAMILIES
 from .serialize import (
     load_quorum,
     load_state,
@@ -62,8 +62,6 @@ from .serialize import (
 )
 
 __all__ = ["main", "build_parser"]
-
-_SAMPLED_METHODS = ("homodyne", "spin", "pauli", "parity", "kerr")
 
 
 # flag parsing helpers -------------------------------------------------------
@@ -309,9 +307,7 @@ def cmd_reconstruct(args) -> None:
     if not args.records:
         raise UsageError("--records is required for sampled methods")
     records = records_from_csv(args.records)
-    if not records:
-        raise UsageError(f"{args.records} holds no records")
-    check_quorum(records, method)
+    records.require(method)
 
     squeeze = _squeeze_params(args)
     if squeeze is not None and method != "homodyne":
@@ -349,7 +345,7 @@ def cmd_reconstruct(args) -> None:
         else:
             if name == "identity":
                 # normalization of the phase distribution: constant unit kernel
-                result = estimate(records, lambda setting, outcome: 1.0)
+                result = estimate(np.ones(len(records)))
             else:
                 result = kerr_estimate(a, records, cfg)
         save_estimation(args.out, name, result, extra={"method": method})
@@ -516,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", parents=[common, cfgp],
                               help="draw synthetic measurement records")
-    p_sample.add_argument("--method", required=True, choices=list(_SAMPLED_METHODS))
+    p_sample.add_argument("--method", required=True, choices=list(FAMILIES))
     p_sample.add_argument("--state", help="state file; default is maximally mixed")
     p_sample.add_argument("--dim", type=int, help="dimension when no state file is given")
     p_sample.add_argument("--s", type=float, help="spin magnitude (method spin)")
@@ -530,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", parents=[common, cfgp],
                            help="estimate a matrix or a single observable from records")
     p_rec.add_argument("--method", required=True,
-                       choices=list(_SAMPLED_METHODS) + ["nonunitary"])
+                       choices=list(FAMILIES) + ["nonunitary"])
     p_rec.add_argument("--records", help="record CSV (sampled methods)")
     p_rec.add_argument("--state", help="state file (method nonunitary)")
     p_rec.add_argument("--n-max", type=int, help="largest level index to estimate")

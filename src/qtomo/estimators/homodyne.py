@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..errors import DimensionMismatchError, NumericPreconditionError, UsageError
+from ..errors import DimensionMismatchError, NumericPreconditionError
 from ..operators import Operator, annihilation
+from ..records import RecordBatch
 from ..states import DensityMatrix
 from . import _cahill
 from .config import EstimatorConfig, SqueezeParams
@@ -157,18 +158,17 @@ def _band_splines(a_mat: np.ndarray, cfg: EstimatorConfig):
     return qs, splines
 
 
-def homodyne_kernel_block(arrays, lo: int, hi: int, cfg: EstimatorConfig,
+def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: EstimatorConfig,
                           squeeze: Optional[SqueezeParams] = None) -> np.ndarray:
     """Kernels e^{i(k-n)phi} F_kn(q) for settings phi and outcomes q.
 
     With squeeze the block is S^dag K S, the kernel that
     squeezed_homodyne_estimate traces against.
     """
-    settings, outcomes = arrays
     dim = cfg.dim
     grid, spline = _f_spline(dim, cfg.k_max, cfg.reg_eps)
-    qc = np.clip(outcomes[lo:hi], grid[0], grid[-1])  # beyond the grid the kernel is ~0
-    u = np.exp(1j * settings[lo:hi, 0, None] * np.arange(dim))
+    qc = np.clip(outcomes, grid[0], grid[-1])  # beyond the grid the kernel is ~0
+    u = np.exp(1j * settings[:, 0, None] * np.arange(dim))
     block = u[:, :, None] * u.conj()[:, None, :]
     block *= spline(qc).reshape(-1, dim, dim)
     if squeeze is not None:
@@ -177,11 +177,10 @@ def homodyne_kernel_block(arrays, lo: int, hi: int, cfg: EstimatorConfig,
     return block
 
 
-def _estimate_from_splines(a_mat: np.ndarray, records: Sequence, cfg: EstimatorConfig):
-    from ..recon import Accumulator, record_arrays
+def _estimate_from_splines(a_mat: np.ndarray, records: RecordBatch, cfg: EstimatorConfig):
+    from ..recon import Accumulator
 
-    settings, qs = record_arrays(records, 1)
-    phis = settings[:, 0]
+    phis, qs = records.settings[:, 0], records.outcomes
     grid, splines = _band_splines(a_mat, cfg)
     q_lo, q_hi = grid[0], grid[-1]
     acc = Accumulator()
@@ -195,12 +194,11 @@ def _estimate_from_splines(a_mat: np.ndarray, records: Sequence, cfg: EstimatorC
     return acc.result()
 
 
-def homodyne_estimate(a: Operator, records: Sequence, cfg: EstimatorConfig):
+def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
     """Sample mean of Tr[A K(q_i - qhat_{phi_i})] with its standard error."""
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
-    if len(records) < 2:
-        raise UsageError("homodyne_estimate needs at least 2 records")
+    records.require("homodyne", 2)
     return _estimate_from_splines(a.mat, records, cfg)
 
 
@@ -221,7 +219,7 @@ def effective_squeezer(sq: SqueezeParams, dim: int) -> Operator:
     return Operator(expm(0.5 * (xi * (ad @ ad) - np.conj(xi) * (am @ am))))
 
 
-def squeezed_homodyne_estimate(a: Operator, records: Sequence, sq: SqueezeParams,
+def squeezed_homodyne_estimate(a: Operator, records: RecordBatch, sq: SqueezeParams,
                                cfg: EstimatorConfig):
     """Homodyne estimate against samples of the squeezed quadrature.
 
@@ -231,8 +229,7 @@ def squeezed_homodyne_estimate(a: Operator, records: Sequence, sq: SqueezeParams
     """
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
-    if len(records) < 2:
-        raise UsageError("squeezed_homodyne_estimate needs at least 2 records")
+    records.require("homodyne", 2)
     s = effective_squeezer(sq, cfg.dim).mat
     a_tilde = s @ a.mat @ s.conj().T
     return _estimate_from_splines(a_tilde, records, cfg)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, InvalidSpecError, UsageError
 from ..operators import Operator
+from ..records import RecordBatch
 from ..states import DensityMatrix
 from .config import EstimatorConfig
 
@@ -123,7 +124,7 @@ def _observable_offdiag(a: Operator) -> np.ndarray:
     return mat
 
 
-def kerr_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
+def kerr_estimate(target: Union[Operator, Tuple[int, int]], records: RecordBatch,
                   cfg: EstimatorConfig):
     """Sample mean of the off-diagonal kernel over (psi, phi) records.
 
@@ -131,8 +132,7 @@ def kerr_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
     as the outcome; no importance weight is needed because psi is drawn
     uniformly and phi from its exact conditional.
     """
-    if len(records) < 2:
-        raise UsageError("kerr_estimate needs at least 2 records")
+    records.require("kerr", 2)
     if isinstance(target, Operator):
         if target.dim != cfg.dim:
             raise DimensionMismatchError(f"operator dim {target.dim} vs config dim {cfg.dim}")
@@ -144,10 +144,9 @@ def kerr_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
         if n < 0 or n + d < 0 or n >= cfg.dim or n + d >= cfg.dim:
             raise InvalidSpecError("element indices must lie inside the configured dimension")
 
-    from ..recon import Accumulator, record_arrays
+    from ..recon import Accumulator
 
-    settings, phis = record_arrays(records, 1)
-    psis = settings[:, 0]
+    psis, phis = records.settings[:, 0], records.outcomes
     acc = Accumulator()
     for i in range(0, psis.size, _CHUNK):
         ps, ph = psis[i : i + _CHUNK], phis[i : i + _CHUNK]
@@ -161,13 +160,13 @@ def kerr_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
     return acc.result()
 
 
-def kerr_kernel_block(arrays, lo: int, hi: int, cfg: EstimatorConfig) -> np.ndarray:
+def kerr_kernel_block(settings: np.ndarray, outcomes: np.ndarray,
+                      cfg: EstimatorConfig) -> np.ndarray:
     """Kernels conj(u_n) u_k for settings psi and outcomes phi; zero diagonal.
 
     The records do not determine the diagonal, so it is left at zero.
     """
-    settings, outcomes = arrays
-    u = _phase_vectors(settings[lo:hi, 0], outcomes[lo:hi], cfg.dim)
+    u = _phase_vectors(settings[:, 0], outcomes, cfg.dim)
     block = u[:, :, None] * u.conj()[:, None, :]
     block[:, np.arange(cfg.dim), np.arange(cfg.dim)] = 0.0
     return block

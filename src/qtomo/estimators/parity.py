@@ -14,13 +14,14 @@ used for the state itself.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln, eval_genlaguerre
 
-from ..errors import DimensionMismatchError, GridError, InvalidSpecError, UsageError
+from ..errors import DimensionMismatchError, GridError, InvalidSpecError
 from ..operators import Operator, build_operator, OperatorSpec
+from ..records import RecordBatch
 from ..states import DensityMatrix
 from . import _cahill
 from .config import EstimatorConfig
@@ -119,21 +120,21 @@ def check_parity_boundary(target, cfg: EstimatorConfig) -> None:
         )
 
 
-def parity_kernel_block(arrays, lo: int, hi: int, cfg: EstimatorConfig) -> np.ndarray:
+def parity_kernel_block(settings: np.ndarray, outcomes: np.ndarray,
+                        cfg: EstimatorConfig) -> np.ndarray:
     """Weighted kernels R^2 s 4 P D(2b) for settings (Re b, Im b) and parities s.
 
     The proposal-boundary check is the caller's, once per record set.
     """
-    settings, outcomes = arrays
     radius = cfg.parity_radius()
-    betas = settings[lo:hi, 0] + 1j * settings[lo:hi, 1]
+    betas = settings[:, 0] + 1j * settings[:, 1]
     block = _cahill.disp_stack(2.0 * betas, cfg.dim)
     block *= (4.0 * radius * radius) * _parity_signs(cfg.dim)[None, :, None]
-    block *= outcomes[lo:hi, None, None]
+    block *= outcomes[:, None, None]
     return block
 
 
-def parity_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
+def parity_estimate(target: Union[Operator, Tuple[int, int]], records: RecordBatch,
                     cfg: EstimatorConfig):
     """Importance-weighted parity average for an operator or a single (n, d) element.
 
@@ -142,8 +143,7 @@ def parity_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
     radius cfg.parity_radius() contributes the weight R^2 that maps the
     empirical mean back onto the d^2b/pi measure.
     """
-    if len(records) < 2:
-        raise UsageError("parity_estimate needs at least 2 records")
+    records.require("parity", 2)
     radius = cfg.parity_radius()
     if isinstance(target, Operator):
         if target.dim != cfg.dim:
@@ -154,10 +154,10 @@ def parity_estimate(target: Union[Operator, Tuple[int, int]], records: Sequence,
             raise InvalidSpecError("element target needs n >= 0 and d >= 0")
     check_parity_boundary(target, cfg)
 
-    from ..recon import Accumulator, record_arrays
+    from ..recon import Accumulator
 
-    settings, signs = record_arrays(records, 2)
-    betas = settings[:, 0] + 1j * settings[:, 1]
+    signs = records.outcomes
+    betas = records.settings[:, 0] + 1j * records.settings[:, 1]
     weight = radius * radius
     acc = Accumulator()
     for i in range(0, betas.size, _CHUNK):

@@ -13,12 +13,13 @@ dropped. The numeric psi-quadrature route is kept as the oracle.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import DimensionMismatchError, InvalidSpecError, UsageError
 from ..operators import Operator, spin_matrices
+from ..records import RecordBatch
 from ..states import DensityMatrix
 
 __all__ = [
@@ -103,27 +104,25 @@ def _eigvecs(dirs: np.ndarray, twice_s: int) -> np.ndarray:
     return np.linalg.eigh(mats)[1]
 
 
-def spin_kernel_block(arrays, lo: int, hi: int, twice_s: int) -> np.ndarray:
+def spin_kernel_block(settings: np.ndarray, outcomes: np.ndarray, twice_s: int) -> np.ndarray:
     """Kernels V diag(c) V^dag for settings n (direction) and outcomes m.
 
     V holds the S.n eigenvectors and c the closed-form stencil at m.
     """
-    settings, outcomes = arrays
-    c = _stencils(_outcome_indices(outcomes[lo:hi], twice_s), twice_s)
-    vecs = _eigvecs(settings[lo:hi], twice_s)
+    c = _stencils(_outcome_indices(outcomes, twice_s), twice_s)
+    vecs = _eigvecs(settings, twice_s)
     return (vecs * c[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
-def spin_estimate(a: Operator, records: Sequence, twice_s: int):
+def spin_estimate(a: Operator, records: RecordBatch, twice_s: int):
     """Sample mean of the closed-form kernel over (direction, outcome) records."""
     if a.dim != twice_s + 1:
         raise DimensionMismatchError(f"operator dim {a.dim} vs 2s+1 = {twice_s + 1}")
-    if len(records) < 2:
-        raise UsageError("spin_estimate needs at least 2 records")
-    from ..recon import Accumulator, record_arrays
+    records.require("spin", 2)
+    from ..recon import Accumulator
 
-    dirs, ms = record_arrays(records, 3)
-    c = _stencils(_outcome_indices(ms, twice_s), twice_s)
+    dirs = records.settings
+    c = _stencils(_outcome_indices(records.outcomes, twice_s), twice_s)
 
     acc = Accumulator()
     for i in range(0, len(records), _CHUNK):
@@ -175,23 +174,22 @@ def spin_quadrature_expectation(a: Operator, rho: DensityMatrix, twice_s: int,
     return complex(total)
 
 
-def pauli_estimate(a: Operator, records: Sequence):
+def pauli_estimate(a: Operator, records: RecordBatch):
     """Qubit shortcut: sum_axis Tr[A sigma_axis] <m>_axis + Tr[A]/2.
 
     The standard error combines the three per-axis variances with the
     trace coefficients, so identity-like A report zero error exactly.
+    Every record lies on one of the three axes, so all of them count.
     """
     if a.dim != 2:
         raise DimensionMismatchError("pauli_estimate is for 2x2 operators")
-    if len(records) == 0:
-        raise UsageError("pauli_estimate needs records for every axis")
+    records.require("pauli")
     from ..operators import pauli
     from ..recon import EstimationResult
 
     coeffs = [complex(np.trace(a.mat @ pauli(ax).mat)) for ax in ("x", "y", "z")]
-    axes = np.fromiter((int(r.setting.coords[0]) for r in records), dtype=int,
-                       count=len(records))
-    ms = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
+    axes = records.settings[:, 0]
+    ms = records.outcomes
     mean = 0.5 * complex(np.trace(a.mat))
     var = 0.0
     for idx in range(3):

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError, UsageError
+from .errors import DimensionMismatchError, UsageError
 from .estimators.homodyne import homodyne_kernel_block
 from .estimators.kerr import kerr_kernel_block
 from .estimators.parity import check_parity_boundary, parity_kernel_block
 from .estimators.spin import pauli_estimate, spin_kernel_block
 from .operators import Operator, fock_matrix_unit
+from .records import FAMILIES, RecordBatch
 from .states import DensityMatrix
 
 __all__ = [
@@ -35,11 +35,8 @@ __all__ = [
     "nearest_physical_state",
 ]
 
-_CHUNK = 1 << 16
 # Bytes of one complex (n, d, d) kernel block in reconstruct_matrix: 8192 records at d = 8.
 _BLOCK_BYTES = 8 << 20
-# Setting coordinates per record: phi; (Re b, Im b); direction; Kerr strength psi.
-_SETTING_ARITY = {"homodyne": 1, "parity": 2, "spin": 3, "kerr": 1}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,7 +47,11 @@ class EstimationResult:
 
 
 class Accumulator:
-    """Single-pass mean/M2 accumulation over complex values, mergeable."""
+    """Single-pass mean/M2 accumulation over complex values, mergeable.
+
+    Fed (n,) chunks it tracks one stream; fed (n, m) blocks it tracks m
+    columns at once, each with its own mean and M2 under the same merge.
+    """
 
     __slots__ = ("n", "mean", "m2")
 
@@ -60,12 +61,14 @@ class Accumulator:
         self.m2 = 0.0
 
     def push(self, values: np.ndarray) -> None:
-        v = np.asarray(values, dtype=complex).ravel()
-        if v.size == 0:
+        v = np.asarray(values, dtype=complex)
+        if len(v) == 0:
             return
-        cm = complex(v.mean())
-        cm2 = float(np.sum(np.abs(v - cm) ** 2))
-        self._combine(v.size, cm, cm2)
+        cm = v.mean(axis=0)
+        cm2 = np.sum(np.abs(v - cm) ** 2, axis=0)
+        if v.ndim == 1:
+            cm, cm2 = complex(cm), float(cm2)
+        self._combine(len(v), cm, cm2)
 
     def merge(self, other: "Accumulator") -> None:
         self._combine(other.n, other.mean, other.m2)
@@ -90,18 +93,21 @@ class Accumulator:
             n_samples=self.n,
         )
 
+    def column_results(self) -> List[EstimationResult]:
+        """One result per column of the (n, m) blocks pushed."""
+        if self.n < 2:
+            raise UsageError("need at least 2 values for a standard error")
+        se = np.sqrt(np.maximum(self.m2, 0.0) / (self.n - 1) / self.n)
+        return [EstimationResult(mean=complex(m), std_error=float(e), n_samples=self.n)
+                for m, e in zip(self.mean, se)]
 
-def estimate(records: Sequence, kernel: Callable) -> EstimationResult:
-    """Ensemble average of kernel(setting, outcome) over the records."""
-    if len(records) < 2:
+
+def estimate(values: np.ndarray) -> EstimationResult:
+    """Ensemble average of per-record kernel values, with its standard error."""
+    if len(values) < 2:
         raise UsageError("estimate needs at least 2 records")
     acc = Accumulator()
-    for i in range(0, len(records), _CHUNK):
-        chunk = records[i : i + _CHUNK]
-        acc.push(np.fromiter(
-            (complex(kernel(r.setting, r.outcome)) for r in chunk),
-            dtype=complex, count=len(chunk),
-        ))
+    acc.push(values)
     return acc.result()
 
 
@@ -124,57 +130,25 @@ class ReconstructedMatrix:
         return self.elements[k][n]
 
 
-def check_quorum(records: Sequence, expected: str) -> None:
-    ids = {r.quorum for r in records}
-    if ids != {expected}:
-        raise UsageError(
-            f"records carry quorum {sorted(ids)} but the method expects '{expected}'"
-        )
-
-
-def record_arrays(records: Sequence, arity: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Settings (N, arity) and outcomes (N,) as float arrays, pulled out once."""
-    coords = [r.setting.coords for r in records]
-    if set(map(len, coords)) != {arity}:
-        raise InvalidSpecError(f"records need {arity} setting coordinates each")
-    settings = np.fromiter(itertools.chain.from_iterable(coords), dtype=float,
-                           count=len(coords) * arity)
-    outcomes = np.fromiter((r.outcome[0] for r in records), dtype=float, count=len(records))
-    return settings.reshape(-1, arity), outcomes
-
-
-def _block_elements(records: Sequence, arity: int, block: Callable, dim: int,
+def _block_elements(batch: RecordBatch, block: Callable, dim: int,
                     diagonal: bool = True) -> Dict[Tuple[int, int], EstimationResult]:
-    """One pass over the records: per chunk one kernel block, one push per element.
+    """One pass over the records: per chunk one kernel block, pushed whole.
 
-    block(arrays, lo, hi), with arrays = record_arrays(records, arity), is
-    a family's <family>_kernel_block: the (hi - lo, dim, dim) kernel
-    matrices of records lo..hi, whose element [i, k, n] estimates <k|rho|n>.
+    block(settings, outcomes) is a family's <family>_kernel_block: the
+    (n, dim, dim) kernel matrices of n records, whose element [i, k, n]
+    estimates <k|rho|n>.
     """
-    arrays = record_arrays(records, arity)
-    accs = {(k, n): Accumulator() for k in range(dim) for n in range(dim)
-            if diagonal or k != n}
+    acc = Accumulator()
     step = max(1, _BLOCK_BYTES // (16 * dim * dim))
-    for lo in range(0, len(records), step):
-        kb = block(arrays, lo, min(lo + step, len(records))).reshape(-1, dim * dim)
-        # Element-major copy, in cache-sized slabs: d^2 strided column reads cost more.
-        rows = np.empty((dim * dim, kb.shape[0]), dtype=complex)
-        for i in range(0, kb.shape[0], 256):
-            rows[:, i : i + 256] = kb[i : i + 256].T
-        for (k, n), acc in accs.items():
-            acc.push(rows[k * dim + n])
-    return {key: acc.result() for key, acc in accs.items()}
+    for lo in range(0, len(batch), step):
+        kb = block(batch.settings[lo : lo + step], batch.outcomes[lo : lo + step])
+        acc.push(kb.reshape(-1, dim * dim))
+    results = acc.column_results()
+    return {(k, n): results[k * dim + n] for k in range(dim) for n in range(dim)
+            if diagonal or k != n}
 
 
-def _pauli_elements(records):
-    out = {}
-    for k in range(2):
-        for n in range(2):
-            out[(k, n)] = pauli_estimate(fock_matrix_unit(n, k, 2), records)
-    return out
-
-
-def reconstruct_matrix(records: Sequence, method: str, n_max: int,
+def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
                        cfg=None, twice_s: Optional[int] = None,
                        squeeze=None, reference: Optional[DensityMatrix] = None,
                        nearest_physical: bool = False) -> ReconstructedMatrix:
@@ -183,18 +157,16 @@ def reconstruct_matrix(records: Sequence, method: str, n_max: int,
     n_max is the largest Fock/spin index wanted; the working dimension is
     n_max + 1 and must not exceed what cfg (or 2s+1) supports.
     """
-    if len(records) == 0:
-        raise UsageError("no records to reconstruct from")
-    methods = ("homodyne", "parity", "spin", "pauli", "kerr")
-    if method not in methods:
-        raise UsageError(f"unknown method '{method}'; choose from {methods}")
-    check_quorum(records, method)
+    if method not in FAMILIES:
+        raise UsageError(f"unknown method '{method}'; choose from {tuple(FAMILIES)}")
+    records.require(method)
     dim = n_max + 1
 
     if method == "pauli":
         if dim != 2:
             raise UsageError("pauli reconstruction is for n_max = 1")
-        results = _pauli_elements(records)
+        results = {(k, n): pauli_estimate(fock_matrix_unit(n, k, 2), records)
+                   for k in range(2) for n in range(2)}
     else:
         if method == "spin":
             if twice_s is None or twice_s + 1 != dim:
@@ -211,8 +183,7 @@ def reconstruct_matrix(records: Sequence, method: str, n_max: int,
                 block = functools.partial(parity_kernel_block, cfg=work)
             else:
                 block = functools.partial(kerr_kernel_block, cfg=work)
-        results = _block_elements(records, _SETTING_ARITY[method], block, dim,
-                                  diagonal=method != "kerr")
+        results = _block_elements(records, block, dim, diagonal=method != "kerr")
 
     elements = tuple(
         tuple(results.get((k, n)) for n in range(dim)) for k in range(dim)

@@ -1,0 +1,97 @@
+"""Measurement records in columnar form, and the table of quorum families.
+
+A RecordBatch holds N records of one family as two float64 arrays, the
+settings (N, k) and the outcomes (N,). It is validated once, when it is
+built, against the family's entry in FAMILIES, so the estimators, the
+reconstruction and the CSV writer read the arrays as they are.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from .errors import InvalidSpecError, UsageError
+
+__all__ = ["Family", "FAMILIES", "RecordBatch"]
+
+
+class Family(NamedTuple):
+    """Setting arity of a family, and the only values its columns may hold (None: any finite)."""
+
+    arity: int
+    settings: Optional[Tuple[float, ...]] = None
+    outcomes: Optional[Tuple[float, ...]] = None
+
+
+FAMILIES = {
+    "homodyne": Family(1),  # phase phi; quadrature q
+    "spin": Family(3),  # direction n; eigenvalue m of S.n, in a range the estimators check
+    "pauli": Family(1, settings=(0.0, 1.0, 2.0), outcomes=(-0.5, 0.5)),  # axis x, y, z; +-1/2
+    "parity": Family(2, outcomes=(-1.0, 1.0)),  # displacement (Re b, Im b); parity +-1
+    "kerr": Family(1),  # Kerr strength psi; measured phase phi
+}
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class RecordBatch:
+    """N records of one quorum family: settings (N, k) and outcomes (N,).
+
+    The constructor copies both arrays to read-only float64 and raises
+    InvalidSpecError unless the family is known, k is its arity, and
+    every value is finite and inside the family's allowed set. Two
+    batches are equal when their quorum and the bits of their arrays are.
+    """
+
+    quorum: str
+    settings: np.ndarray
+    outcomes: np.ndarray
+
+    def __post_init__(self) -> None:
+        family = FAMILIES.get(self.quorum)
+        if family is None:
+            raise InvalidSpecError(
+                f"unknown quorum {self.quorum!r}; known families: {', '.join(FAMILIES)}"
+            )
+        settings = np.array(self.settings, dtype=np.float64)
+        outcomes = np.array(self.outcomes, dtype=np.float64)
+        if (settings.ndim != 2 or settings.shape[1] != family.arity
+                or outcomes.shape != settings.shape[:1]):
+            raise InvalidSpecError(
+                f"{self.quorum} records need settings of shape (N, {family.arity}) and "
+                f"outcomes of shape (N,); got {settings.shape} and {outcomes.shape}"
+            )
+        for column, values, allowed in (("setting", settings, family.settings),
+                                        ("outcome", outcomes, family.outcomes)):
+            bad = ~np.isfinite(values) if allowed is None else ~np.isin(values, allowed)
+            if bad.any():
+                i = int(np.flatnonzero(bad.reshape(len(values), -1).any(axis=1))[0])
+                raise InvalidSpecError(
+                    f"{self.quorum} record {i}: {column} {values[i].tolist()} must be "
+                    + ("finite" if allowed is None else f"one of {allowed}")
+                )
+            values.setflags(write=False)
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "outcomes", outcomes)
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordBatch):
+            return NotImplemented
+        return (self.quorum == other.quorum
+                and self.settings.shape == other.settings.shape
+                and np.array_equal(self.settings.view(np.int64), other.settings.view(np.int64))
+                and np.array_equal(self.outcomes.view(np.int64), other.outcomes.view(np.int64)))
+
+    def require(self, quorum: str, at_least: int = 1) -> None:
+        """Raise UsageError unless these are at least at_least records of the family quorum."""
+        if self.quorum != quorum:
+            raise UsageError(
+                f"records carry quorum '{self.quorum}' but the method expects '{quorum}'"
+            )
+        if len(self) < at_least:
+            raise UsageError(f"need at least {at_least} {quorum} records, got {len(self)}")

@@ -1,7 +1,7 @@
 """Measurement simulation for every quorum family.
 
 Each sampler draws settings and outcomes from the exact distributions of
-the truncated state and returns self-describing records. Randomness is
+the truncated state and returns them as one RecordBatch. Randomness is
 counter-based: a record stream is a pure function of (seed, substream)
 regardless of how many workers executed the chunks, because chunk i of
 every stream owns the Philox key (seed, substream << 32 | i).
@@ -22,12 +22,11 @@ from .estimators.config import EstimatorConfig, SqueezeParams
 from .estimators.homodyne import effective_squeezer, oscillator_wavefunctions
 from .estimators.kerr import kerr_sideband_coefficients
 from .estimators.parity import displaced_parity_expectation
-from .frames import SettingLabel
 from .operators import spin_matrices
+from .records import RecordBatch
 from .states import DensityMatrix
 
 __all__ = [
-    "MeasurementRecord",
     "RngStream",
     "sample_homodyne",
     "sample_spin",
@@ -38,13 +37,6 @@ __all__ = [
 
 _LEAK_TOL = 1e-6
 _CDF_GRID = 8193
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class MeasurementRecord:
-    quorum: str
-    setting: SettingLabel
-    outcome: Tuple[float, ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,6 +69,17 @@ def _chunk_sizes(shots: int) -> List[int]:
         raise UsageError(f"shots must be >= 1, got {shots}")
     full, rest = divmod(shots, CHUNK_SHOTS)
     return [CHUNK_SHOTS] * full + ([rest] if rest else [])
+
+
+def _sampled(quorum: str, sizes: List[int], rng: RngStream, draw) -> RecordBatch:
+    """Records of every chunk, concatenated in chunk order.
+
+    draw(gen, start, cnt) returns the (settings, outcomes) arrays of shots
+    start..start+cnt; chunk i draws from rng.generator(i).
+    """
+    parts = chunk_map(lambda i: draw(rng.generator(i), i * CHUNK_SHOTS, sizes[i]), len(sizes))
+    settings, outcomes = zip(*parts)
+    return RecordBatch(quorum, np.concatenate(settings), np.concatenate(outcomes))
 
 
 def _check_leakage(rho: DensityMatrix) -> None:
@@ -136,7 +139,7 @@ def _invert_cdf_indexed(u: np.ndarray, value_at) -> Tuple[np.ndarray, np.ndarray
 def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
                     cfg: EstimatorConfig,
                     squeeze: Optional[SqueezeParams] = None,
-                    phases_fixed: Optional[np.ndarray] = None) -> List[MeasurementRecord]:
+                    phases_fixed: Optional[np.ndarray] = None) -> RecordBatch:
     """Phase uniform on [0, pi); quadrature from the exact conditional density.
 
     With squeeze given, outcomes follow the squeezed quadrature operator's
@@ -163,12 +166,10 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
     ds = np.arange(1, rho.dim)
     dq = qs[1] - qs[0]
 
-    def run_chunk(i: int) -> List[MeasurementRecord]:
-        gen = rng.generator(i)
-        cnt = sizes[i]
+    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
         phis = gen.uniform(0.0, np.pi, cnt)
         if phases_fixed is not None:
-            phis = phases_fixed[i * CHUNK_SHOTS : i * CHUNK_SHOTS + cnt]
+            phis = phases_fixed[start : start + cnt]
         u = gen.uniform(0.0, 1.0, cnt)
         phases = np.exp(-1j * np.outer(phis, ds))
         total = _homodyne_cdf_at(np.full(cnt, _CDF_GRID - 1), h0, hrest, phases)
@@ -182,22 +183,15 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
         c_hi = value_at(hi)
         frac = np.clip((target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0, 1.0)
         q = qs[lo] + frac * dq
-        return [
-            MeasurementRecord("homodyne", SettingLabel("homodyne", (float(p),)),
-                              (float(qv),))
-            for p, qv in zip(phis, q)
-        ]
+        return phis[:, None], q
 
-    out: List[MeasurementRecord] = []
-    for part in chunk_map(run_chunk, len(sizes)):
-        out.extend(part)
-    return out
+    return _sampled("homodyne", sizes, rng, draw)
 
 
 # spin --------------------------------------------------------------------
 
 def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream,
-                directions: Optional[np.ndarray] = None) -> List[MeasurementRecord]:
+                directions: Optional[np.ndarray] = None) -> RecordBatch:
     """Directions uniform on the sphere; outcomes from the S.n eigenbasis.
 
     directions, when given (shots x 3 unit vectors), replaces the random
@@ -213,9 +207,7 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream,
         if directions.shape != (shots, 3):
             raise UsageError("directions must have shape (shots, 3)")
 
-    def run_chunk(i: int) -> List[MeasurementRecord]:
-        gen = rng.generator(i)
-        cnt = sizes[i]
+    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
         if directions is None:
             z = gen.uniform(-1.0, 1.0, cnt)
             az = gen.uniform(0.0, 2.0 * np.pi, cnt)
@@ -223,7 +215,7 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream,
             dirs = np.stack([st * np.cos(az), st * np.sin(az), z], axis=1)
         else:
             gen.uniform(size=2 * cnt)  # keep the draw budget identical
-            dirs = directions[i * CHUNK_SHOTS : i * CHUNK_SHOTS + cnt]
+            dirs = directions[start : start + cnt]
         mats = (dirs[:, 0, None, None] * sx + dirs[:, 1, None, None] * sy
                 + dirs[:, 2, None, None] * sz)
         _, vecs = np.linalg.eigh(mats)
@@ -234,19 +226,12 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream,
         u = gen.uniform(0.0, 1.0, cnt)
         j = (u[:, None] < np.cumsum(probs, axis=1)).argmax(axis=1)
         ms = j - twice_s / 2.0
-        return [
-            MeasurementRecord("spin", SettingLabel("spin", tuple(map(float, nv))),
-                              (float(m),))
-            for nv, m in zip(dirs, ms)
-        ]
+        return dirs, ms
 
-    out: List[MeasurementRecord] = []
-    for part in chunk_map(run_chunk, len(sizes)):
-        out.extend(part)
-    return out
+    return _sampled("spin", sizes, rng, draw)
 
 
-def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> List[MeasurementRecord]:
+def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> RecordBatch:
     """Round-robin x, y, z axis measurements on a qubit; outcomes +-1/2."""
     if rho.dim != 2:
         raise UsageError("pauli sampling is for qubit states")
@@ -255,29 +240,21 @@ def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> List[Measure
     means = [float(np.trace(rho.mat @ pauli(ax).mat).real) for ax in ("x", "y", "z")]
     sizes = _chunk_sizes(shots)
 
-    def run_chunk(i: int) -> List[MeasurementRecord]:
-        gen = rng.generator(i)
-        cnt = sizes[i]
-        axes = (i * CHUNK_SHOTS + np.arange(cnt)) % 3
+    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
+        axes = (start + np.arange(cnt)) % 3
         p_up = 0.5 * (1.0 + np.array(means)[axes])
         u = gen.uniform(0.0, 1.0, cnt)
         ms = np.where(u < p_up, 0.5, -0.5)
-        return [
-            MeasurementRecord("pauli", SettingLabel("pauli", (float(ax),)), (float(m),))
-            for ax, m in zip(axes, ms)
-        ]
+        return axes[:, None], ms
 
-    out: List[MeasurementRecord] = []
-    for part in chunk_map(run_chunk, len(sizes)):
-        out.extend(part)
-    return out
+    return _sampled("pauli", sizes, rng, draw)
 
 
 # displaced parity ----------------------------------------------------------
 
 def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
                             cfg: EstimatorConfig,
-                            betas: Optional[np.ndarray] = None) -> List[MeasurementRecord]:
+                            betas: Optional[np.ndarray] = None) -> RecordBatch:
     """Displacements uniform on the proposal disk; parity of the displaced state.
 
     betas, when given, pins the displacements (diagnostics); the record
@@ -293,37 +270,27 @@ def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
         if betas.shape != (shots,):
             raise UsageError("betas must have shape (shots,)")
 
-    def run_chunk(i: int) -> List[MeasurementRecord]:
-        gen = rng.generator(i)
-        cnt = sizes[i]
+    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
         u_r = gen.uniform(0.0, 1.0, cnt)
         u_t = gen.uniform(0.0, 1.0, cnt)
         if betas is None:
             b = radius * np.sqrt(u_r) * np.exp(2j * np.pi * u_t)
         else:
-            b = betas[i * CHUNK_SHOTS : i * CHUNK_SHOTS + cnt]
+            b = betas[start : start + cnt]
         g = displaced_parity_expectation(rho, b)
         p_plus = np.clip(0.5 * (1.0 + g), 0.0, 1.0)
         u = gen.uniform(0.0, 1.0, cnt)
         s = np.where(u < p_plus, 1.0, -1.0)
-        return [
-            MeasurementRecord("parity",
-                              SettingLabel("parity", (float(bv.real), float(bv.imag))),
-                              (float(sv),))
-            for bv, sv in zip(b, s)
-        ]
+        return np.stack([b.real, b.imag], axis=1), s
 
-    out: List[MeasurementRecord] = []
-    for part in chunk_map(run_chunk, len(sizes)):
-        out.extend(part)
-    return out
+    return _sampled("parity", sizes, rng, draw)
 
 
 # Kerr phase ----------------------------------------------------------------
 
 def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
                       cfg: EstimatorConfig,
-                      psis: Optional[np.ndarray] = None) -> List[MeasurementRecord]:
+                      psis: Optional[np.ndarray] = None) -> RecordBatch:
     """Kerr strength uniform on [0, 2pi); phase from its exact conditional.
 
     The conditional CDF is the closed trigonometric sum over the sideband
@@ -339,14 +306,12 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
         if psis.shape != (shots,):
             raise UsageError("psis must have shape (shots,)")
 
-    def run_chunk(i: int) -> List[MeasurementRecord]:
-        gen = rng.generator(i)
-        cnt = sizes[i]
+    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
         if psis is None:
             ps = gen.uniform(0.0, 2.0 * np.pi, cnt)
         else:
             gen.uniform(size=cnt)
-            ps = psis[i * CHUNK_SHOTS : i * CHUNK_SHOTS + cnt]
+            ps = psis[start : start + cnt]
         u = gen.uniform(0.0, 1.0, cnt)
         c = kerr_sideband_coefficients(rho, ps)[:, 1:] / (1j * ds)[None, :]
         base = np.sum(c, axis=1)  # subtracted so that CDF(0) = 0
@@ -363,12 +328,6 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
             lo = np.where(less, mid, lo)
             hi = np.where(less, hi, mid)
         phi = 0.5 * (lo + hi)
-        return [
-            MeasurementRecord("kerr", SettingLabel("kerr", (float(pv),)), (float(fv),))
-            for pv, fv in zip(ps, phi)
-        ]
+        return ps[:, None], phi
 
-    out: List[MeasurementRecord] = []
-    for part in chunk_map(run_chunk, len(sizes)):
-        out.extend(part)
-    return out
+    return _sampled("kerr", sizes, rng, draw)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import List, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import InvalidSpecError
 from .frames import DualSet, FrameElement, SettingLabel, SpanningSet
 from .operators import Operator
 from .recon import EstimationResult, ReconstructedMatrix
-from .sampler import MeasurementRecord
+from .records import FAMILIES, RecordBatch
 from .states import DensityMatrix
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
 FORMAT_VERSION = 1
 _CSV_HEADER = ["quorum", "s1", "s2", "s3", "o1"]
 _MAX_SETTING = 3
+_CSV_BLOCK = 4096  # rows per %-format call
 
 
 def _entries(mat: np.ndarray) -> list:
@@ -139,48 +140,76 @@ def load_quorum(path) -> SpanningSet:
     return cls(dim, tuple(elements))
 
 
-def records_to_csv(path, records: Sequence[MeasurementRecord]) -> None:
-    """One record per row; unused setting slots stay empty; 17 significant digits."""
+def records_to_csv(path, batch: RecordBatch) -> None:
+    """One record per row; unused setting slots stay empty; 17 significant digits.
+
+    Rows are %-formatted a block at a time; "%.17g" % x gives the same
+    characters as format(x, ".17g").
+    """
+    arity = batch.settings.shape[1]
+    row = batch.quorum + ",%.17g" * arity + "," * (_MAX_SETTING - arity) + ",%.17g\n"
+    table = np.column_stack([batch.settings, batch.outcomes])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for r in records:
-            coords = list(r.setting.coords)
-            if len(coords) > _MAX_SETTING or len(r.outcome) != 1:
-                raise InvalidSpecError(
-                    "record shape does not fit the CSV schema (3 settings, 1 outcome)"
-                )
-            row = [r.quorum]
-            row += [format(c, ".17g") for c in coords]
-            row += [""] * (_MAX_SETTING - len(coords))
-            row.append(format(r.outcome[0], ".17g"))
-            writer.writerow(row)
+        fh.write(",".join(_CSV_HEADER) + "\n")
+        for lo in range(0, len(table), _CSV_BLOCK):
+            block = table[lo : lo + _CSV_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def records_from_csv(path) -> List[MeasurementRecord]:
-    out: List[MeasurementRecord] = []
+def records_from_csv(path) -> RecordBatch:
+    """The records of a CSV that holds one quorum, parsed by numpy's C reader.
+
+    The first row names the quorum. Errors name the file, and the line
+    where the reader can tell it.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        quorum = fh.readline().split(",")[0]
+    if header != _CSV_HEADER:
+        raise InvalidSpecError(f"{path}: unexpected CSV header {header}")
+    if quorum not in FAMILIES:
+        raise InvalidSpecError(f"{path}: line 2: no records of a known quorum ({quorum!r})")
+    arity = FAMILIES[quorum].arity
+    slots = _CSV_HEADER[1 : 1 + _MAX_SETTING]
+    # One byte more than the longest family name, so a longer name cannot compare equal.
+    fields = ([("quorum", f"S{max(map(len, FAMILIES)) + 1}")]
+              + [(s, "f8" if i < arity else "S1") for i, s in enumerate(slots)]
+              + [("o1", "f8")])
+    try:
+        table = np.loadtxt(path, dtype=fields, delimiter=",", skiprows=1, ndmin=1,
+                           comments=None, encoding="utf-8")
+    except ValueError:
+        table = None
+    if (table is None or np.any(table["quorum"] != quorum.encode())
+            or any(np.any(table[s] != b"") for s in slots[arity:])):
+        raise InvalidSpecError(f"{path}: {_first_bad_row(path, quorum, arity)}")
+    try:
+        return RecordBatch(quorum, np.stack([table[s] for s in slots[:arity]], axis=1),
+                           table["o1"])
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from None
+
+
+def _first_bad_row(path, quorum: str, arity: int) -> str:
+    """What is wrong with the first row the C reader refused, found row by row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise InvalidSpecError(f"{path}: unexpected CSV header {header}")
+        next(reader)
         for row in reader:
+            if not row:
+                continue  # the C reader skips blank lines too
+            where = f"line {reader.line_num}"
             if len(row) != len(_CSV_HEADER):
-                raise InvalidSpecError(f"{path}: malformed row {row}")
-            quorum = row[0]
+                return f"{where}: malformed row {row}"
+            if row[0] != quorum:
+                return f"{where}: quorum {row[0]!r} in a file of {quorum!r} records"
+            if any(row[1 + arity : 1 + _MAX_SETTING]):
+                return f"{where}: {quorum} records have {arity} setting(s), row {row}"
             try:
-                coords = tuple(float(c) for c in row[1:4] if c != "")
-                outcome = (float(row[4]),)
+                [float(x) for x in row[1 : 1 + arity] + row[-1:]]
             except ValueError:
-                raise InvalidSpecError(
-                    f"{path}: line {reader.line_num}: non-numeric field in row {row}"
-                ) from None
-            out.append(MeasurementRecord(
-                quorum=quorum,
-                setting=SettingLabel(quorum, coords),
-                outcome=outcome,
-            ))
-    return out
+                return f"{where}: non-numeric field in row {row}"
+    return "rows that numpy's reader cannot parse"
 
 
 def _jsonable(value):

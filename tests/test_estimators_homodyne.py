@@ -15,6 +15,7 @@ from qtomo.estimators import (
 )
 from qtomo.errors import UsageError
 from qtomo.operators import Operator, annihilation, fock_matrix_unit, identity, number
+from qtomo.records import RecordBatch
 from qtomo.sampler import RngStream, sample_homodyne
 from qtomo.states import StateSpec, make_state
 
@@ -110,7 +111,7 @@ class TestHomodyneEstimate:
     def test_empty_records_rejected(self):
         cfg = cfg_for(8)
         with pytest.raises(UsageError):
-            homodyne_estimate(identity(8), [], cfg)
+            homodyne_estimate(identity(8), RecordBatch("homodyne", np.empty((0, 1)), []), cfg)
 
 
 class TestSqueezedEstimate:

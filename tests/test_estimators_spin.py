@@ -12,6 +12,7 @@ from qtomo.estimators import (
     spin_quadrature_expectation,
 )
 from qtomo.operators import Operator, identity, pauli, spin_matrices
+from qtomo.records import RecordBatch
 from qtomo.sampler import RngStream, sample_pauli, sample_spin
 from qtomo.states import DensityMatrix, StateSpec, make_state
 
@@ -111,7 +112,7 @@ class TestSpinEstimate:
 
     def test_empty_records_rejected(self):
         with pytest.raises(UsageError):
-            spin_estimate(pauli("z"), [], 1)
+            spin_estimate(pauli("z"), RecordBatch("spin", np.empty((0, 3)), []), 1)
 
 
 class TestPauliEstimate:
@@ -136,7 +137,8 @@ class TestPauliEstimate:
 
     def test_missing_axis_rejected(self):
         rho = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=Z_AXIS))
-        records = [r for r in sample_pauli(rho, 3000, RngStream(306))
-                   if r.setting.coords[0] != 0.0]
+        records = sample_pauli(rho, 3000, RngStream(306))
+        keep = records.settings[:, 0] != 0.0
+        records = RecordBatch("pauli", records.settings[keep], records.outcomes[keep])
         with pytest.raises(UsageError):
             pauli_estimate(pauli("x"), records)

@@ -16,11 +16,10 @@ from qtomo.estimators import (
     squeezed_homodyne_estimate,
 )
 from qtomo.estimators.homodyne import _real_table, homodyne_kernel_block
-from qtomo.frames import SettingLabel
 from qtomo.operators import fock_matrix_unit, identity
 from qtomo.recon import reconstruct_matrix
+from qtomo.records import RecordBatch
 from qtomo.sampler import (
-    MeasurementRecord,
     RngStream,
     sample_displaced_parity,
     sample_homodyne,
@@ -109,7 +108,7 @@ def test_homodyne_spline_block_matches_direct_kernel(dim):
     gen = np.random.default_rng(dim)
     phis = gen.uniform(0.0, np.pi, 6)
     qs = gen.uniform(-3.0, 3.0, 6)
-    block = homodyne_kernel_block((phis[:, None], qs), 0, qs.size, cfg)
+    block = homodyne_kernel_block(phis[:, None], qs, cfg)
     for i in range(qs.size):
         direct = homodyne_kernel_matrix(qs[i], phis[i], cfg).mat
         assert np.max(np.abs(block[i] - direct)) <= 2e-6
@@ -131,8 +130,7 @@ def test_parity_reconstruct_checks_the_proposal_boundary():
 
 
 def _spin_half_records(bad_m):
-    up = SettingLabel("spin", (0.0, 0.0, 1.0))
-    return [MeasurementRecord("spin", up, (m,)) for m in (0.5, -0.5, 0.5, bad_m)]
+    return RecordBatch("spin", np.tile([0.0, 0.0, 1.0], (4, 1)), [0.5, -0.5, 0.5, bad_m])
 
 
 @pytest.mark.parametrize("bad_m", [-2.0, 0.25, float("nan"), float("inf")])

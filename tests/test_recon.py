@@ -5,7 +5,6 @@ import pytest
 
 from qtomo.errors import DimensionMismatchError, UsageError
 from qtomo.estimators import EstimatorConfig
-from qtomo.frames import SettingLabel
 from qtomo.operators import Operator
 from qtomo.recon import (
     Accumulator,
@@ -15,8 +14,8 @@ from qtomo.recon import (
     nearest_physical_state,
     reconstruct_matrix,
 )
+from qtomo.records import RecordBatch
 from qtomo.sampler import (
-    MeasurementRecord,
     RngStream,
     sample_displaced_parity,
     sample_homodyne,
@@ -27,37 +26,31 @@ from qtomo.sampler import (
 from qtomo.states import DensityMatrix, StateSpec, make_state
 
 
-def toy_records(values):
-    return [
-        MeasurementRecord("toy", SettingLabel("toy", ()), (float(v),)) for v in values
-    ]
-
-
 def assert_element_close(res: EstimationResult, target: complex):
     assert abs(res.mean - target) <= 5.0 * res.std_error + 1e-12
 
 
 class TestEstimate:
     def test_constant_kernel(self):
-        r = estimate(toy_records([0.3, -1.2, 4.0]), lambda s, o: 1.0)
+        r = estimate(np.ones(3))
         assert r.mean == 1.0
         assert r.std_error == 0.0
         assert r.n_samples == 3
 
     def test_two_point_values(self):
-        r = estimate(toy_records([0.0, 2.0]), lambda s, o: o[0])
+        r = estimate(np.array([0.0, 2.0]))
         assert r.mean == 1.0
         assert r.std_error == 1.0  # sample var 2, SE = sqrt(2/2)
 
     def test_needs_two_records(self):
         with pytest.raises(UsageError):
-            estimate(toy_records([1.0]), lambda s, o: o[0])
+            estimate(np.array([1.0]))
 
     def test_vacuum_quadrature_mean(self):
         dim = 8
         rho = make_state(StateSpec(kind="fock", dim=dim, n=0))
         records = sample_homodyne(rho, 100_000, RngStream(601), EstimatorConfig(dim=dim))
-        r = estimate(records, lambda s, o: o[0])
+        r = estimate(records.outcomes)
         assert abs(r.mean) <= 5.0 * r.std_error
         assert r.n_samples == 100_000
 
@@ -86,6 +79,22 @@ class TestAccumulator:
         assert parts.n == whole.n
         assert abs(parts.mean - whole.mean) <= 1e-12
         assert abs(parts.m2 - whole.m2) <= 1e-9 * whole.m2
+
+    def test_block_push_tracks_each_column(self):
+        rng = np.random.default_rng(63)
+        block = rng.normal(size=(3001, 5)) + 1j * rng.normal(size=(3001, 5))
+        cols = Accumulator()
+        for lo in range(0, 3001, 700):
+            cols.push(block[lo : lo + 700])
+        got = cols.column_results()
+        for j in range(5):
+            one = Accumulator()
+            for lo in range(0, 3001, 700):
+                one.push(block[lo : lo + 700, j])
+            want = one.result()
+            assert abs(got[j].mean - want.mean) <= 1e-12
+            assert abs(got[j].std_error - want.std_error) <= 1e-12 * want.std_error
+            assert got[j].n_samples == want.n_samples == 3001
 
     def test_merge_with_empty_is_identity(self):
         acc = Accumulator()
@@ -202,11 +211,13 @@ class TestReconstructKerr:
 class TestReconstructValidation:
     def test_unknown_method(self):
         with pytest.raises(UsageError):
-            reconstruct_matrix(toy_records([1.0, 2.0]), "voodoo", n_max=1)
+            reconstruct_matrix(RecordBatch("pauli", [[0.0], [1.0]], [0.5, -0.5]), "voodoo",
+                               n_max=1)
 
     def test_empty_records(self):
         with pytest.raises(UsageError):
-            reconstruct_matrix([], "spin", n_max=1, twice_s=1)
+            reconstruct_matrix(RecordBatch("spin", np.empty((0, 3)), []), "spin", n_max=1,
+                               twice_s=1)
 
     def test_reference_and_projection_diagnostics(self):
         rho = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=(0, 0, 1)))

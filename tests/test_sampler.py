@@ -20,11 +20,11 @@ P_FLOOR = 0.001  # goodness-of-fit threshold shared by all distribution tests
 
 
 def outcomes(records):
-    return np.array([r.outcome[0] for r in records])
+    return records.outcomes
 
 
 def settings(records, k=0):
-    return np.array([r.setting.coords[k] for r in records])
+    return records.settings[:, k]
 
 
 class TestHomodyne:

@@ -10,8 +10,8 @@ from qtomo.estimators import EstimatorConfig
 from qtomo.frames import DualSet, FrameElement, SettingLabel, SpanningSet
 from qtomo.operators import Operator, pauli
 from qtomo.recon import reconstruct_matrix
+from qtomo.records import RecordBatch
 from qtomo.sampler import (
-    MeasurementRecord,
     RngStream,
     sample_displaced_parity,
     sample_kerr_phase,
@@ -133,29 +133,29 @@ class TestQuorum:
 
 class TestRecordsCsv:
     def sample_records(self):
+        """One batch per family with two (parity), one (Kerr) and three (spin) settings."""
         dim = 8
         rho = make_state(StateSpec(kind="coherent", dim=dim, beta=0.4))
         cfg = EstimatorConfig(dim=dim)
-        recs = sample_displaced_parity(rho, 50, RngStream(701), cfg)
-        recs += sample_kerr_phase(rho, 50, RngStream(702), cfg)
         up = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=(0, 0, 1)))
-        recs += sample_spin(up, 1, 50, RngStream(703))
-        return recs
+        return [sample_displaced_parity(rho, 50, RngStream(701), cfg),
+                sample_kerr_phase(rho, 50, RngStream(702), cfg),
+                sample_spin(up, 1, 50, RngStream(703))]
 
     def test_round_trip_exact(self, tmp_path):
-        recs = self.sample_records()
-        p = tmp_path / "records.csv"
-        records_to_csv(p, recs)
-        out = records_from_csv(p)
-        assert out == recs  # 17 significant digits round-trips doubles exactly
+        for recs in self.sample_records():
+            p = tmp_path / f"{recs.quorum}.csv"
+            records_to_csv(p, recs)
+            out = records_from_csv(p)
+            assert out == recs  # 17 significant digits round-trips doubles exactly
 
     def test_byte_identical_rewrites(self, tmp_path):
-        recs = self.sample_records()
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        records_to_csv(a, recs)
-        records_to_csv(b, recs)
-        assert a.read_bytes() == b.read_bytes()
+        for recs in self.sample_records():
+            a = tmp_path / "a.csv"
+            b = tmp_path / "b.csv"
+            records_to_csv(a, recs)
+            records_to_csv(b, recs)
+            assert a.read_bytes() == b.read_bytes()
 
     def test_header_validation(self, tmp_path):
         p = tmp_path / "records.csv"
@@ -176,12 +176,12 @@ class TestRecordsCsv:
             records_from_csv(p)
 
     def test_oversized_setting_rejected(self, tmp_path):
-        bad = [MeasurementRecord("x", SettingLabel("x", (1.0, 2.0, 3.0, 4.0)), (0.0,))]
         with pytest.raises(InvalidSpecError):
-            records_to_csv(tmp_path / "bad.csv", bad)
+            records_to_csv(tmp_path / "bad.csv",
+                           RecordBatch("spin", [[1.0, 2.0, 3.0, 4.0]], [0.0]))
 
     def test_empty_setting_slots_stay_empty(self, tmp_path):
-        recs = [MeasurementRecord("homodyne", SettingLabel("homodyne", (0.5,)), (1.25,))]
+        recs = RecordBatch("homodyne", [[0.5]], [1.25])
         p = tmp_path / "records.csv"
         records_to_csv(p, recs)
         lines = p.read_text().splitlines()
@@ -210,9 +210,7 @@ class TestResultDocuments:
     def test_estimation_document(self, tmp_path):
         from qtomo.recon import estimate
 
-        recs = [MeasurementRecord("toy", SettingLabel("toy", ()), (float(v),))
-                for v in (0.0, 2.0)]
-        res = estimate(recs, lambda s, o: o[0])
+        res = estimate(np.array([0.0, 2.0]))
         p = tmp_path / "est.json"
         save_estimation(p, "q", res, extra={"note": 7})
         doc = json.loads(p.read_text())
