@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,11 +47,7 @@ class EstimationResult:
 
 
 class Accumulator:
-    """Single-pass mean/M2 accumulation over complex values, mergeable.
-
-    Fed (n,) chunks it tracks one stream; fed (n, m) blocks it tracks m
-    columns at once, each with its own mean and M2 under the same merge.
-    """
+    """Single-pass mean/M2 accumulation over complex values, mergeable."""
 
     __slots__ = ("n", "mean", "m2")
 
@@ -61,14 +57,12 @@ class Accumulator:
         self.m2 = 0.0
 
     def push(self, values: np.ndarray) -> None:
-        v = np.asarray(values, dtype=complex)
-        if len(v) == 0:
+        v = np.asarray(values, dtype=complex).ravel()
+        if v.size == 0:
             return
-        cm = v.mean(axis=0)
-        cm2 = np.sum(np.abs(v - cm) ** 2, axis=0)
-        if v.ndim == 1:
-            cm, cm2 = complex(cm), float(cm2)
-        self._combine(len(v), cm, cm2)
+        cm = complex(v.mean())
+        cm2 = float(np.sum(np.abs(v - cm) ** 2))
+        self._combine(v.size, cm, cm2)
 
     def merge(self, other: "Accumulator") -> None:
         self._combine(other.n, other.mean, other.m2)
@@ -92,14 +86,6 @@ class Accumulator:
             std_error=math.sqrt(var / self.n),
             n_samples=self.n,
         )
-
-    def column_results(self) -> List[EstimationResult]:
-        """One result per column of the (n, m) blocks pushed."""
-        if self.n < 2:
-            raise UsageError("need at least 2 values for a standard error")
-        se = np.sqrt(np.maximum(self.m2, 0.0) / (self.n - 1) / self.n)
-        return [EstimationResult(mean=complex(m), std_error=float(e), n_samples=self.n)
-                for m, e in zip(self.mean, se)]
 
 
 def estimate(values: np.ndarray) -> EstimationResult:
@@ -132,20 +118,25 @@ class ReconstructedMatrix:
 
 def _block_elements(batch: RecordBatch, block: Callable, dim: int,
                     diagonal: bool = True) -> Dict[Tuple[int, int], EstimationResult]:
-    """One pass over the records: per chunk one kernel block, pushed whole.
+    """One pass over the records: per chunk one kernel block, one push per element.
 
     block(settings, outcomes) is a family's <family>_kernel_block: the
     (n, dim, dim) kernel matrices of n records, whose element [i, k, n]
     estimates <k|rho|n>.
     """
-    acc = Accumulator()
+    accs = {(k, n): Accumulator() for k in range(dim) for n in range(dim)
+            if diagonal or k != n}
     step = max(1, _BLOCK_BYTES // (16 * dim * dim))
     for lo in range(0, len(batch), step):
-        kb = block(batch.settings[lo : lo + step], batch.outcomes[lo : lo + step])
-        acc.push(kb.reshape(-1, dim * dim))
-    results = acc.column_results()
-    return {(k, n): results[k * dim + n] for k in range(dim) for n in range(dim)
-            if diagonal or k != n}
+        kb = block(batch.settings[lo : lo + step],
+                   batch.outcomes[lo : lo + step]).reshape(-1, dim * dim)
+        # Element-major copy, in cache-sized slabs: d^2 strided column reads cost more.
+        rows = np.empty((dim * dim, kb.shape[0]), dtype=complex)
+        for i in range(0, kb.shape[0], 256):
+            rows[:, i : i + 256] = kb[i : i + 256].T
+        for (k, n), acc in accs.items():
+            acc.push(rows[k * dim + n])
+    return {key: acc.result() for key, acc in accs.items()}
 
 
 def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,

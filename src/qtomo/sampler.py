@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -64,20 +64,17 @@ class RngStream:
         )
 
 
-def _chunk_sizes(shots: int) -> List[int]:
-    if shots < 1:
-        raise UsageError(f"shots must be >= 1, got {shots}")
-    full, rest = divmod(shots, CHUNK_SHOTS)
-    return [CHUNK_SHOTS] * full + ([rest] if rest else [])
-
-
-def _sampled(quorum: str, sizes: List[int], rng: RngStream, draw) -> RecordBatch:
-    """Records of every chunk, concatenated in chunk order.
+def _sampled(quorum: str, shots: int, rng: RngStream, draw) -> RecordBatch:
+    """Records of every chunk of CHUNK_SHOTS shots, concatenated in chunk order.
 
     draw(gen, start, cnt) returns the (settings, outcomes) arrays of shots
     start..start+cnt; chunk i draws from rng.generator(i).
     """
-    parts = chunk_map(lambda i: draw(rng.generator(i), i * CHUNK_SHOTS, sizes[i]), len(sizes))
+    if shots < 1:
+        raise UsageError(f"shots must be >= 1, got {shots}")
+    parts = chunk_map(lambda i: draw(rng.generator(i), i * CHUNK_SHOTS,
+                                     min(CHUNK_SHOTS, shots - i * CHUNK_SHOTS)),
+                      -(-shots // CHUNK_SHOTS))
     settings, outcomes = zip(*parts)
     return RecordBatch(quorum, np.concatenate(settings), np.concatenate(outcomes))
 
@@ -150,7 +147,6 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
     """
     if cfg.dim != rho.dim:
         raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
-    sizes = _chunk_sizes(shots)
     work = rho
     if squeeze is not None and complex(squeeze.zeta) != 0:
         s = effective_squeezer(squeeze, rho.dim).mat
@@ -185,7 +181,7 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
         q = qs[lo] + frac * dq
         return phis[:, None], q
 
-    return _sampled("homodyne", sizes, rng, draw)
+    return _sampled("homodyne", shots, rng, draw)
 
 
 # spin --------------------------------------------------------------------
@@ -201,7 +197,6 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream,
     if rho.dim != dim:
         raise UsageError(f"state dim {rho.dim} vs 2s+1 = {dim}")
     sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
-    sizes = _chunk_sizes(shots)
     if directions is not None:
         directions = np.asarray(directions, dtype=float)
         if directions.shape != (shots, 3):
@@ -228,7 +223,7 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream,
         ms = j - twice_s / 2.0
         return dirs, ms
 
-    return _sampled("spin", sizes, rng, draw)
+    return _sampled("spin", shots, rng, draw)
 
 
 def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> RecordBatch:
@@ -238,7 +233,6 @@ def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> RecordBatch:
     from .operators import pauli
 
     means = [float(np.trace(rho.mat @ pauli(ax).mat).real) for ax in ("x", "y", "z")]
-    sizes = _chunk_sizes(shots)
 
     def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
         axes = (start + np.arange(cnt)) % 3
@@ -247,7 +241,7 @@ def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> RecordBatch:
         ms = np.where(u < p_up, 0.5, -0.5)
         return axes[:, None], ms
 
-    return _sampled("pauli", sizes, rng, draw)
+    return _sampled("pauli", shots, rng, draw)
 
 
 # displaced parity ----------------------------------------------------------
@@ -262,7 +256,6 @@ def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
     """
     if cfg.dim != rho.dim:
         raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
-    sizes = _chunk_sizes(shots)
     _check_leakage(rho)
     radius = cfg.parity_radius()
     if betas is not None:
@@ -283,7 +276,7 @@ def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
         s = np.where(u < p_plus, 1.0, -1.0)
         return np.stack([b.real, b.imag], axis=1), s
 
-    return _sampled("parity", sizes, rng, draw)
+    return _sampled("parity", shots, rng, draw)
 
 
 # Kerr phase ----------------------------------------------------------------
@@ -299,7 +292,6 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
     """
     if cfg.dim != rho.dim:
         raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
-    sizes = _chunk_sizes(shots)
     ds = np.arange(1, rho.dim)
     if psis is not None:
         psis = np.asarray(psis, dtype=float)
@@ -330,4 +322,4 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
         phi = 0.5 * (lo + hi)
         return ps[:, None], phi
 
-    return _sampled("kerr", sizes, rng, draw)
+    return _sampled("kerr", shots, rng, draw)

@@ -8,8 +8,10 @@ float formatting, fixed newlines.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
+import re
+import warnings
 from typing import Union
 
 import numpy as np
@@ -159,30 +161,47 @@ def records_to_csv(path, batch: RecordBatch) -> None:
 def records_from_csv(path) -> RecordBatch:
     """The records of a CSV that holds one quorum, parsed by numpy's C reader.
 
-    The first row names the quorum. Errors name the file, and the line
-    where the reader can tell it.
+    The first row names the quorum. Every error names the file, and the
+    line where it can be told.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        quorum = fh.readline().split(",")[0]
+    with open(path, "rb") as fh:  # decoding only the header line; numpy decodes the rest
+        header = fh.readline().decode("utf-8", "replace").rstrip("\r\n").split(",")
     if header != _CSV_HEADER:
         raise InvalidSpecError(f"{path}: unexpected CSV header {header}")
+
+    def read(**kwargs) -> np.ndarray:
+        try:
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1, comments=None,
+                              quotechar='"', encoding="utf-8", **kwargs)
+        except ValueError as exc:
+            raise InvalidSpecError(f"{path}: {_parse_error(path, exc)}") from None
+
+    # One byte more than the longest family name, so a longer name cannot compare equal.
+    name_dtype = f"S{max(map(len, FAMILIES)) + 1}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy warns on a file without rows
+        quorums = read(dtype=name_dtype, usecols=0)
+    if len(quorums) == 0:
+        raise InvalidSpecError(f"{path}: no records")
+    quorum = quorums[0].decode()
     if quorum not in FAMILIES:
-        raise InvalidSpecError(f"{path}: line 2: no records of a known quorum ({quorum!r})")
+        raise InvalidSpecError(f"{path}: line {_line(path, 0)}: unknown quorum {quorum!r}; "
+                               f"known families: {', '.join(FAMILIES)}")
+    other = np.flatnonzero(quorums != quorums[0])
+    if len(other):
+        raise InvalidSpecError(f"{path}: line {_line(path, other[0])}: quorum "
+                               f"{quorums[other[0]].decode()!r} in a file of {quorum!r} records")
     arity = FAMILIES[quorum].arity
     slots = _CSV_HEADER[1 : 1 + _MAX_SETTING]
-    # One byte more than the longest family name, so a longer name cannot compare equal.
-    fields = ([("quorum", f"S{max(map(len, FAMILIES)) + 1}")]
+    fields = ([("quorum", name_dtype)]
               + [(s, "f8" if i < arity else "S1") for i, s in enumerate(slots)]
               + [("o1", "f8")])
-    try:
-        table = np.loadtxt(path, dtype=fields, delimiter=",", skiprows=1, ndmin=1,
-                           comments=None, encoding="utf-8")
-    except ValueError:
-        table = None
-    if (table is None or np.any(table["quorum"] != quorum.encode())
-            or any(np.any(table[s] != b"") for s in slots[arity:])):
-        raise InvalidSpecError(f"{path}: {_first_bad_row(path, quorum, arity)}")
+    table = read(dtype=fields)
+    for s in slots[arity:]:
+        used = np.flatnonzero(table[s] != b"")
+        if len(used):
+            raise InvalidSpecError(f"{path}: line {_line(path, used[0])}: {quorum} records "
+                                   f"have {arity} setting(s), but {s} holds a value")
     try:
         return RecordBatch(quorum, np.stack([table[s] for s in slots[:arity]], axis=1),
                            table["o1"])
@@ -190,26 +209,30 @@ def records_from_csv(path) -> RecordBatch:
         raise InvalidSpecError(f"{path}: {exc}") from None
 
 
-def _first_bad_row(path, quorum: str, arity: int) -> str:
-    """What is wrong with the first row the C reader refused, found row by row."""
+def _line(path, row: int) -> int:
+    """The file line of data row `row` (from 0), counting the empty lines numpy skips."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue  # the C reader skips blank lines too
-            where = f"line {reader.line_num}"
-            if len(row) != len(_CSV_HEADER):
-                return f"{where}: malformed row {row}"
-            if row[0] != quorum:
-                return f"{where}: quorum {row[0]!r} in a file of {quorum!r} records"
-            if any(row[1 + arity : 1 + _MAX_SETTING]):
-                return f"{where}: {quorum} records have {arity} setting(s), row {row}"
-            try:
-                [float(x) for x in row[1 : 1 + arity] + row[-1:]]
-            except ValueError:
-                return f"{where}: non-numeric field in row {row}"
-    return "rows that numpy's reader cannot parse"
+        lines = (n for n, text in enumerate(fh, start=1) if n > 1 and text.rstrip("\r\n"))
+        return next(itertools.islice(lines, row, None))
+
+
+def _parse_error(path, exc: ValueError) -> str:
+    """numpy's parse error, told at the file line of the row it names.
+
+    numpy counts data rows without the empty lines it skips: from 1 when a
+    row has the wrong number of fields, from 0 when a field does not convert.
+    """
+    found = re.search(r"requires \d+ columns but (\d+) were found at row (\d+)", str(exc))
+    if found:
+        return (f"line {_line(path, int(found[2]) - 1)}: malformed row of {found[1]} "
+                f"field(s), not {len(_CSV_HEADER)}")
+    found = re.search(r"could not convert string (.*) to (\S+) at row (\d+), column (\d+)",
+                      str(exc))
+    if found:
+        kind = "non-numeric" if found[2] == "float64" else "unreadable"
+        return (f"line {_line(path, int(found[3]))}: {kind} field {found[1]} "
+                f"in column {_CSV_HEADER[int(found[4]) - 1]}")
+    return str(exc)
 
 
 def _jsonable(value):

@@ -80,22 +80,6 @@ class TestAccumulator:
         assert abs(parts.mean - whole.mean) <= 1e-12
         assert abs(parts.m2 - whole.m2) <= 1e-9 * whole.m2
 
-    def test_block_push_tracks_each_column(self):
-        rng = np.random.default_rng(63)
-        block = rng.normal(size=(3001, 5)) + 1j * rng.normal(size=(3001, 5))
-        cols = Accumulator()
-        for lo in range(0, 3001, 700):
-            cols.push(block[lo : lo + 700])
-        got = cols.column_results()
-        for j in range(5):
-            one = Accumulator()
-            for lo in range(0, 3001, 700):
-                one.push(block[lo : lo + 700, j])
-            want = one.result()
-            assert abs(got[j].mean - want.mean) <= 1e-12
-            assert abs(got[j].std_error - want.std_error) <= 1e-12 * want.std_error
-            assert got[j].n_samples == want.n_samples == 3001
-
     def test_merge_with_empty_is_identity(self):
         acc = Accumulator()
         acc.push(np.array([1.0, 2.0, 3.0]))

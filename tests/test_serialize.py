@@ -175,6 +175,32 @@ class TestRecordsCsv:
         with pytest.raises(InvalidSpecError, match=r"records\.csv: line 3"):
             records_from_csv(p)
 
+    def test_quoted_fields_parse(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_text('quorum,s1,s2,s3,o1\n"parity","0.5",0.25,,"-1"\nparity,0,0,,1\n')
+        recs = records_from_csv(p)
+        assert recs == RecordBatch("parity", [[0.5, 0.25], [0.0, 0.0]], [-1.0, 1.0])
+
+    @pytest.mark.parametrize("row,message", [
+        ("parity,0.5,abc,,-1", r"line 5: non-numeric field 'abc' in column s2"),
+        ("parity,0.5,0", r"line 5: malformed row of 3 field\(s\), not 5"),
+        ("parity,0.5,0,,,1", r"line 5: malformed row of 6 field\(s\), not 5"),
+        ("homodyne,0.5,,,1", r"line 5: quorum 'homodyne' in a file of 'parity'"),
+        ("\u03c9,0.5,0,,1", r"line 5: unreadable field '\u03c9' in column quorum"),
+    ])
+    def test_error_line_counts_skipped_empty_lines(self, tmp_path, row, message):
+        p = tmp_path / "records.csv"
+        p.write_text(f"quorum,s1,s2,s3,o1\nparity,0,0,,1\n\nparity,0,0,,1\n{row}\n",
+                     encoding="utf-8")
+        with pytest.raises(InvalidSpecError, match=r"records\.csv: " + message):
+            records_from_csv(p)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        p = tmp_path / "records.csv"
+        p.write_bytes(b"quorum,s1,s2,s3,o1\nparity,0,0,,1\nparity,0,0,,\xff\n")
+        with pytest.raises(InvalidSpecError, match=r"records\.csv: .*utf-8"):
+            records_from_csv(p)
+
     def test_oversized_setting_rejected(self, tmp_path):
         with pytest.raises(InvalidSpecError):
             records_to_csv(tmp_path / "bad.csv",
