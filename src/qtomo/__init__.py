@@ -26,7 +26,7 @@ from .errors import (
     TruncationError,
     UsageError,
 )
-from .operators import Operator, OperatorSpec, build_operator, hs_inner
+from .operators import Operator, hs_inner
 from .states import DensityMatrix, StateSpec, make_state
 from .frames import (
     DualSet,
@@ -74,8 +74,6 @@ __all__ = [
     "RankDeficientError",
     "GridError",
     "Operator",
-    "OperatorSpec",
-    "build_operator",
     "hs_inner",
     "DensityMatrix",
     "StateSpec",

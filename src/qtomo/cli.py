@@ -2,8 +2,8 @@
 
 Every command is a pure function of its flags, input files, and seed;
 repeated invocations produce byte-identical outputs. Exit codes: 0 on
-success, 2 for usage errors (bad flags, malformed files, mismatched
-inputs), 3 for numeric-precondition failures (truncation, rank
+success, 2 for usage errors (bad flags, unreadable or malformed files,
+mismatched inputs), 3 for numeric-precondition failures (truncation, rank
 deficiency, grid limits). With --json-errors the failure is also written
 to stderr as a one-line JSON object. File formats are frozen in
 docs/formats.md; QTOMO_THREADS caps internal parallelism.
@@ -26,30 +26,20 @@ from .dualbasis import gram_schmidt_dual, pseudoinverse_dual
 from .operators import Operator, fock_matrix_unit, identity, number, quadrature
 from .states import DensityMatrix, StateSpec, make_state
 from .estimators import EstimatorConfig, SqueezeParams
-from .estimators.homodyne import (
-    homodyne_estimate,
-    homodyne_kernel_matrix,
-    squeezed_homodyne_estimate,
-)
-from .estimators.kerr import kerr_estimate, kerr_kernel, kerr_kernel_regularized
+from .estimators.homodyne import homodyne_kernel_matrix
+from .estimators.kerr import kerr_kernel, kerr_kernel_regularized
 from .estimators.nonunitary import nonunitary_reconstruct, phase_shift_ladder
-from .estimators.parity import displaced_parity_kernel, parity_estimate
-from .estimators.spin import pauli_estimate, spin_estimate, spin_kernel
-from .sampler import (
-    RngStream,
-    sample_displaced_parity,
-    sample_homodyne,
-    sample_kerr_phase,
-    sample_pauli,
-    sample_spin,
-)
+from .estimators.parity import displaced_parity_kernel
+from .estimators.spin import spin_kernel
+from .sampler import RngStream
 from .recon import (
+    METHODS,
     EstimationResult,
-    ReconstructedMatrix,
-    estimate,
+    assemble_matrix,
+    estimate_observable,
+    method_params,
     reconstruct_matrix,
 )
-from .records import FAMILIES
 from .serialize import (
     load_quorum,
     load_state,
@@ -226,24 +216,10 @@ def _sample_input_state(args, method: str) -> Tuple[DensityMatrix, Optional[int]
 def cmd_sample(args) -> None:
     method = args.method
     rho, twice_s = _sample_input_state(args, method)
-    squeeze = _squeeze_params(args)
-    if squeeze is not None and method != "homodyne":
-        raise UsageError("--squeeze applies to homodyne sampling only")
+    params = method_params(method, rho.dim - 1, cfg=_make_cfg(args, rho.dim),
+                           twice_s=twice_s, squeeze=_squeeze_params(args))
     rng = RngStream(seed=args.seed, substream=args.substream)
-
-    if method == "homodyne":
-        cfg = _make_cfg(args, rho.dim)
-        records = sample_homodyne(rho, args.shots, rng, cfg, squeeze=squeeze)
-    elif method == "spin":
-        records = sample_spin(rho, twice_s, args.shots, rng)
-    elif method == "pauli":
-        records = sample_pauli(rho, args.shots, rng)
-    elif method == "parity":
-        cfg = _make_cfg(args, rho.dim)
-        records = sample_displaced_parity(rho, args.shots, rng, cfg)
-    else:
-        cfg = _make_cfg(args, rho.dim)
-        records = sample_kerr_phase(rho, args.shots, rng, cfg)
+    records = METHODS[method].sample(rho, shots=args.shots, rng=rng, **params)
 
     records_to_csv(args.out, records)
     print(f"method = {method}")
@@ -272,29 +248,19 @@ def _reconstruct_nonunitary(args) -> None:
 
     if args.n_max is None:
         raise UsageError("--n-max is required for a full matrix")
+    method_params("nonunitary", args.n_max)
     dim = args.n_max + 1
-    results = {}
-    for k in range(dim):
-        for n in range(dim):
-            a = fock_matrix_unit(n, k, rho.dim)
-            value = nonunitary_reconstruct(a, rho, grid)
-            results[(k, n)] = EstimationResult(mean=value, std_error=0.0, n_samples=0)
-    raw = np.zeros((dim, dim), dtype=complex)
-    for (k, n), res in results.items():
-        raw[k, n] = res.mean
-    herm = 0.5 * (raw + raw.conj().T)
-    diagnostics = {
-        "method": "nonunitary", "n_records": 0, "exact": True,
-        "trace": float(np.trace(raw).real), "trace_std_error": 0.0,
+    results = {
+        (k, n): EstimationResult(
+            mean=nonunitary_reconstruct(fock_matrix_unit(n, k, rho.dim), rho, grid),
+            std_error=0.0, n_samples=0)
+        for k in range(dim) for n in range(dim)
     }
-    rec = ReconstructedMatrix(
-        dim=dim, method="nonunitary",
-        elements=tuple(tuple(results[(k, n)] for n in range(dim)) for k in range(dim)),
-        hermitized=herm, diagnostics=diagnostics,
-    )
+    rec = assemble_matrix("nonunitary", dim, results,
+                          {"method": "nonunitary", "n_records": 0, "exact": True})
     save_reconstruction(args.out, rec)
     print(f"method = nonunitary (exact), dim = {dim}")
-    print(f"trace = {_fmt(diagnostics['trace'])}")
+    print(f"trace = {_fmt(rec.diagnostics['trace'])}")
     print(f"wrote {args.out}")
 
 
@@ -307,47 +273,20 @@ def cmd_reconstruct(args) -> None:
     if not args.records:
         raise UsageError("--records is required for sampled methods")
     records = records_from_csv(args.records)
-    records.require(method)
 
+    # Spin and Pauli fix n_max (2s and 1); the other methods need --n-max.
+    twice_s = _twice_s(args.s) if method == "spin" else None
+    n_max = args.n_max if args.n_max is not None else {"spin": twice_s, "pauli": 1}.get(method)
+    if n_max is None:
+        raise UsageError("--n-max is required for this method")
+    cfg = _make_cfg(args, n_max + 1)
     squeeze = _squeeze_params(args)
-    if squeeze is not None and method != "homodyne":
-        raise UsageError("--squeeze applies to homodyne reconstruction only")
-
-    twice_s = None
-    if method == "spin":
-        twice_s = _twice_s(args.s)
-        n_max = twice_s
-        if args.n_max is not None and args.n_max != twice_s:
-            raise UsageError(f"--n-max {args.n_max} conflicts with 2s = {twice_s}")
-    elif method == "pauli":
-        n_max = 1
-    else:
-        if args.n_max is None:
-            raise UsageError("--n-max is required for this method")
-        n_max = args.n_max
-    dim = n_max + 1
-    cfg = _make_cfg(args, dim) if method in ("homodyne", "parity", "kerr") else None
     reference = load_state(args.reference) if args.reference else None
 
     if args.observable:
-        name, a = _parse_observable(args.observable, dim)
-        if method == "homodyne":
-            if squeeze is not None:
-                result = squeezed_homodyne_estimate(a, records, squeeze, cfg)
-            else:
-                result = homodyne_estimate(a, records, cfg)
-        elif method == "spin":
-            result = spin_estimate(a, records, twice_s)
-        elif method == "pauli":
-            result = pauli_estimate(a, records)
-        elif method == "parity":
-            result = parity_estimate(a, records, cfg)
-        else:
-            if name == "identity":
-                # normalization of the phase distribution: constant unit kernel
-                result = estimate(np.ones(len(records)))
-            else:
-                result = kerr_estimate(a, records, cfg)
+        name, a = _parse_observable(args.observable, n_max + 1)
+        result = estimate_observable(records, method, a, cfg=cfg, twice_s=twice_s,
+                                     squeeze=squeeze)
         save_estimation(args.out, name, result, extra={"method": method})
         print(f"observable = {name}")
         print(f"mean = {_fmt_c(result.mean)}")
@@ -512,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", parents=[common, cfgp],
                               help="draw synthetic measurement records")
-    p_sample.add_argument("--method", required=True, choices=list(FAMILIES))
+    p_sample.add_argument("--method", required=True, choices=list(METHODS))
     p_sample.add_argument("--state", help="state file; default is maximally mixed")
     p_sample.add_argument("--dim", type=int, help="dimension when no state file is given")
     p_sample.add_argument("--s", type=float, help="spin magnitude (method spin)")
@@ -526,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", parents=[common, cfgp],
                            help="estimate a matrix or a single observable from records")
     p_rec.add_argument("--method", required=True,
-                       choices=list(FAMILIES) + ["nonunitary"])
+                       choices=list(METHODS) + ["nonunitary"])
     p_rec.add_argument("--records", help="record CSV (sampled methods)")
     p_rec.add_argument("--state", help="state file (method nonunitary)")
     p_rec.add_argument("--n-max", type=int, help="largest level index to estimate")
@@ -589,10 +528,8 @@ def main(argv=None) -> int:
         return _report_failure(args, exc, 2)
     except NumericPreconditionError as exc:
         return _report_failure(args, exc, 3)
-    except FileNotFoundError as exc:
-        return _report_failure(args, UsageError(f"file not found: {exc.filename}"), 2)
-    except json.JSONDecodeError as exc:
-        return _report_failure(args, UsageError(f"malformed JSON input: {exc}"), 2)
+    except OSError as exc:
+        return _report_failure(args, UsageError(f"cannot open {exc.filename}: {exc.strerror}"), 2)
     return 0
 
 

@@ -1,12 +1,12 @@
-"""Shared estimator configuration and squeeze parametrization."""
+"""Shared estimator configuration; SqueezeParams is re-exported from operators."""
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 
 from ..errors import GridError, InvalidSpecError
+from ..operators import SqueezeParams
 
 __all__ = ["EstimatorConfig", "SqueezeParams"]
 
@@ -37,6 +37,9 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InvalidSpecError(f"dim must be >= 1, got {self.dim}")
+        for name in ("k_max", "reg_eps", "alpha_max", "proposal_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.k_max > 0:
             raise InvalidSpecError(f"k_max must be > 0, got {self.k_max}")
         if not self.reg_eps > 0:
@@ -72,31 +75,3 @@ class EstimatorConfig:
 
     def parity_radius(self) -> float:
         return self.proposal_radius if self.proposal_radius else 2.0 + math.sqrt(self.dim - 1)
-
-
-@dataclasses.dataclass(frozen=True)
-class SqueezeParams:
-    """Bogoliubov data of a squeezing strength zeta.
-
-    mu = cosh|zeta| and nu = e^{2i arg zeta} sinh|zeta|, so that the
-    squeezed quadrature operator is (mu e^{i phi} + nu e^{-i phi}) a^dag/2
-    plus the conjugate term, and mu^2 - |nu|^2 = 1 identically.
-    """
-
-    zeta: complex
-
-    @property
-    def mu(self) -> float:
-        return math.cosh(abs(self.zeta))
-
-    @property
-    def nu(self) -> complex:
-        z = complex(self.zeta)
-        if z == 0:
-            return 0j
-        return cmath.exp(2j * cmath.phase(z)) * math.sinh(abs(z))
-
-    def __post_init__(self) -> None:
-        dev = abs(self.mu**2 - abs(self.nu) ** 2 - 1.0)
-        if dev > 1e-12:
-            raise InvalidSpecError(f"squeeze parametrization broke mu^2-|nu|^2=1 by {dev:.3e}")

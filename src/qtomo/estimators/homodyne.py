@@ -24,8 +24,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ..errors import DimensionMismatchError, NumericPreconditionError
-from ..operators import Operator, annihilation
-from ..records import RecordBatch
+from ..operators import Operator, squeeze as squeeze_operator
+from ..records import RecordBatch, walk
 from ..states import DensityMatrix
 from . import _cahill
 from .config import EstimatorConfig, SqueezeParams
@@ -177,46 +177,35 @@ def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: Estim
     return block
 
 
-def _estimate_from_splines(a_mat: np.ndarray, records: RecordBatch, cfg: EstimatorConfig):
-    from ..recon import Accumulator
+def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig,
+                      squeeze: Optional[SqueezeParams] = None):
+    """Sample mean of Tr[A K(q_i - qhat_{phi_i})] with its standard error.
 
-    phis, qs = records.settings[:, 0], records.outcomes
-    grid, splines = _band_splines(a_mat, cfg)
-    q_lo, q_hi = grid[0], grid[-1]
-    acc = Accumulator()
-    for i in range(0, qs.size, 1 << 16):
-        qc = np.clip(qs[i : i + (1 << 16)], q_lo, q_hi)  # beyond the grid the kernel is ~0
-        pc = phis[i : i + (1 << 16)]
-        vals = np.zeros(qc.size, dtype=complex)
-        for d, sp in splines.items():
-            vals += np.exp(1j * d * pc) * sp(qc)
-        acc.push(vals)
-    return acc.result()
-
-
-def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
-    """Sample mean of Tr[A K(q_i - qhat_{phi_i})] with its standard error."""
+    With squeeze the records are samples of the squeezed quadrature, and
+    the trace is taken with S A S^dag (see squeezed_homodyne_estimate).
+    """
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
     records.require("homodyne", 2)
-    return _estimate_from_splines(a.mat, records, cfg)
+    a_mat = a.mat
+    if squeeze is not None:
+        s = effective_squeezer(squeeze, cfg.dim).mat
+        a_mat = s @ a_mat @ s.conj().T
+    grid, splines = _band_splines(a_mat, cfg)
+
+    def values(settings: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        qc = np.clip(outcomes, grid[0], grid[-1])  # beyond the grid the kernel is ~0
+        vals = np.zeros(qc.size, dtype=complex)
+        for d, sp in splines.items():
+            vals += np.exp(1j * d * settings[:, 0]) * sp(qc)
+        return vals
+
+    return walk(records, values)[0]
 
 
 def effective_squeezer(sq: SqueezeParams, dim: int) -> Operator:
-    """Unitary with Bogoliubov action S^dag a S = mu a + nu a^dag.
-
-    Generator exponent xi = |zeta| e^{2i arg zeta}, chosen so the induced
-    (mu, nu) match SqueezeParams exactly.
-    """
-    from scipy.linalg import expm
-
-    z = complex(sq.zeta)
-    if z == 0:
-        return Operator(np.eye(dim, dtype=complex))
-    xi = abs(z) * np.exp(2j * np.angle(z))
-    am = annihilation(dim).mat
-    ad = am.conj().T
-    return Operator(expm(0.5 * (xi * (ad @ ad) - np.conj(xi) * (am @ am))))
+    """Unitary with Bogoliubov action S^dag a S = mu a + nu a^dag; operators.squeeze."""
+    return squeeze_operator(sq.zeta, dim)
 
 
 def squeezed_homodyne_estimate(a: Operator, records: RecordBatch, sq: SqueezeParams,
@@ -227,12 +216,7 @@ def squeezed_homodyne_estimate(a: Operator, records: RecordBatch, sq: SqueezePar
     kernel trace is then taken with S A S^dag, which reduces to the plain
     estimator at zeta = 0.
     """
-    if a.dim != cfg.dim:
-        raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
-    records.require("homodyne", 2)
-    s = effective_squeezer(sq, cfg.dim).mat
-    a_tilde = s @ a.mat @ s.conj().T
-    return _estimate_from_splines(a_tilde, records, cfg)
+    return homodyne_estimate(a, records, cfg, squeeze=sq)
 
 
 def _as_matrix(rho) -> np.ndarray:

@@ -15,13 +15,13 @@ behavior is reported, not asserted.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..errors import DimensionMismatchError, InvalidSpecError, UsageError
 from ..operators import Operator
-from ..records import RecordBatch
+from ..records import RecordBatch, walk
 from ..states import DensityMatrix
 from .config import EstimatorConfig
 
@@ -35,8 +35,6 @@ __all__ = [
     "kerr_kernel_block",
     "kerr_epsilon_sweep",
 ]
-
-_CHUNK = 1 << 16
 
 
 def kerr_kernel(n: int, d: int, phi, psi):
@@ -124,8 +122,7 @@ def _observable_offdiag(a: Operator) -> np.ndarray:
     return mat
 
 
-def kerr_estimate(target: Union[Operator, Tuple[int, int]], records: RecordBatch,
-                  cfg: EstimatorConfig):
+def kerr_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
     """Sample mean of the off-diagonal kernel over (psi, phi) records.
 
     Records carry the Kerr strength in the setting and the measured phase
@@ -133,31 +130,16 @@ def kerr_estimate(target: Union[Operator, Tuple[int, int]], records: RecordBatch
     uniformly and phi from its exact conditional.
     """
     records.require("kerr", 2)
-    if isinstance(target, Operator):
-        if target.dim != cfg.dim:
-            raise DimensionMismatchError(f"operator dim {target.dim} vs config dim {cfg.dim}")
-        a_mat = _observable_offdiag(target)
-    else:
-        n, d = target
-        if d == 0:
-            raise InvalidSpecError("d = 0 is the diagonal case; not estimable from records")
-        if n < 0 or n + d < 0 or n >= cfg.dim or n + d >= cfg.dim:
-            raise InvalidSpecError("element indices must lie inside the configured dimension")
+    if a.dim != cfg.dim:
+        raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
+    a_mat = _observable_offdiag(a)
 
-    from ..recon import Accumulator
+    def values(settings: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        u = _phase_vectors(settings[:, 0], outcomes, cfg.dim)
+        # value_i = sum_{r != c} A_rc conj(u_r) u_c; equals the kernel sum over elements
+        return np.einsum("gr,rc,gc->g", u.conj(), a_mat, u, optimize=True)
 
-    psis, phis = records.settings[:, 0], records.outcomes
-    acc = Accumulator()
-    for i in range(0, psis.size, _CHUNK):
-        ps, ph = psis[i : i + _CHUNK], phis[i : i + _CHUNK]
-        if isinstance(target, Operator):
-            u = _phase_vectors(ps, ph, cfg.dim)
-            # value_i = sum_{r != c} A_rc conj(u_r) u_c; equals the kernel sum over elements
-            vals = np.einsum("gr,rc,gc->g", u.conj(), a_mat, u, optimize=True)
-        else:
-            vals = kerr_kernel(target[0], target[1], ph, ps)
-        acc.push(vals)
-    return acc.result()
+    return walk(records, values)[0]
 
 
 def kerr_kernel_block(settings: np.ndarray, outcomes: np.ndarray,

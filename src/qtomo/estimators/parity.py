@@ -13,15 +13,11 @@ used for the state itself.
 
 from __future__ import annotations
 
-import math
-from typing import Tuple, Union
-
 import numpy as np
-from scipy.special import gammaln, eval_genlaguerre
 
 from ..errors import DimensionMismatchError, GridError, InvalidSpecError
-from ..operators import Operator, build_operator, OperatorSpec
-from ..records import RecordBatch
+from ..operators import Operator, displacement, parity
+from ..records import RecordBatch, walk
 from ..states import DensityMatrix
 from . import _cahill
 from .config import EstimatorConfig
@@ -38,27 +34,21 @@ __all__ = [
 ]
 
 _BIAS_ANGLES = 64
-_CHUNK = 1 << 16
 
 
 def displaced_parity_kernel(n: int, d: int, alpha) -> complex:
-    """4 (-1)^{n+d} e^{-2|a|^2} sqrt(n!/(n+d)!) (2a)^d L_n^d(4|a|^2)."""
+    """<n+d| 4 D^dag(a) P D(a) |n> = <n+d| 4 P D(2a) |n>, the kernel of <n+d|rho|n>."""
     if n < 0 or d < 0:
         raise InvalidSpecError("displaced_parity_kernel needs n >= 0 and d >= 0")
-    a = np.asarray(alpha, dtype=complex)
-    x = 4.0 * (a.real * a.real + a.imag * a.imag)
-    pref = 4.0 * (-1.0) ** (n + d) * math.exp(0.5 * (gammaln(n + 1) - gammaln(n + d + 1)))
-    val = pref * np.exp(-x / 2.0) * (2.0 * a) ** d * eval_genlaguerre(n, d, x)
-    return complex(val) if np.isscalar(alpha) or a.ndim == 0 else val
+    return parity_kernel_element(n + d, n, alpha)
 
 
 def displaced_parity_kernel_matrix_route(n: int, d: int, alpha: complex, dim: int) -> complex:
     """<n+d| 4 D^dag(a) P D(a) |n> from dense truncated matrices; oracle route."""
     if n + d >= dim:
         raise DimensionMismatchError("n + d must lie inside the truncation")
-    dm = build_operator(OperatorSpec(kind="displacement", dim=dim, alpha=complex(alpha))).mat
-    par = build_operator(OperatorSpec(kind="parity", dim=dim)).mat
-    return complex(4.0 * (dm.conj().T @ par @ dm)[n + d, n])
+    dm = displacement(complex(alpha), dim).mat
+    return complex(4.0 * (dm.conj().T @ parity(dim).mat @ dm)[n + d, n])
 
 
 def parity_kernel_element(row: int, col: int, alpha) -> complex:
@@ -66,7 +56,7 @@ def parity_kernel_element(row: int, col: int, alpha) -> complex:
     if row < 0 or col < 0:
         raise InvalidSpecError("indices must be non-negative")
     val = 4.0 * (-1.0) ** row * _cahill.disp_element(row, col, 2.0 * np.asarray(alpha, dtype=complex))
-    return complex(val) if np.isscalar(alpha) else val
+    return complex(val) if np.ndim(alpha) == 0 else val
 
 
 def _parity_signs(dim: int) -> np.ndarray:
@@ -101,18 +91,16 @@ def check_parity_boundary(target, cfg: EstimatorConfig) -> None:
     """Raise GridError when the largest |kernel|/4 on the proposal boundary exceeds 1e-3.
 
     A kernel that is not negligible at |b| = R has a truncated tail.
-    target is an Operator, an (n, d) element, or None for every matrix
-    unit at once (the block that reconstruct_matrix averages).
+    target is an Operator, or None for every matrix unit at once (the
+    block that reconstruct_matrix averages).
     """
     radius = cfg.parity_radius()
     ring = radius * np.exp(2j * np.pi * np.arange(_BIAS_ANGLES) / _BIAS_ANGLES)
     if target is None:
         vals = np.abs(_cahill.disp_stack(2.0 * ring, cfg.dim))
-    elif isinstance(target, Operator):
+    else:
         scale = max(1.0, float(np.max(np.abs(target.mat))))
         vals = np.abs(_coeff_stack(target.mat, ring)) / (4.0 * scale)
-    else:
-        vals = np.abs(displaced_parity_kernel(target[0], target[1], ring)) / 4.0
     if np.max(vals) > 1e-3:
         raise GridError(
             f"kernel mass at the proposal boundary |b| = {radius:.3g} exceeds 1e-3; "
@@ -134,9 +122,8 @@ def parity_kernel_block(settings: np.ndarray, outcomes: np.ndarray,
     return block
 
 
-def parity_estimate(target: Union[Operator, Tuple[int, int]], records: RecordBatch,
-                    cfg: EstimatorConfig):
-    """Importance-weighted parity average for an operator or a single (n, d) element.
+def parity_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
+    """Importance-weighted parity average of an operator.
 
     Records must carry the displacement used (setting coords (Re b, Im b))
     and the measured parity outcome +-1; the uniform-disk proposal of
@@ -144,30 +131,13 @@ def parity_estimate(target: Union[Operator, Tuple[int, int]], records: RecordBat
     empirical mean back onto the d^2b/pi measure.
     """
     records.require("parity", 2)
+    if a.dim != cfg.dim:
+        raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
+    check_parity_boundary(a, cfg)
     radius = cfg.parity_radius()
-    if isinstance(target, Operator):
-        if target.dim != cfg.dim:
-            raise DimensionMismatchError(f"operator dim {target.dim} vs config dim {cfg.dim}")
-    else:
-        n, d = target
-        if n < 0 or d < 0:
-            raise InvalidSpecError("element target needs n >= 0 and d >= 0")
-    check_parity_boundary(target, cfg)
-
-    from ..recon import Accumulator
-
-    signs = records.outcomes
-    betas = records.settings[:, 0] + 1j * records.settings[:, 1]
     weight = radius * radius
-    acc = Accumulator()
-    for i in range(0, betas.size, _CHUNK):
-        bc = betas[i : i + _CHUNK]
-        if isinstance(target, Operator):
-            coeff = _coeff_stack(target.mat, bc)
-        else:
-            coeff = displaced_parity_kernel(target[0], target[1], bc)
-        acc.push(weight * signs[i : i + _CHUNK] * coeff)
-    return acc.result()
+    return walk(records, lambda settings, outcomes: weight * outcomes * _coeff_stack(
+        a.mat, settings[:, 0] + 1j * settings[:, 1]))[0]
 
 
 def parity_exact_element(rho: DensityMatrix, row: int, col: int, cfg: EstimatorConfig,

@@ -18,8 +18,8 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import DimensionMismatchError, InvalidSpecError, UsageError
-from ..operators import Operator, spin_matrices
-from ..records import RecordBatch
+from ..operators import Operator, pauli, spin_matrices
+from ..records import EstimationResult, RecordBatch, walk
 from ..states import DensityMatrix
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "pauli_estimate",
     "sphere_rule",
 ]
-
-_CHUNK = 1 << 16
 
 
 def _unit(direction) -> np.ndarray:
@@ -119,17 +117,14 @@ def spin_estimate(a: Operator, records: RecordBatch, twice_s: int):
     if a.dim != twice_s + 1:
         raise DimensionMismatchError(f"operator dim {a.dim} vs 2s+1 = {twice_s + 1}")
     records.require("spin", 2)
-    from ..recon import Accumulator
 
-    dirs = records.settings
-    c = _stencils(_outcome_indices(records.outcomes, twice_s), twice_s)
-
-    acc = Accumulator()
-    for i in range(0, len(records), _CHUNK):
-        vecs = _eigvecs(dirs[i : i + _CHUNK], twice_s)
+    def values(settings: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        c = _stencils(_outcome_indices(outcomes, twice_s), twice_s)
+        vecs = _eigvecs(settings, twice_s)
         diag = np.einsum("gaj,ab,gbj->gj", vecs.conj(), a.mat, vecs, optimize=True)
-        acc.push(np.einsum("gj,gj->g", c[i : i + _CHUNK], diag))
-    return acc.result()
+        return np.einsum("gj,gj->g", c, diag)
+
+    return walk(records, values)[0]
 
 
 def sphere_rule(twice_s: int, n_polar: int = 0, n_azimuth: int = 0):
@@ -184,9 +179,6 @@ def pauli_estimate(a: Operator, records: RecordBatch):
     if a.dim != 2:
         raise DimensionMismatchError("pauli_estimate is for 2x2 operators")
     records.require("pauli")
-    from ..operators import pauli
-    from ..recon import EstimationResult
-
     coeffs = [complex(np.trace(a.mat @ pauli(ax).mat)) for ax in ("x", "y", "z")]
     axes = records.settings[:, 0]
     ms = records.outcomes

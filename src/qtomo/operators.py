@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -22,10 +22,8 @@ from .errors import DimensionMismatchError, InvalidSpecError
 
 __all__ = [
     "Operator",
-    "OperatorSpec",
     "hs_inner",
     "hs_norm",
-    "build_operator",
     "hermitian_evolution",
     "identity",
     "annihilation",
@@ -35,6 +33,7 @@ __all__ = [
     "quadrature",
     "displacement",
     "squeeze",
+    "SqueezeParams",
     "kerr_shift",
     "lowering_e_minus",
     "raising_e_plus",
@@ -164,15 +163,45 @@ def displacement(alpha: complex, dim: int) -> Operator:
 
 
 def squeeze(zeta: complex, dim: int) -> Operator:
-    """exp((zeta^2 a^dag^2 - conj(zeta)^2 a^2) / 2) on the truncated space.
+    """exp((xi a^dag^2 - conj(xi) a^2) / 2), xi = |zeta| e^{2i arg zeta}, on the truncated space.
 
-    Note the squared parameter in the generator; the induced Bogoliubov
-    coefficients are mu = cosh|zeta|^2, nu = e^{2i arg zeta} sinh|zeta|^2.
+    Its Bogoliubov action is S^dag a S = mu a + nu a^dag with
+    mu = cosh|zeta| and nu = e^{2i arg zeta} sinh|zeta|, as in SqueezeParams.
     """
+    z = complex(zeta)
+    if z == 0:
+        return identity(dim)
+    xi = abs(z) * np.exp(2j * np.angle(z))
     a = annihilation(dim).mat
     ad = a.conj().T
-    gen = 0.5 * (zeta**2 * (ad @ ad) - np.conj(zeta) ** 2 * (a @ a))
-    return Operator(expm(gen))
+    return Operator(expm(0.5 * (xi * (ad @ ad) - np.conj(xi) * (a @ a))))
+
+
+@dataclasses.dataclass(frozen=True)
+class SqueezeParams:
+    """Bogoliubov data of a squeezing strength zeta.
+
+    mu = cosh|zeta| and nu = e^{2i arg zeta} sinh|zeta|, so that the
+    squeezed quadrature operator is (mu e^{i phi} + nu e^{-i phi}) a^dag/2
+    plus the conjugate term, and mu^2 - |nu|^2 = 1 identically.
+    """
+
+    zeta: complex
+
+    @property
+    def mu(self) -> float:
+        return math.cosh(abs(self.zeta))
+
+    @property
+    def nu(self) -> complex:
+        z = complex(self.zeta)
+        return np.exp(2j * np.angle(z)) * math.sinh(abs(z))
+
+    def __post_init__(self) -> None:
+        # relative to mu^2: the roundoff of cosh^2 - sinh^2 grows with it
+        dev = abs(self.mu**2 - abs(self.nu) ** 2 - 1.0)
+        if dev > 1e-12 * self.mu**2:
+            raise InvalidSpecError(f"squeeze parametrization broke mu^2-|nu|^2=1 by {dev:.3e}")
 
 
 def kerr_shift(psi: float, dim: int) -> Operator:
@@ -256,66 +285,6 @@ def pauli(axis: str) -> Operator:
         return Operator(_PAULI[axis])
     except KeyError:
         raise InvalidSpecError(f"pauli axis must be x, y, or z, got {axis!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# spec-driven construction
-
-_SCALAR_KINDS = frozenset(
-    {"annihilation", "number", "parity", "lowering_e_minus", "raising_e_plus", "identity"}
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class OperatorSpec:
-    """Declarative recipe for a built-in operator."""
-
-    kind: str
-    dim: int
-    alpha: complex = 0j
-    zeta: complex = 0j
-    psi: float = 0.0
-    twice_s: int = 0
-    direction: Optional[Tuple[float, float, float]] = None
-    axis: str = "z"
-    row: int = 0
-    col: int = 0
-
-
-def build_operator(spec: OperatorSpec) -> Operator:
-    """Realize an OperatorSpec as a concrete truncated matrix."""
-    if spec.dim < 1:
-        raise InvalidSpecError(f"dim must be >= 1, got {spec.dim}")
-    kind = spec.kind
-    d = spec.dim
-    if kind in _SCALAR_KINDS:
-        return {
-            "annihilation": annihilation,
-            "number": number,
-            "parity": parity,
-            "lowering_e_minus": lowering_e_minus,
-            "raising_e_plus": raising_e_plus,
-            "identity": identity,
-        }[kind](d)
-    if kind == "displacement":
-        return displacement(spec.alpha, d)
-    if kind == "squeeze":
-        return squeeze(spec.zeta, d)
-    if kind == "kerr_shift":
-        return kerr_shift(spec.psi, d)
-    if kind == "fock_matrix_unit":
-        return fock_matrix_unit(spec.row, spec.col, d)
-    if kind == "spin_component":
-        if spec.twice_s + 1 != d:
-            raise InvalidSpecError(f"spin kind needs dim = 2s+1, got dim={d} for 2s={spec.twice_s}")
-        if spec.direction is None:
-            raise InvalidSpecError("spin_component requires a direction")
-        return spin_component(spec.twice_s, spec.direction)
-    if kind == "pauli":
-        if d != 2:
-            raise InvalidSpecError(f"pauli operators require dim=2, got {d}")
-        return pauli(spec.axis)
-    raise InvalidSpecError(f"unknown operator kind {kind!r}")
 
 
 def hermitian_evolution(h: Operator, t: float) -> Operator:

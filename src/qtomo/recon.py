@@ -1,10 +1,10 @@
-"""Averaging engine: records + kernels -> expectations and density matrices.
+"""Reconstruction: one table of sampled methods, and the matrices they estimate.
 
-Every estimate flows through a single count/mean/M2 accumulator so that
-partitioned streams merge exactly; the merge is associative, which the
-concurrency layer relies on. For complex kernels M2 tracks the total
-squared deviation |x - mean|^2, whose normalized value is the variance
-of the real part plus the variance of the imaginary part.
+METHODS names, for each sampled family of records.FAMILIES, its sampler,
+its estimator and its kernel block, and the parameter all three take.
+method_params checks that parameter against the working dimension once,
+for the CLI and the library alike. Every estimate is an ensemble average
+taken by records.walk; the averaging types are re-exported from here.
 """
 
 from __future__ import annotations
@@ -12,25 +12,32 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, UsageError
-from .estimators.homodyne import homodyne_kernel_block
-from .estimators.kerr import kerr_kernel_block
-from .estimators.parity import check_parity_boundary, parity_kernel_block
-from .estimators.spin import pauli_estimate, spin_kernel_block
+from .estimators.homodyne import homodyne_estimate, homodyne_kernel_block
+from .estimators.kerr import kerr_estimate, kerr_kernel_block
+from .estimators.parity import check_parity_boundary, parity_estimate, parity_kernel_block
+from .estimators.spin import pauli_estimate, spin_estimate, spin_kernel_block
 from .operators import Operator, fock_matrix_unit
-from .records import FAMILIES, RecordBatch
+from .records import Accumulator, EstimationResult, RecordBatch, estimate, walk
+from .sampler import (sample_displaced_parity, sample_homodyne, sample_kerr_phase,
+                      sample_pauli, sample_spin)
 from .states import DensityMatrix
 
 __all__ = [
     "EstimationResult",
     "Accumulator",
     "ReconstructedMatrix",
+    "Method",
+    "METHODS",
     "estimate",
+    "method_params",
+    "estimate_observable",
     "reconstruct_matrix",
+    "assemble_matrix",
     "compare_states",
     "nearest_physical_state",
 ]
@@ -39,62 +46,72 @@ __all__ = [
 _BLOCK_BYTES = 8 << 20
 
 
-@dataclasses.dataclass(frozen=True)
-class EstimationResult:
-    mean: complex
-    std_error: float
-    n_samples: int
+class Method(NamedTuple):
+    """A sampled family's functions, and the one parameter they take besides the records.
+
+    sample(rho, shots=, rng=, **params), estimate(a, records, **params) and
+    block(settings, outcomes, **params) take the params of method_params.
+    """
+
+    sample: Callable
+    estimate: Callable
+    block: Optional[Callable]  # None for Pauli: its stratified mean is exact on the identity
+    param: Optional[str]  # "cfg", "twice_s" or None; homodyne also takes squeeze
+    diagonal: bool = True  # False for Kerr: its records do not determine <k|rho|k>
 
 
-class Accumulator:
-    """Single-pass mean/M2 accumulation over complex values, mergeable."""
-
-    __slots__ = ("n", "mean", "m2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0j
-        self.m2 = 0.0
-
-    def push(self, values: np.ndarray) -> None:
-        v = np.asarray(values, dtype=complex).ravel()
-        if v.size == 0:
-            return
-        cm = complex(v.mean())
-        cm2 = float(np.sum(np.abs(v - cm) ** 2))
-        self._combine(v.size, cm, cm2)
-
-    def merge(self, other: "Accumulator") -> None:
-        self._combine(other.n, other.mean, other.m2)
-
-    def _combine(self, n2: int, mean2: complex, m2_2: float) -> None:
-        if n2 == 0:
-            return
-        n1 = self.n
-        n = n1 + n2
-        delta = mean2 - self.mean
-        self.mean += delta * (n2 / n)
-        self.m2 += m2_2 + abs(delta) ** 2 * (n1 * n2 / n)
-        self.n = n
-
-    def result(self) -> EstimationResult:
-        if self.n < 2:
-            raise UsageError("need at least 2 values for a standard error")
-        var = max(self.m2, 0.0) / (self.n - 1)
-        return EstimationResult(
-            mean=complex(self.mean),
-            std_error=math.sqrt(var / self.n),
-            n_samples=self.n,
-        )
+METHODS = {
+    "homodyne": Method(sample_homodyne, homodyne_estimate, homodyne_kernel_block, "cfg"),
+    "spin": Method(sample_spin, spin_estimate, spin_kernel_block, "twice_s"),
+    "pauli": Method(sample_pauli, pauli_estimate, None, None),
+    "parity": Method(sample_displaced_parity, parity_estimate, parity_kernel_block, "cfg"),
+    "kerr": Method(sample_kerr_phase, kerr_estimate, kerr_kernel_block, "cfg", diagonal=False),
+}
 
 
-def estimate(values: np.ndarray) -> EstimationResult:
-    """Ensemble average of per-record kernel values, with its standard error."""
-    if len(values) < 2:
-        raise UsageError("estimate needs at least 2 records")
-    acc = Accumulator()
-    acc.push(values)
-    return acc.result()
+def method_params(method: str, n_max: int, cfg=None, twice_s: Optional[int] = None,
+                  squeeze=None) -> Dict[str, object]:
+    """The keyword parameters of a method at working dimension n_max + 1, checked.
+
+    cfg may be built for a larger dimension; the returned one has dim
+    n_max + 1. Spin needs 2s = n_max, Pauli n_max = 1, and only homodyne
+    takes squeeze. The exact route "nonunitary" takes no parameters.
+    """
+    if n_max < 0:
+        raise UsageError(f"n_max must be >= 0, got {n_max}")
+    if squeeze is not None and method != "homodyne":
+        raise UsageError("squeeze applies to the homodyne method only")
+    if method == "nonunitary":
+        return {}
+    if method not in METHODS:
+        raise UsageError(f"unknown method '{method}'; choose from {tuple(METHODS)}")
+    params: Dict[str, object] = {} if squeeze is None else {"squeeze": squeeze}
+    param = METHODS[method].param
+    if param == "cfg":
+        if cfg is None or cfg.dim < n_max + 1:
+            raise UsageError(f"{method} needs cfg with dim > n_max = {n_max}")
+        params["cfg"] = dataclasses.replace(cfg, dim=n_max + 1) if cfg.dim != n_max + 1 else cfg
+    elif param == "twice_s":
+        if twice_s != n_max:
+            raise UsageError(f"spin needs twice_s = 2s equal to n_max = {n_max}, got {twice_s}")
+        params["twice_s"] = twice_s
+    elif n_max != 1:
+        raise UsageError(f"{method} is for a qubit, n_max = 1; got {n_max}")
+    return params
+
+
+def estimate_observable(records: RecordBatch, method: str, a: Operator, cfg=None,
+                        twice_s: Optional[int] = None, squeeze=None) -> EstimationResult:
+    """<A> from records of a sampled method, by the family's estimator at dimension a.dim.
+
+    Kerr records do not determine the diagonal, but they are normalized:
+    the identity is averaged as the constant unit kernel.
+    """
+    params = method_params(method, a.dim - 1, cfg, twice_s, squeeze)
+    records.require(method, 2)
+    if not METHODS[method].diagonal and np.array_equal(a.mat, np.eye(a.dim)):
+        return walk(records, lambda settings, outcomes: np.ones(len(outcomes)))[0]
+    return METHODS[method].estimate(a, records, **params)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,19 +141,18 @@ def _block_elements(batch: RecordBatch, block: Callable, dim: int,
     (n, dim, dim) kernel matrices of n records, whose element [i, k, n]
     estimates <k|rho|n>.
     """
-    accs = {(k, n): Accumulator() for k in range(dim) for n in range(dim)
-            if diagonal or k != n}
-    step = max(1, _BLOCK_BYTES // (16 * dim * dim))
-    for lo in range(0, len(batch), step):
-        kb = block(batch.settings[lo : lo + step],
-                   batch.outcomes[lo : lo + step]).reshape(-1, dim * dim)
+    keys = [(k, n) for k in range(dim) for n in range(dim) if diagonal or k != n]
+
+    def columns(settings: np.ndarray, outcomes: np.ndarray) -> List[np.ndarray]:
+        kb = block(settings, outcomes).reshape(-1, dim * dim)
         # Element-major copy, in cache-sized slabs: d^2 strided column reads cost more.
         rows = np.empty((dim * dim, kb.shape[0]), dtype=complex)
         for i in range(0, kb.shape[0], 256):
             rows[:, i : i + 256] = kb[i : i + 256].T
-        for (k, n), acc in accs.items():
-            acc.push(rows[k * dim + n])
-    return {key: acc.result() for key, acc in accs.items()}
+        return [rows[k * dim + n] for k, n in keys]
+
+    step = max(1, _BLOCK_BYTES // (16 * dim * dim))
+    return dict(zip(keys, walk(batch, columns, len(keys), step)))
 
 
 def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
@@ -148,34 +164,31 @@ def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
     n_max is the largest Fock/spin index wanted; the working dimension is
     n_max + 1 and must not exceed what cfg (or 2s+1) supports.
     """
-    if method not in FAMILIES:
-        raise UsageError(f"unknown method '{method}'; choose from {tuple(FAMILIES)}")
+    params = method_params(method, n_max, cfg, twice_s, squeeze)
     records.require(method)
     dim = n_max + 1
-
-    if method == "pauli":
-        if dim != 2:
-            raise UsageError("pauli reconstruction is for n_max = 1")
-        results = {(k, n): pauli_estimate(fock_matrix_unit(n, k, 2), records)
-                   for k in range(2) for n in range(2)}
+    entry = METHODS[method]
+    if entry.block is None:  # one estimate per element
+        results = {(k, n): entry.estimate(fock_matrix_unit(n, k, dim), records)
+                   for k in range(dim) for n in range(dim)}
     else:
-        if method == "spin":
-            if twice_s is None or twice_s + 1 != dim:
-                raise UsageError("spin reconstruction needs twice_s with 2s = n_max * 2")
-            block = functools.partial(spin_kernel_block, twice_s=twice_s)
-        else:
-            if cfg is None or cfg.dim < dim:
-                raise UsageError(f"{method} reconstruction needs cfg with dim > n_max")
-            work = dataclasses.replace(cfg, dim=dim) if cfg.dim != dim else cfg
-            if method == "homodyne":
-                block = functools.partial(homodyne_kernel_block, cfg=work, squeeze=squeeze)
-            elif method == "parity":
-                check_parity_boundary(None, work)
-                block = functools.partial(parity_kernel_block, cfg=work)
-            else:
-                block = functools.partial(kerr_kernel_block, cfg=work)
-        results = _block_elements(records, block, dim, diagonal=method != "kerr")
+        if method == "parity":
+            check_parity_boundary(None, params["cfg"])
+        results = _block_elements(records, functools.partial(entry.block, **params), dim,
+                                  entry.diagonal)
+    return assemble_matrix(method, dim, results, {"method": method, "n_records": len(records)},
+                           reference, nearest_physical)
 
+
+def assemble_matrix(method: str, dim: int, results: Dict[Tuple[int, int], EstimationResult],
+                    diagnostics: Dict[str, object], reference=None,
+                    nearest_physical: bool = False) -> ReconstructedMatrix:
+    """The ReconstructedMatrix of element estimates results[(k, n)] of <k|rho|n>.
+
+    diagnostics opens the result's diagnostics. The trace and its standard
+    error follow when the diagonal was estimated; then the comparison with
+    reference, and the distance to the nearest physical state if asked.
+    """
     elements = tuple(
         tuple(results.get((k, n)) for n in range(dim)) for k in range(dim)
     )
@@ -184,14 +197,13 @@ def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
         raw[k, n] = res.mean
     herm = 0.5 * (raw + raw.conj().T)
 
-    diagnostics: Dict[str, object] = {"method": method, "n_records": len(records)}
-    if method == "kerr":
-        diagnostics["diagonal"] = "not estimated"
+    diagnostics = dict(diagnostics)
+    if (0, 0) in results:
+        diagnostics["trace"] = sum(results[(k, k)].mean.real for k in range(dim))
+        diagnostics["trace_std_error"] = math.sqrt(
+            sum(results[(k, k)].std_error ** 2 for k in range(dim)))
     else:
-        tr = sum(results[(k, k)].mean.real for k in range(dim))
-        tr_se = math.sqrt(sum(results[(k, k)].std_error ** 2 for k in range(dim)))
-        diagnostics["trace"] = tr
-        diagnostics["trace_std_error"] = tr_se
+        diagnostics["diagonal"] = "not estimated"
     if reference is not None:
         diagnostics["comparison"] = compare_states(herm, reference)
     if nearest_physical:

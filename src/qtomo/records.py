@@ -1,21 +1,29 @@
-"""Measurement records in columnar form, and the table of quorum families.
+"""Measurement records in columnar form, the table of quorum families, and their average.
 
 A RecordBatch holds N records of one family as two float64 arrays, the
 settings (N, k) and the outcomes (N,). It is validated once, when it is
 built, against the family's entry in FAMILIES, so the estimators, the
 reconstruction and the CSV writer read the arrays as they are.
+
+Every estimate is an ensemble average over records, taken by walk in
+chunks through a single count/mean/M2 accumulator so that partitioned
+streams merge exactly; the merge is associative. For complex kernels M2
+tracks the total squared deviation |x - mean|^2, whose normalized value
+is the variance of the real part plus the variance of the imaginary part.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import NamedTuple, Optional, Tuple
+import math
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidSpecError, UsageError
 
-__all__ = ["Family", "FAMILIES", "RecordBatch"]
+__all__ = ["Family", "FAMILIES", "RecordBatch", "EstimationResult", "Accumulator",
+           "estimate", "walk"]
 
 
 class Family(NamedTuple):
@@ -95,3 +103,78 @@ class RecordBatch:
             )
         if len(self) < at_least:
             raise UsageError(f"need at least {at_least} {quorum} records, got {len(self)}")
+
+
+@dataclasses.dataclass(frozen=True)
+class EstimationResult:
+    mean: complex
+    std_error: float
+    n_samples: int
+
+
+class Accumulator:
+    """Single-pass mean/M2 accumulation over complex values, mergeable."""
+
+    __slots__ = ("n", "mean", "m2")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.mean = 0j
+        self.m2 = 0.0
+
+    def push(self, values: np.ndarray) -> None:
+        v = np.asarray(values, dtype=complex).ravel()
+        if v.size == 0:
+            return
+        cm = complex(v.mean())
+        cm2 = float(np.sum(np.abs(v - cm) ** 2))
+        self._combine(v.size, cm, cm2)
+
+    def merge(self, other: "Accumulator") -> None:
+        self._combine(other.n, other.mean, other.m2)
+
+    def _combine(self, n2: int, mean2: complex, m2_2: float) -> None:
+        if n2 == 0:
+            return
+        n1 = self.n
+        n = n1 + n2
+        delta = mean2 - self.mean
+        self.mean += delta * (n2 / n)
+        self.m2 += m2_2 + abs(delta) ** 2 * (n1 * n2 / n)
+        self.n = n
+
+    def result(self) -> EstimationResult:
+        if self.n < 2:
+            raise UsageError("need at least 2 values for a standard error")
+        var = max(self.m2, 0.0) / (self.n - 1)
+        return EstimationResult(
+            mean=complex(self.mean),
+            std_error=math.sqrt(var / self.n),
+            n_samples=self.n,
+        )
+
+
+def estimate(values: np.ndarray) -> EstimationResult:
+    """Ensemble average of per-record kernel values, with its standard error."""
+    if len(values) < 2:
+        raise UsageError("estimate needs at least 2 records")
+    acc = Accumulator()
+    acc.push(values)
+    return acc.result()
+
+
+def walk(records: RecordBatch, values: Callable, columns: Optional[int] = None,
+         step: int = 1 << 16) -> List[EstimationResult]:
+    """Averages of values(settings, outcomes) over the records, in chunks of step records.
+
+    values returns the kernel values of one chunk's records, an array of
+    shape (n,); with columns given, a sequence of that many such arrays,
+    one per average. Each array is one Accumulator push; one result comes
+    back per average.
+    """
+    accs = [Accumulator() for _ in range(1 if columns is None else columns)]
+    for lo in range(0, len(records), step):
+        chunk = values(records.settings[lo : lo + step], records.outcomes[lo : lo + step])
+        for acc, column in zip(accs, (chunk,) if columns is None else chunk):
+            acc.push(column)
+    return [acc.result() for acc in accs]

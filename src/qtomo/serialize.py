@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import sys
 import warnings
 from typing import Union
 
@@ -55,13 +56,22 @@ def _matrix_from(payload: dict) -> np.ndarray:
         raise InvalidSpecError(
             f"entries count {len(entries)} does not match dim^2 = {dim * dim}"
         )
+    for entry in entries:
+        # a finite double each; abs() <= max also refuses NaN and ints too large for a double
+        if not (isinstance(entry, list) and len(entry) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                and abs(x) <= sys.float_info.max for x in entry)):
+            raise InvalidSpecError(f"matrix entry {entry!r} is not a pair of finite numbers")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(dim, dim)
 
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidSpecError(f"{path}: not a UTF-8 JSON document ({exc})") from None
     if not isinstance(payload, dict):
         raise InvalidSpecError(f"{path}: expected a JSON object")
     if payload.get("version") != FORMAT_VERSION:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvalidSpecError, TruncationError
-from .operators import Operator, spin_component
+from .operators import Operator, SqueezeParams, spin_component
 
 __all__ = ["DensityMatrix", "StateSpec", "make_state"]
 
@@ -116,9 +116,8 @@ def make_state(spec: StateSpec) -> DensityMatrix:
         # amplitudes of S(zeta)|0> with Bogoliubov mu = cosh|z|, nu = e^{2i arg z} sinh|z|:
         # only even levels populated, c_{2k} = (-nu/2mu)^k sqrt((2k)!)/k! / sqrt(mu)
         z = complex(spec.zeta)
-        r = abs(z)
-        mu = math.cosh(r)
-        nu = cmath_exp2arg(z) * math.sinh(r)
+        sq = SqueezeParams(z)
+        mu, nu = sq.mu, sq.nu
         k = np.arange((d + 1) // 2)
         logmag = k * math.log(abs(nu) / (2 * mu) + 1e-300) + 0.5 * gammaln(2 * k + 1) - gammaln(k + 1)
         phase = np.exp(1j * k * (np.angle(-nu) if nu != 0 else 0.0))
@@ -165,9 +164,3 @@ def make_state(spec: StateSpec) -> DensityMatrix:
 
     raise InvalidSpecError(f"unknown state kind {kind!r}")
 
-
-def cmath_exp2arg(z: complex) -> complex:
-    """e^{2i arg z}, with the z = 0 convention of 1."""
-    if z == 0:
-        return 1.0 + 0j
-    return np.exp(2j * np.angle(z))

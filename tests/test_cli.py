@@ -1,11 +1,13 @@
 """End-to-end command flows: files in, files out, frozen exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from qtomo._parallel import CHUNK_SHOTS
 from qtomo.cli import main
 from qtomo.dualbasis import spiral_directions, weigert_spin_quorum
 from qtomo.frames import DualSet, FrameElement, SettingLabel, SpanningSet
@@ -200,6 +202,160 @@ class TestReconstruct:
         assert code == 2
         doc = json.loads(err.strip())
         assert doc["error"] == "UsageError" and doc["message"]
+
+
+# Each bad input: its argv ({tmp} is the test directory) and a word its error names.
+BAD_INPUTS = {
+    "records-path-is-a-directory": (
+        ["reconstruct", "--method", "homodyne", "--records", "{tmp}", "--n-max", "3"],
+        "Is a directory"),
+    "state-entries-not-numbers": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/words.json",
+         "--observable", "identity"], "pair of finite numbers"),
+    "state-entries-not-pairs": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/short.json",
+         "--observable", "identity"], "pair of finite numbers"),
+    "state-entry-beyond-double": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/huge.json",
+         "--observable", "identity"], "pair of finite numbers"),
+    "reference-not-utf8": (
+        ["reconstruct", "--method", "pauli", "--records", "{tmp}/pauli.csv",
+         "--reference", "{tmp}/undecodable.json"], "UTF-8"),
+    "nonunitary-n-max-minus-2": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/vacuum.json",
+         "--n-max", "-2"], "n_max"),
+    "nonunitary-n-max-minus-1": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/vacuum.json",
+         "--n-max", "-1"], "n_max"),
+    "k-max-inf": (
+        ["reconstruct", "--method", "homodyne", "--records", "{tmp}/homodyne.csv",
+         "--n-max", "3", "--k-max", "inf"], "k_max"),
+    "proposal-radius-nan": (
+        ["sample", "--method", "parity", "--shots", "10", "--seed", "1",
+         "--proposal-radius", "nan"], "proposal_radius"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
+    def state(dim, entries):
+        return json.dumps({"version": 1, "kind": "state", "dim": dim, "entries": entries})
+
+    (tmp_path / "words.json").write_text(state(1, [["a", "b"]]))
+    (tmp_path / "short.json").write_text(state(2, [[1], [0], [0], [0]]))
+    (tmp_path / "huge.json").write_text(state(1, [[10**400, 0]]))
+    (tmp_path / "vacuum.json").write_text(state(1, [[1.0, 0.0]]))
+    (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "pauli.csv").write_text(
+        "quorum,s1,s2,s3,o1\npauli,0,,,0.5\npauli,1,,,-0.5\npauli,2,,,0.5\n")
+    (tmp_path / "homodyne.csv").write_text(
+        "quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,0.1,,,-0.3\n")
+    argv, word = BAD_INPUTS[case]
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+
+# Golden outputs: the SHA-256 of every reconstruct route's JSONs at a pinned seed.
+# Each route is (state flags, flags shared by sample and reconstruct,
+# reconstruct-only flags, observables).
+# The digests are the oracle for refactors: they must not move.
+GOLDEN_ROUTES = {
+    "homodyne": (["--kind", "coherent", "--param", "0.3", "--dim", "8"],
+                 ["--method", "homodyne"], ["--n-max", "7"], ["number"]),
+    "homodyne-squeezed": (["--kind", "coherent", "--param", "0.3", "--dim", "8"],
+                          ["--method", "homodyne", "--squeeze", "0.05+0.05j"],
+                          ["--n-max", "7"], ["number"]),
+    "parity": (["--kind", "coherent", "--param", "0.3", "--dim", "8"],
+               ["--method", "parity"], ["--n-max", "7"], ["matrix_unit:0,1"]),
+    "spin": (["--kind", "random_mixed", "--dim", "3", "--seed", "5"],
+             ["--method", "spin", "--s", "1"], [], ["number"]),
+    "pauli": (["--kind", "random_mixed", "--dim", "2", "--seed", "6"],
+              ["--method", "pauli"], [], ["quadrature:0.3"]),
+    "kerr": (["--kind", "coherent", "--param", "0.3", "--dim", "8"],
+             ["--method", "kerr"], ["--n-max", "7"], ["matrix_unit:0,1", "identity"]),
+    "nonunitary": (["--kind", "coherent", "--param", "0.3", "--dim", "4"],
+                   ["--method", "nonunitary"], ["--n-max", "1"], ["number"]),
+}
+GOLDEN_DIGESTS = {
+    "homodyne": {
+        "number":
+            "ea543cdd84c81d6b41fd9d46462f706d772791f56bcdccf91fdeb875702c7826",
+        "matrix":
+            "3ed70a5600243a2faa4c18b6dac1a04cf77da43886bea6c87e1abfe1c18203d5",
+    },
+    "homodyne-squeezed": {
+        "number":
+            "5a9b0ccfbd4fe99b0899e0c27135a63ca3aba6382ef323eaa6ec5fbec2fa2f75",
+        "matrix":
+            "9c323f26ef00e994b230c307d0c028dd6bd6f34b083c37a59a554b4c60bb02b9",
+    },
+    "parity": {
+        "matrix_unit:0,1":
+            "e2a129ba05013d4e38ee05e418fe30adce2d1743318f1886c4a52e02e4c7680f",
+        "matrix":
+            "58d88c7789475e0d36658f491e1bd96b8b92d33c573e87cc3906dff3efe09e92",
+    },
+    "spin": {
+        "number":
+            "749326211709dbbeed19f75bd3de9bd9ffff26aec91f7900d6edcd8b787a361b",
+        "matrix":
+            "96418c8b667d3766005972e84dee71e93ee95919755a0644bb0aaab30d722324",
+    },
+    "pauli": {
+        "quadrature:0.3":
+            "68087b904ea163f07535c24deadd882d025635606e6788d4a0abfa302bafdf12",
+        "matrix":
+            "fb06e563850eba671c2324cb433f7f012fc1d5ae487c4d3476893d69601403f9",
+    },
+    "kerr": {
+        "matrix_unit:0,1":
+            "93cdd97caae656fafd0a1698daf4bdc67fc657529c8234d32fee940fe461bebb",
+        "identity":
+            "86a455a338fd0a730b0d84e5c9c6af74742818d6f4603a16ebe1dc63dc24d139",
+        "matrix":
+            "e3b5ea9b4b8f91de4ce3eed0205d78bd15b90c1be40fe7a44f42abb06d599ad3",
+    },
+    "nonunitary": {
+        "number":
+            "b78fc1e6189c2142c473d0a316fd4ddee9420360d7f6e307822bf5fa5aab2128",
+        "matrix":
+            "fb48c2fb1aedecf95c591827d023c062af4c4b4913f7777cf94212054a9571fc",
+    },
+}
+GOLDEN_SHOTS = CHUNK_SHOTS + 17  # every estimate crosses a chunk boundary
+
+
+def _golden_outputs(capsys, tmp_path, route):
+    """{observable or "matrix": SHA-256 of the reconstruct JSON} for one route."""
+    state_flags, method_flags, recon_flags, observables = GOLDEN_ROUTES[route]
+    state = tmp_path / "state.json"
+    assert run(capsys, ["state", *state_flags, "--out", str(state)])[0] == 0
+    if route == "nonunitary":
+        source = ["--state", str(state)]
+    else:
+        records = tmp_path / "records.csv"
+        assert run(capsys, ["sample", *method_flags, "--state", str(state),
+                            "--shots", str(GOLDEN_SHOTS), "--seed", "11",
+                            "--out", str(records)])[0] == 0
+        source = ["--records", str(records)]
+    digests = {}
+    for observable in observables + ["matrix"]:
+        out = tmp_path / "result.json"
+        argv = ["reconstruct", *method_flags, *source, *recon_flags, "--out", str(out)]
+        if observable == "matrix":
+            argv += ["--reference", str(state)]
+        else:
+            argv += ["--observable", observable]
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+        digests[observable] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("route", list(GOLDEN_ROUTES))
+def test_golden_reconstruct_outputs(capsys, tmp_path, route):
+    assert _golden_outputs(capsys, tmp_path, route) == GOLDEN_DIGESTS[route]
 
 
 class TestReconstructNonunitary:

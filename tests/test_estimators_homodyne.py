@@ -13,7 +13,7 @@ from qtomo.estimators import (
     oscillator_wavefunctions,
     squeezed_homodyne_estimate,
 )
-from qtomo.errors import UsageError
+from qtomo.errors import InvalidSpecError, UsageError
 from qtomo.operators import Operator, annihilation, fock_matrix_unit, identity, number
 from qtomo.records import RecordBatch
 from qtomo.sampler import RngStream, sample_homodyne
@@ -145,3 +145,10 @@ def test_squeeze_params_hyperbolic_identity():
     for zeta in (0.0, 0.3, 0.2 - 0.5j, 1.0j):
         sq = SqueezeParams(zeta)
         assert abs(sq.mu**2 - abs(sq.nu) ** 2 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["k_max", "reg_eps", "alpha_max", "proposal_radius"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(InvalidSpecError, match=field):
+        EstimatorConfig(dim=4, **{field: value})

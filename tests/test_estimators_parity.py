@@ -11,7 +11,7 @@ from qtomo.estimators import (
     parity_estimate,
     parity_exact_element,
 )
-from qtomo.operators import identity
+from qtomo.operators import fock_matrix_unit, identity
 from qtomo.sampler import RngStream, sample_displaced_parity
 from qtomo.states import StateSpec, make_state
 
@@ -49,7 +49,7 @@ class TestEstimate:
         cfg = EstimatorConfig(dim=dim)
         rho = make_state(StateSpec(kind="fock", dim=dim, n=0))
         records = sample_displaced_parity(rho, 50_000, RngStream(201), cfg)
-        res = parity_estimate((0, 0), records, cfg)
+        res = parity_estimate(fock_matrix_unit(0, 0, dim), records, cfg)
         assert abs(res.mean - 1.0) <= 5 * res.std_error
 
     def test_coherent_sideband(self):
@@ -57,7 +57,7 @@ class TestEstimate:
         cfg = EstimatorConfig(dim=dim)
         rho = make_state(StateSpec(kind="coherent", dim=dim, beta=0.5))
         records = sample_displaced_parity(rho, 200_000, RngStream(202), cfg)
-        res = parity_estimate((0, 1), records, cfg)
+        res = parity_estimate(fock_matrix_unit(0, 1, dim), records, cfg)
         target = 0.5 * np.exp(-0.25)
         assert abs(res.mean - target) <= 5 * res.std_error
 
@@ -75,7 +75,7 @@ class TestEstimate:
         rho = make_state(StateSpec(kind="fock", dim=dim, n=0))
         records = sample_displaced_parity(rho, 1000, RngStream(204), cfg)
         with pytest.raises(GridError):
-            parity_estimate((0, 0), records, cfg)
+            parity_estimate(fock_matrix_unit(0, 0, dim), records, cfg)
 
 
 class TestExactElement:

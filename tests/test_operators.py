@@ -6,9 +6,8 @@ import pytest
 from qtomo.errors import DimensionMismatchError, InvalidSpecError
 from qtomo.operators import (
     Operator,
-    OperatorSpec,
+    SqueezeParams,
     annihilation,
-    build_operator,
     creation,
     displacement,
     fock_matrix_unit,
@@ -117,14 +116,6 @@ class TestBuilders:
         with pytest.raises(InvalidSpecError):
             fock_matrix_unit(5, 0, 5)
 
-    def test_spec_dispatch_and_errors(self):
-        op = build_operator(OperatorSpec(kind="displacement", dim=8, alpha=0.3j))
-        assert np.allclose(op.mat, displacement(0.3j, 8).mat, atol=EXACT)
-        with pytest.raises(InvalidSpecError):
-            build_operator(OperatorSpec(kind="nope", dim=4))
-        with pytest.raises(InvalidSpecError):
-            build_operator(OperatorSpec(kind="pauli", dim=3))
-
 
 class TestDisplacement:
     def test_unitary_in_faithful_regime(self):
@@ -223,3 +214,15 @@ def test_squeeze_zero_is_identity():
 def test_squeeze_unitary():
     s = squeeze(0.4 + 0.1j, 24).mat
     assert np.max(np.abs(s @ s.conj().T - np.eye(24))) <= 1e-10
+
+
+@pytest.mark.parametrize("zeta", [0.3, -0.2j, 0.25 - 0.15j, 0.4 * np.exp(2.5j)])
+def test_squeeze_bogoliubov_action_matches_squeeze_params(zeta):
+    # S^dag a S = mu a + nu a^dag, away from the truncation edge
+    dim, low = 60, 8
+    s = squeeze(zeta, dim).mat
+    a = annihilation(dim).mat
+    sq = SqueezeParams(zeta)
+    lhs = s.conj().T @ a @ s
+    rhs = sq.mu * a + sq.nu * a.conj().T
+    assert np.max(np.abs(lhs - rhs)[:low, :low]) <= 1e-12

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from qtomo.errors import DimensionMismatchError, UsageError
-from qtomo.estimators import EstimatorConfig
-from qtomo.operators import Operator
+from qtomo.estimators import EstimatorConfig, SqueezeParams, kerr_estimate, spin_estimate
+from qtomo.operators import Operator, fock_matrix_unit, identity, number
 from qtomo.recon import (
     Accumulator,
     EstimationResult,
     compare_states,
     estimate,
+    estimate_observable,
     nearest_physical_state,
     reconstruct_matrix,
 )
@@ -281,3 +282,35 @@ class TestNearestPhysicalState:
     def test_accepts_operator(self):
         out = nearest_physical_state(Operator(np.eye(3, dtype=complex)))
         assert np.allclose(out.mat, np.eye(3) / 3.0, atol=1e-12)
+
+    def test_squeeze_refused_outside_homodyne(self):
+        dim = 4
+        cfg = EstimatorConfig(dim=dim)
+        rho = make_state(StateSpec(kind="fock", dim=dim, n=0))
+        records = sample_displaced_parity(rho, 100, RngStream(620), cfg)
+        with pytest.raises(UsageError, match="squeeze"):
+            reconstruct_matrix(records, "parity", n_max=dim - 1, cfg=cfg,
+                               squeeze=SqueezeParams(0.1))
+
+
+class TestEstimateObservable:
+    def test_same_result_as_the_family_estimator(self):
+        rho = make_state(StateSpec(kind="random_mixed", dim=3, seed=4))
+        records = sample_spin(rho, 2, 5_000, RngStream(621))
+        a = fock_matrix_unit(0, 2, 3)
+        assert estimate_observable(records, "spin", a, twice_s=2) == spin_estimate(a, records, 2)
+        with pytest.raises(UsageError):
+            estimate_observable(records, "spin", a, twice_s=1)
+
+    def test_kerr_identity_is_the_constant_kernel(self):
+        dim = 4
+        cfg = EstimatorConfig(dim=8)  # a larger cfg is cut to the operator's dimension
+        rho = make_state(StateSpec(kind="fock", dim=dim, n=1))
+        records = sample_kerr_phase(rho, 1_000, RngStream(622), EstimatorConfig(dim=dim))
+        res = estimate_observable(records, "kerr", identity(dim), cfg=cfg)
+        assert (res.mean, res.std_error, res.n_samples) == (1.0, 0.0, 1_000)
+        off = fock_matrix_unit(0, 1, dim)
+        assert estimate_observable(records, "kerr", off, cfg=cfg) == kerr_estimate(
+            off, records, EstimatorConfig(dim=dim))
+        with pytest.raises(UsageError):
+            estimate_observable(records, "kerr", number(dim), cfg=cfg)
