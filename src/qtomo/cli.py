@@ -7,6 +7,11 @@ mismatched inputs), 3 for numeric-precondition failures (truncation, rank
 deficiency, grid limits). With --json-errors the failure is also written
 to stderr as a one-line JSON object. File formats are frozen in
 docs/formats.md; QTOMO_THREADS caps internal parallelism.
+
+An estimator flag is offered only by the commands that read it:
+--k-max and --reg-eps by reconstruct and kernels, which build the
+homodyne kernel, and --proposal-radius by sample and reconstruct, which
+draw and weight the parity displacements.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .sampler import RngStream
 from .recon import (
     METHODS,
     EstimationResult,
+    ReconstructedMatrix,
     assemble_matrix,
     estimate_observable,
     method_params,
@@ -123,20 +129,10 @@ def _parse_observable(text: str, dim: int) -> Tuple[str, Operator]:
 
 
 def _make_cfg(args, dim: int) -> EstimatorConfig:
-    kwargs = {"dim": dim}
-    for flag, field in (
-        ("k_max", "k_max"),
-        ("reg_eps", "reg_eps"),
-        ("phi_grid", "phi_grid_points"),
-        ("psi_grid", "psi_grid_points"),
-        ("alpha_grid", "alpha_grid_points"),
-        ("alpha_max", "alpha_max"),
-        ("proposal_radius", "proposal_radius"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[field] = value
-    return EstimatorConfig(**kwargs)
+    """The config of the estimator flags this command has and the user set."""
+    fields = ("k_max", "reg_eps", "proposal_radius")
+    return EstimatorConfig(dim=dim, **{f: getattr(args, f) for f in fields
+                                       if getattr(args, f, None) is not None})
 
 
 def _maximally_mixed(dim: int) -> DensityMatrix:
@@ -227,7 +223,27 @@ def cmd_sample(args) -> None:
     print(f"wrote {args.out} ({len(records)} records)")
 
 
-def _reconstruct_nonunitary(args) -> None:
+def _write_matrix(args, rec: ReconstructedMatrix) -> None:
+    """Save a reconstruction and print its trace and comparison lines."""
+    save_reconstruction(args.out, rec)
+    print(f"method = {rec.method}, dim = {rec.dim}, "
+          f"records = {rec.diagnostics['n_records']}")
+    if "trace" in rec.diagnostics:
+        print(f"trace = {_fmt(rec.diagnostics['trace'])} "
+              f"(se {_fmt(rec.diagnostics['trace_std_error'])})")
+    if "diagonal" in rec.diagnostics:
+        print(f"diagonal: {rec.diagnostics['diagonal']}")
+    comparison = rec.diagnostics.get("comparison")
+    if comparison:
+        print(f"fidelity = {_fmt(comparison['fidelity'])}")
+        print(f"trace_distance = {_fmt(comparison['trace_distance'])}")
+    if "nearest_physical_distance" in rec.diagnostics:
+        print(f"nearest_physical_distance = "
+              f"{_fmt(rec.diagnostics['nearest_physical_distance'])}")
+    print(f"wrote {args.out}")
+
+
+def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
     if args.records:
         raise UsageError("method nonunitary is an exact route from a state file; "
                          "it takes --state, not --records")
@@ -256,18 +272,16 @@ def _reconstruct_nonunitary(args) -> None:
             std_error=0.0, n_samples=0)
         for k in range(dim) for n in range(dim)
     }
-    rec = assemble_matrix("nonunitary", dim, results,
-                          {"method": "nonunitary", "n_records": 0, "exact": True})
-    save_reconstruction(args.out, rec)
-    print(f"method = nonunitary (exact), dim = {dim}")
-    print(f"trace = {_fmt(rec.diagnostics['trace'])}")
-    print(f"wrote {args.out}")
+    _write_matrix(args, assemble_matrix(
+        "nonunitary", dim, results, {"method": "nonunitary", "n_records": 0, "exact": True},
+        reference, args.nearest_physical))
 
 
 def cmd_reconstruct(args) -> None:
     method = args.method
+    reference = load_state(args.reference) if args.reference else None
     if method == "nonunitary":
-        _reconstruct_nonunitary(args)
+        _reconstruct_nonunitary(args, reference)
         return
 
     if not args.records:
@@ -281,7 +295,6 @@ def cmd_reconstruct(args) -> None:
         raise UsageError("--n-max is required for this method")
     cfg = _make_cfg(args, n_max + 1)
     squeeze = _squeeze_params(args)
-    reference = load_state(args.reference) if args.reference else None
 
     if args.observable:
         name, a = _parse_observable(args.observable, n_max + 1)
@@ -295,25 +308,10 @@ def cmd_reconstruct(args) -> None:
         print(f"wrote {args.out}")
         return
 
-    rec = reconstruct_matrix(
+    _write_matrix(args, reconstruct_matrix(
         records, method, n_max, cfg=cfg, twice_s=twice_s, squeeze=squeeze,
         reference=reference, nearest_physical=args.nearest_physical,
-    )
-    save_reconstruction(args.out, rec)
-    print(f"method = {method}, dim = {rec.dim}, records = {len(records)}")
-    if "trace" in rec.diagnostics:
-        print(f"trace = {_fmt(rec.diagnostics['trace'])} "
-              f"(se {_fmt(rec.diagnostics['trace_std_error'])})")
-    if "diagonal" in rec.diagnostics:
-        print(f"diagonal: {rec.diagnostics['diagonal']}")
-    comparison = rec.diagnostics.get("comparison")
-    if comparison:
-        print(f"fidelity = {_fmt(comparison['fidelity'])}")
-        print(f"trace_distance = {_fmt(comparison['trace_distance'])}")
-    if "nearest_physical_distance" in rec.diagnostics:
-        print(f"nearest_physical_distance = "
-              f"{_fmt(rec.diagnostics['nearest_physical_distance'])}")
-    print(f"wrote {args.out}")
+    ))
 
 
 def cmd_quorum(args) -> None:
@@ -419,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json-errors", action="store_true",
                         help="write failures to stderr as one-line JSON")
 
-    cfgp = argparse.ArgumentParser(add_help=False)
-    cfgp.add_argument("--k-max", type=float, help="frequency cutoff of the quadrature kernel")
-    cfgp.add_argument("--reg-eps", type=float, help="kernel regularization strength")
-    cfgp.add_argument("--phi-grid", type=int, help="phase grid points")
-    cfgp.add_argument("--psi-grid", type=int, help="nonlinear-shift grid points")
-    cfgp.add_argument("--alpha-grid", type=int, help="displacement grid points per axis")
-    cfgp.add_argument("--alpha-max", type=float, help="displacement grid half-width")
-    cfgp.add_argument("--proposal-radius", type=float, help="displacement proposal disk radius")
+    # the commands that build a homodyne kernel
+    kernelp = argparse.ArgumentParser(add_help=False)
+    kernelp.add_argument("--k-max", type=float, help="frequency cutoff of the quadrature kernel")
+    kernelp.add_argument("--reg-eps", type=float, help="kernel regularization strength")
+
+    # the commands that draw or weight parity displacements
+    diskp = argparse.ArgumentParser(add_help=False)
+    diskp.add_argument("--proposal-radius", type=float, help="displacement proposal disk radius")
 
     parser = argparse.ArgumentParser(
         prog="qtomo",
@@ -449,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--out", default="state.json")
     p_state.set_defaults(func=cmd_state)
 
-    p_sample = sub.add_parser("sample", parents=[common, cfgp],
+    p_sample = sub.add_parser("sample", parents=[common, diskp],
                               help="draw synthetic measurement records")
     p_sample.add_argument("--method", required=True, choices=list(METHODS))
     p_sample.add_argument("--state", help="state file; default is maximally mixed")
@@ -462,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", default="records.csv")
     p_sample.set_defaults(func=cmd_sample)
 
-    p_rec = sub.add_parser("reconstruct", parents=[common, cfgp],
+    p_rec = sub.add_parser("reconstruct", parents=[common, kernelp, diskp],
                            help="estimate a matrix or a single observable from records")
     p_rec.add_argument("--method", required=True,
                        choices=list(METHODS) + ["nonunitary"])
@@ -488,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--out", default="dual.json")
     p_q.set_defaults(func=cmd_quorum)
 
-    p_k = sub.add_parser("kernels", parents=[common, cfgp],
+    p_k = sub.add_parser("kernels", parents=[common, kernelp],
                          help="tabulate an estimation kernel to CSV")
     p_k.add_argument("action", choices=["eval"])
     p_k.add_argument("--family", required=True,

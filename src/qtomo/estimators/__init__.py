@@ -8,13 +8,11 @@ from .glauber import (
     glauber_reconstruct,
 )
 from .homodyne import (
-    effective_squeezer,
     exact_homodyne_average,
     exact_squeezed_average,
     homodyne_estimate,
     homodyne_kernel_matrix,
     oscillator_wavefunctions,
-    squeezed_homodyne_estimate,
 )
 from .kerr import (
     kerr_epsilon_sweep,
@@ -57,10 +55,8 @@ __all__ = [
     "glauber_reconstruct",
     "homodyne_kernel_matrix",
     "homodyne_estimate",
-    "squeezed_homodyne_estimate",
     "exact_homodyne_average",
     "exact_squeezed_average",
-    "effective_squeezer",
     "oscillator_wavefunctions",
     "displaced_parity_kernel",
     "displaced_parity_kernel_matrix_route",

@@ -27,9 +27,11 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_DEFAULT_GRID = 41
 _ENVELOPE_SIGMA = 1.0
 _GRID_CHUNK = 4096
+_CHECK_TOL = 1e-4  # largest envelope-weighted error that passes the check
+_CHECK_OPS = 10  # random test operators per check
+_CHECK_SEED = 20210
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class GlauberCheckReport:
 
 
 def _grid(cfg: EstimatorConfig):
-    g = cfg.alpha_grid_points if cfg.alpha_grid_points else _DEFAULT_GRID
+    g = cfg.alpha_grid_points
     xs = np.linspace(-cfg.alpha_max, cfg.alpha_max, g)
     dx = xs[1] - xs[0]
     re, im = np.meshgrid(xs, xs, indexing="ij")
@@ -97,9 +99,8 @@ def glauber_reconstruct(a: Operator, f1: Operator, f2: Operator,
     return Operator(rec)
 
 
-def generalized_glauber_check(f1: Operator, f2: Operator, cfg: EstimatorConfig,
-                              tol: float = 1e-4, n_test_ops: int = 10,
-                              seed: int = 20210) -> GlauberCheckReport:
+def generalized_glauber_check(f1: Operator, f2: Operator,
+                              cfg: EstimatorConfig) -> GlauberCheckReport:
     """Verify the resolution identity on random envelope-suppressed operators."""
     dim = cfg.dim
     if f1.dim != dim or f2.dim != dim:
@@ -114,10 +115,10 @@ def generalized_glauber_check(f1: Operator, f2: Operator, cfg: EstimatorConfig,
     g, _, _ = _grid(cfg)
     w = fock_envelope(dim)
     w2 = np.outer(w, w)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CHECK_SEED)
     weighted_err = 0.0
     raw_err = 0.0
-    for _ in range(n_test_ops):
+    for _ in range(_CHECK_OPS):
         gmat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a = Operator(gmat * w2)
         rec = glauber_reconstruct(a, f1, f2, cfg)
@@ -125,8 +126,8 @@ def generalized_glauber_check(f1: Operator, f2: Operator, cfg: EstimatorConfig,
         weighted_err = max(weighted_err, float(np.max(diff * w2) / np.max(np.abs(a.mat) * w2)))
         raw_err = max(raw_err, float(np.max(diff)))
     return GlauberCheckReport(
-        dim=dim, grid_points=g, alpha_max=cfg.alpha_max, tol=tol,
+        dim=dim, grid_points=g, alpha_max=cfg.alpha_max, tol=_CHECK_TOL,
         weighted_error=weighted_err, raw_error=raw_err,
-        cond_f1=cond_f1, cond_f2=cond_f2, n_test_ops=n_test_ops,
-        passed=weighted_err <= tol,
+        cond_f1=cond_f1, cond_f2=cond_f2, n_test_ops=_CHECK_OPS,
+        passed=weighted_err <= _CHECK_TOL,
     )

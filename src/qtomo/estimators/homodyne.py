@@ -34,10 +34,8 @@ __all__ = [
     "homodyne_kernel_matrix",
     "homodyne_kernel_block",
     "homodyne_estimate",
-    "squeezed_homodyne_estimate",
     "exact_homodyne_average",
     "exact_squeezed_average",
-    "effective_squeezer",
     "oscillator_wavefunctions",
 ]
 
@@ -163,7 +161,7 @@ def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: Estim
     """Kernels e^{i(k-n)phi} F_kn(q) for settings phi and outcomes q.
 
     With squeeze the block is S^dag K S, the kernel that
-    squeezed_homodyne_estimate traces against.
+    homodyne_estimate traces against for squeezed records.
     """
     dim = cfg.dim
     grid, spline = _f_spline(dim, cfg.k_max, cfg.reg_eps)
@@ -172,7 +170,7 @@ def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: Estim
     block = u[:, :, None] * u.conj()[:, None, :]
     block *= spline(qc).reshape(-1, dim, dim)
     if squeeze is not None:
-        s = effective_squeezer(squeeze, dim).mat
+        s = squeeze_operator(squeeze.zeta, dim).mat
         block = s.conj().T @ block @ s
     return block
 
@@ -181,15 +179,16 @@ def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig,
                       squeeze: Optional[SqueezeParams] = None):
     """Sample mean of Tr[A K(q_i - qhat_{phi_i})] with its standard error.
 
-    With squeeze the records are samples of the squeezed quadrature, and
-    the trace is taken with S A S^dag (see squeezed_homodyne_estimate).
+    With squeeze the records must come from the distribution of the
+    squeezed quadrature S^dag qhat_phi S; the kernel trace is then taken
+    with S A S^dag, which reduces to the plain estimator at zeta = 0.
     """
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
     records.require("homodyne", 2)
     a_mat = a.mat
     if squeeze is not None:
-        s = effective_squeezer(squeeze, cfg.dim).mat
+        s = squeeze_operator(squeeze.zeta, cfg.dim).mat
         a_mat = s @ a_mat @ s.conj().T
     grid, splines = _band_splines(a_mat, cfg)
 
@@ -203,22 +202,6 @@ def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig,
     return walk(records, values)[0]
 
 
-def effective_squeezer(sq: SqueezeParams, dim: int) -> Operator:
-    """Unitary with Bogoliubov action S^dag a S = mu a + nu a^dag; operators.squeeze."""
-    return squeeze_operator(sq.zeta, dim)
-
-
-def squeezed_homodyne_estimate(a: Operator, records: RecordBatch, sq: SqueezeParams,
-                               cfg: EstimatorConfig):
-    """Homodyne estimate against samples of the squeezed quadrature.
-
-    Records must come from the distribution of S^dag qhat_phi S; the
-    kernel trace is then taken with S A S^dag, which reduces to the plain
-    estimator at zeta = 0.
-    """
-    return homodyne_estimate(a, records, cfg, squeeze=sq)
-
-
 def _as_matrix(rho) -> np.ndarray:
     return rho.mat if isinstance(rho, (DensityMatrix, Operator)) else np.asarray(rho, dtype=complex)
 
@@ -227,9 +210,10 @@ def exact_homodyne_average(a: Operator, rho, cfg: EstimatorConfig) -> complex:
     """Deterministic double integral of the kernel against p(q; phi).
 
     q by 512-node Gauss-Legendre on the faithful window, phi by uniform
-    grid on [0, pi): after the q integral the phi dependence is a trig
-    polynomial with only even frequencies (odd ones carry odd q-parity),
-    so any grid above 2*dim points integrates it exactly.
+    grid of 4*dim+1 points on [0, pi): after the q integral the phi
+    dependence is a trig polynomial with only even frequencies (odd ones
+    carry odd q-parity), so any grid above 2*dim points integrates it
+    exactly.
     """
     dim = cfg.dim
     rho_m = _as_matrix(rho)
@@ -241,7 +225,7 @@ def exact_homodyne_average(a: Operator, rho, cfg: EstimatorConfig) -> complex:
     qw = weights * q_max
     psi = oscillator_wavefunctions(dim, qq)
     f = _f_at(qq, dim, cfg.k_max, cfg.reg_eps)
-    n_phi = cfg.homodyne_phi_points()
+    n_phi = 4 * dim + 1
     phis = np.arange(n_phi) * math.pi / n_phi
     idx = np.arange(dim)
     total = 0.0 + 0.0j
@@ -255,8 +239,8 @@ def exact_homodyne_average(a: Operator, rho, cfg: EstimatorConfig) -> complex:
 
 
 def exact_squeezed_average(a: Operator, rho, sq: SqueezeParams, cfg: EstimatorConfig) -> complex:
-    """Exact-average analogue of squeezed_homodyne_estimate."""
-    s = effective_squeezer(sq, cfg.dim).mat
+    """Exact-average analogue of homodyne_estimate with squeeze."""
+    s = squeeze_operator(sq.zeta, cfg.dim).mat
     rho_m = _as_matrix(rho)
     a_tilde = Operator(s @ a.mat @ s.conj().T)
     rho_tilde = s @ rho_m @ s.conj().T

@@ -93,8 +93,9 @@ def kerr_sideband_coefficients(rho: DensityMatrix, psis) -> np.ndarray:
 
 
 def _grids(cfg: EstimatorConfig) -> Tuple[np.ndarray, np.ndarray]:
-    p = cfg.kerr_phi_points()
-    q = cfg.kerr_psi_points()
+    """The exact (psi, phi) grids: 2*dim^2+1 Kerr strengths and 2*dim+1 phases."""
+    q = 2 * cfg.dim**2 + 1
+    p = 2 * cfg.dim + 1
     return (2.0 * np.pi * np.arange(q) / q, 2.0 * np.pi * np.arange(p) / p)
 
 

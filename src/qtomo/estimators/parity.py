@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _BIAS_ANGLES = 64
+_EXACT_RADIAL = 80  # Gauss-Legendre order of parity_exact_element in the radius
+_EXACT_ANGULAR = 80  # uniform angular points of parity_exact_element
 
 
 def displaced_parity_kernel(n: int, d: int, alpha) -> complex:
@@ -140,23 +142,23 @@ def parity_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
         a.mat, settings[:, 0] + 1j * settings[:, 1]))[0]
 
 
-def parity_exact_element(rho: DensityMatrix, row: int, col: int, cfg: EstimatorConfig,
-                         n_radial: int = 80, n_angular: int = 80) -> complex:
+def parity_exact_element(rho: DensityMatrix, row: int, col: int,
+                         cfg: EstimatorConfig) -> complex:
     """Deterministic polar-quadrature value of the parity-route integral.
 
     Gauss-Legendre in the radius against the r dr measure and a uniform
-    angular grid; converged to ~1e-6 at the default orders for states
-    confined well inside the disk.
+    angular grid; converged to ~1e-6 for states confined well inside the
+    disk.
     """
     if row >= cfg.dim or col >= cfg.dim or row < 0 or col < 0:
         raise InvalidSpecError("element indices must lie inside the configured dimension")
     radius = cfg.parity_radius()
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    nodes, weights = np.polynomial.legendre.leggauss(_EXACT_RADIAL)
     r = 0.5 * radius * (nodes + 1.0)
     wr = 0.5 * radius * weights * r  # r dr measure
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    theta = 2.0 * np.pi * np.arange(_EXACT_ANGULAR) / _EXACT_ANGULAR
     betas = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    wt = np.repeat(wr, n_angular) * (2.0 * np.pi / n_angular) / np.pi
+    wt = np.repeat(wr, _EXACT_ANGULAR) * (2.0 * np.pi / _EXACT_ANGULAR) / np.pi
     g = displaced_parity_expectation(rho, betas)
     k = parity_kernel_element(row, col, betas)
     return complex(np.sum(wt * g * k))

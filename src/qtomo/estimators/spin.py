@@ -127,17 +127,15 @@ def spin_estimate(a: Operator, records: RecordBatch, twice_s: int):
     return walk(records, values)[0]
 
 
-def sphere_rule(twice_s: int, n_polar: int = 0, n_azimuth: int = 0):
+def sphere_rule(twice_s: int):
     """Product quadrature over directions, exact for the spin integrand's degree.
 
-    Gauss-Legendre in cos(theta) (order >= 2s+2 by default) times a
-    uniform azimuthal grid (>= 4s+4 points); weights sum to 1 against
-    the normalized sphere measure.
+    Gauss-Legendre in cos(theta) of order 2s+2 times a uniform azimuthal
+    grid of 4s+4 points; weights sum to 1 against the normalized sphere
+    measure.
     """
-    n_polar = n_polar if n_polar else twice_s + 2
-    n_azimuth = n_azimuth if n_azimuth else 2 * twice_s + 4
-    if n_polar < twice_s + 1 or n_azimuth < 2 * twice_s + 1:
-        raise InvalidSpecError("sphere rule below the exactness order for this spin")
+    n_polar = twice_s + 2
+    n_azimuth = 2 * twice_s + 4
     u, wu = np.polynomial.legendre.leggauss(n_polar)
     phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     st = np.sqrt(1.0 - u * u)
@@ -153,12 +151,11 @@ def sphere_rule(twice_s: int, n_polar: int = 0, n_azimuth: int = 0):
     return dirs, weights
 
 
-def spin_quadrature_expectation(a: Operator, rho: DensityMatrix, twice_s: int,
-                                n_polar: int = 0, n_azimuth: int = 0) -> complex:
+def spin_quadrature_expectation(a: Operator, rho: DensityMatrix, twice_s: int) -> complex:
     """Exact-integration mode: directions by quadrature, outcomes summed exactly."""
     if a.dim != twice_s + 1 or rho.dim != twice_s + 1:
         raise DimensionMismatchError("operator/state dims must equal 2s+1")
-    dirs, weights = sphere_rule(twice_s, n_polar, n_azimuth)
+    dirs, weights = sphere_rule(twice_s)
     stencils = _stencils(np.arange(twice_s + 1), twice_s)  # row j: outcome index j
     total = 0.0 + 0.0j
     for nvec, w in zip(dirs, weights):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -177,6 +178,10 @@ def squeeze(zeta: complex, dim: int) -> Operator:
     return Operator(expm(0.5 * (xi * (ad @ ad) - np.conj(xi) * (a @ a))))
 
 
+# the largest |zeta| whose mu^2 = cosh^2|zeta| fits a double
+_MAX_ABS_ZETA = 0.5 * math.log(sys.float_info.max)
+
+
 @dataclasses.dataclass(frozen=True)
 class SqueezeParams:
     """Bogoliubov data of a squeezing strength zeta.
@@ -198,6 +203,10 @@ class SqueezeParams:
         return np.exp(2j * np.angle(z)) * math.sinh(abs(z))
 
     def __post_init__(self) -> None:
+        if not abs(complex(self.zeta)) <= _MAX_ABS_ZETA:  # also refuses nan and inf
+            raise InvalidSpecError(
+                f"squeeze zeta must be finite with |zeta| <= {_MAX_ABS_ZETA:.4g}, "
+                f"got {self.zeta}")
         # relative to mu^2: the roundoff of cosh^2 - sinh^2 grows with it
         dev = abs(self.mu**2 - abs(self.nu) ** 2 - 1.0)
         if dev > 1e-12 * self.mu**2:

@@ -19,10 +19,11 @@ from scipy.integrate import cumulative_trapezoid
 from ._parallel import CHUNK_SHOTS, chunk_map
 from .errors import InvalidSpecError, TruncationError, UsageError
 from .estimators.config import EstimatorConfig, SqueezeParams
-from .estimators.homodyne import effective_squeezer, oscillator_wavefunctions
+from .estimators.homodyne import oscillator_wavefunctions
 from .estimators.kerr import kerr_sideband_coefficients
 from .estimators.parity import displaced_parity_expectation
-from .operators import spin_matrices
+from .estimators.spin import _eigvecs
+from .operators import squeeze as squeeze_operator
 from .records import RecordBatch
 from .states import DensityMatrix
 
@@ -135,27 +136,20 @@ def _invert_cdf_indexed(u: np.ndarray, value_at) -> Tuple[np.ndarray, np.ndarray
 
 def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
                     cfg: EstimatorConfig,
-                    squeeze: Optional[SqueezeParams] = None,
-                    phases_fixed: Optional[np.ndarray] = None) -> RecordBatch:
+                    squeeze: Optional[SqueezeParams] = None) -> RecordBatch:
     """Phase uniform on [0, pi); quadrature from the exact conditional density.
 
     With squeeze given, outcomes follow the squeezed quadrature operator's
     distribution, i.e. the plain distribution of the Bogoliubov-rotated
-    state. phases_fixed, when given (one per shot), pins the phases
-    (diagnostics); the record stream still consumes the same number of
-    uniform draws.
+    state.
     """
     if cfg.dim != rho.dim:
         raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
     work = rho
     if squeeze is not None and complex(squeeze.zeta) != 0:
-        s = effective_squeezer(squeeze, rho.dim).mat
+        s = squeeze_operator(squeeze.zeta, rho.dim).mat
         work = DensityMatrix(s @ rho.mat @ s.conj().T)
     _check_leakage(work)
-    if phases_fixed is not None:
-        phases_fixed = np.asarray(phases_fixed, dtype=float)
-        if phases_fixed.shape != (shots,):
-            raise UsageError("phases_fixed must have shape (shots,)")
     qs, cdf = _quadrature_tables(work)
     h0 = cdf[0].real
     hrest = cdf[1:]
@@ -164,8 +158,6 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
 
     def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
         phis = gen.uniform(0.0, np.pi, cnt)
-        if phases_fixed is not None:
-            phis = phases_fixed[start : start + cnt]
         u = gen.uniform(0.0, 1.0, cnt)
         phases = np.exp(-1j * np.outer(phis, ds))
         total = _homodyne_cdf_at(np.full(cnt, _CDF_GRID - 1), h0, hrest, phases)
@@ -186,34 +178,18 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
 
 # spin --------------------------------------------------------------------
 
-def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream,
-                directions: Optional[np.ndarray] = None) -> RecordBatch:
-    """Directions uniform on the sphere; outcomes from the S.n eigenbasis.
-
-    directions, when given (shots x 3 unit vectors), replaces the random
-    directions; outcome draws still consume the stream deterministically.
-    """
+def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream) -> RecordBatch:
+    """Directions uniform on the sphere; outcomes from the S.n eigenbasis."""
     dim = twice_s + 1
     if rho.dim != dim:
         raise UsageError(f"state dim {rho.dim} vs 2s+1 = {dim}")
-    sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
-    if directions is not None:
-        directions = np.asarray(directions, dtype=float)
-        if directions.shape != (shots, 3):
-            raise UsageError("directions must have shape (shots, 3)")
 
     def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
-        if directions is None:
-            z = gen.uniform(-1.0, 1.0, cnt)
-            az = gen.uniform(0.0, 2.0 * np.pi, cnt)
-            st = np.sqrt(1.0 - z * z)
-            dirs = np.stack([st * np.cos(az), st * np.sin(az), z], axis=1)
-        else:
-            gen.uniform(size=2 * cnt)  # keep the draw budget identical
-            dirs = directions[start : start + cnt]
-        mats = (dirs[:, 0, None, None] * sx + dirs[:, 1, None, None] * sy
-                + dirs[:, 2, None, None] * sz)
-        _, vecs = np.linalg.eigh(mats)
+        z = gen.uniform(-1.0, 1.0, cnt)
+        az = gen.uniform(0.0, 2.0 * np.pi, cnt)
+        st = np.sqrt(1.0 - z * z)
+        dirs = np.stack([st * np.cos(az), st * np.sin(az), z], axis=1)
+        vecs = _eigvecs(dirs, twice_s)
         probs = np.einsum("gaj,ab,gbj->gj", vecs.conj(), rho.mat, vecs,
                           optimize=True).real
         probs = np.clip(probs, 0.0, None)
@@ -247,29 +223,17 @@ def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> RecordBatch:
 # displaced parity ----------------------------------------------------------
 
 def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
-                            cfg: EstimatorConfig,
-                            betas: Optional[np.ndarray] = None) -> RecordBatch:
-    """Displacements uniform on the proposal disk; parity of the displaced state.
-
-    betas, when given, pins the displacements (diagnostics); the record
-    stream still consumes the same number of uniform draws.
-    """
+                            cfg: EstimatorConfig) -> RecordBatch:
+    """Displacements uniform on the proposal disk; parity of the displaced state."""
     if cfg.dim != rho.dim:
         raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
     _check_leakage(rho)
     radius = cfg.parity_radius()
-    if betas is not None:
-        betas = np.asarray(betas, dtype=complex)
-        if betas.shape != (shots,):
-            raise UsageError("betas must have shape (shots,)")
 
     def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
         u_r = gen.uniform(0.0, 1.0, cnt)
         u_t = gen.uniform(0.0, 1.0, cnt)
-        if betas is None:
-            b = radius * np.sqrt(u_r) * np.exp(2j * np.pi * u_t)
-        else:
-            b = betas[start : start + cnt]
+        b = radius * np.sqrt(u_r) * np.exp(2j * np.pi * u_t)
         g = displaced_parity_expectation(rho, b)
         p_plus = np.clip(0.5 * (1.0 + g), 0.0, 1.0)
         u = gen.uniform(0.0, 1.0, cnt)
@@ -282,8 +246,7 @@ def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
 # Kerr phase ----------------------------------------------------------------
 
 def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
-                      cfg: EstimatorConfig,
-                      psis: Optional[np.ndarray] = None) -> RecordBatch:
+                      cfg: EstimatorConfig) -> RecordBatch:
     """Kerr strength uniform on [0, 2pi); phase from its exact conditional.
 
     The conditional CDF is the closed trigonometric sum over the sideband
@@ -293,17 +256,9 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
     if cfg.dim != rho.dim:
         raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
     ds = np.arange(1, rho.dim)
-    if psis is not None:
-        psis = np.asarray(psis, dtype=float)
-        if psis.shape != (shots,):
-            raise UsageError("psis must have shape (shots,)")
 
     def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
-        if psis is None:
-            ps = gen.uniform(0.0, 2.0 * np.pi, cnt)
-        else:
-            gen.uniform(size=cnt)
-            ps = psis[start : start + cnt]
+        ps = gen.uniform(0.0, 2.0 * np.pi, cnt)
         u = gen.uniform(0.0, 1.0, cnt)
         c = kerr_sideband_coefficients(rho, ps)[:, 1:] / (1j * ds)[None, :]
         base = np.sum(c, axis=1)  # subtracted so that CDF(0) = 0

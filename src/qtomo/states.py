@@ -9,6 +9,7 @@ their tail mass directly.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from typing import Optional, Tuple
@@ -92,6 +93,9 @@ def make_state(spec: StateSpec) -> DensityMatrix:
     if d < 1:
         raise InvalidSpecError(f"dim must be >= 1, got {d}")
     kind = spec.kind
+    for name in ("beta", "zeta", "mean_n"):
+        if not cmath.isfinite(complex(getattr(spec, name))):
+            raise InvalidSpecError(f"{name} must be finite, got {getattr(spec, name)}")
 
     if kind == "fock":
         if not (0 <= spec.n < d):

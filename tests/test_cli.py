@@ -1,5 +1,6 @@
 """End-to-end command flows: files in, files out, frozen exit codes."""
 
+import argparse
 import hashlib
 import json
 
@@ -8,7 +9,7 @@ import pytest
 from scipy import stats
 
 from qtomo._parallel import CHUNK_SHOTS
-from qtomo.cli import main
+from qtomo.cli import build_parser, main
 from qtomo.dualbasis import spiral_directions, weigert_spin_quorum
 from qtomo.frames import DualSet, FrameElement, SettingLabel, SpanningSet
 from qtomo.operators import Operator, fock_matrix_unit, pauli
@@ -233,6 +234,20 @@ BAD_INPUTS = {
     "proposal-radius-nan": (
         ["sample", "--method", "parity", "--shots", "10", "--seed", "1",
          "--proposal-radius", "nan"], "proposal_radius"),
+    "squeezed-vacuum-cosh-overflows": (
+        ["state", "--kind", "squeezed_vacuum", "--dim", "8", "--param", "1000"], "zeta"),
+    "homodyne-squeeze-cosh-overflows": (
+        ["sample", "--method", "homodyne", "--shots", "10", "--seed", "1",
+         "--squeeze", "1000"], "zeta"),
+    "coherent-nan": (
+        ["state", "--kind", "coherent", "--dim", "8", "--param", "nan"], "beta"),
+    "squeezed-vacuum-nan": (
+        ["state", "--kind", "squeezed_vacuum", "--dim", "8", "--param", "nan"], "zeta"),
+    "thermal-nan": (
+        ["state", "--kind", "thermal", "--dim", "8", "--param", "nan"], "mean_n"),
+    "nonunitary-reference-of-another-dim": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/vacuum.json",
+         "--n-max", "0", "--reference", "{tmp}/qubit.json"], "shape (1, 1) vs (2, 2)"),
 }
 
 
@@ -245,6 +260,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     (tmp_path / "short.json").write_text(state(2, [[1], [0], [0], [0]]))
     (tmp_path / "huge.json").write_text(state(1, [[10**400, 0]]))
     (tmp_path / "vacuum.json").write_text(state(1, [[1.0, 0.0]]))
+    (tmp_path / "qubit.json").write_text(state(2, [[1.0, 0.0], [0, 0], [0, 0], [0, 0]]))
     (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
     (tmp_path / "pauli.csv").write_text(
         "quorum,s1,s2,s3,o1\npauli,0,,,0.5\npauli,1,,,-0.5\npauli,2,,,0.5\n")
@@ -343,10 +359,12 @@ def _golden_outputs(capsys, tmp_path, route):
     for observable in observables + ["matrix"]:
         out = tmp_path / "result.json"
         argv = ["reconstruct", *method_flags, *source, *recon_flags, "--out", str(out)]
-        if observable == "matrix":
-            argv += ["--reference", str(state)]
-        else:
+        if observable != "matrix":
             argv += ["--observable", observable]
+        elif route != "nonunitary":
+            # the exact route reaches n_max <= dim/2 only, so none of its
+            # blocks has the state's dimension to compare with
+            argv += ["--reference", str(state)]
         code, _, err = run(capsys, argv)
         assert code == 0, err
         digests[observable] = hashlib.sha256(out.read_bytes()).hexdigest()
@@ -356,6 +374,28 @@ def _golden_outputs(capsys, tmp_path, route):
 @pytest.mark.parametrize("route", list(GOLDEN_ROUTES))
 def test_golden_reconstruct_outputs(capsys, tmp_path, route):
     assert _golden_outputs(capsys, tmp_path, route) == GOLDEN_DIGESTS[route]
+
+
+def test_cli_surface():
+    # every option a subcommand offers; a flag no code path reads must not come back
+    common = {"-h", "--help", "--json-errors"}
+    expected = {
+        "state": {"--kind", "--dim", "--param", "--seed", "--s", "--direction", "--out"},
+        "sample": {"--proposal-radius", "--method", "--state", "--dim", "--s", "--shots",
+                   "--seed", "--substream", "--squeeze", "--out"},
+        "reconstruct": {"--k-max", "--reg-eps", "--proposal-radius", "--method", "--records",
+                        "--state", "--n-max", "--s", "--observable", "--squeeze", "--grid",
+                        "--reference", "--nearest-physical", "--out"},
+        "quorum": {"--quorum", "--strategy", "--out"},
+        "kernels": {"--k-max", "--reg-eps", "--family", "--observable", "--dim", "--n", "--d",
+                    "--phi", "--psi", "--eps", "--s", "--direction", "--grid-max", "--points",
+                    "--out"},
+    }
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {name: {opt for action in p._actions for opt in action.option_strings}
+               for name, p in sub.choices.items()}
+    assert offered == {name: opts | common for name, opts in expected.items()}
 
 
 class TestReconstructNonunitary:
@@ -387,6 +427,23 @@ class TestReconstructNonunitary:
         assert code == 0
         mean, se = read_result(result)
         assert abs(mean - 2.0) <= 1e-8 and se == 0.0
+
+    def test_reference_and_nearest_physical(self, capsys, tmp_path):
+        # n_max = 1 is the whole of a qubit state, so it compares with itself
+        state = tmp_path / "mixed.json"
+        assert run(capsys, ["state", "--kind", "random_mixed", "--seed", "6",
+                            "--dim", "2", "--out", str(state)])[0] == 0
+        result = tmp_path / "recon.json"
+        code, out, err = run(capsys, ["reconstruct", "--method", "nonunitary",
+                                      "--state", str(state), "--n-max", "1",
+                                      "--reference", str(state), "--nearest-physical",
+                                      "--out", str(result)])
+        assert code == 0, err
+        diag = json.loads(result.read_text())["diagnostics"]
+        assert abs(diag["comparison"]["fidelity"] - 1.0) <= 1e-9
+        assert diag["comparison"]["trace_distance"] <= 1e-9
+        assert diag["nearest_physical_distance"] <= 1e-9
+        assert stdout_value(out, "fidelity")
 
     def test_records_flag_rejected(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["reconstruct", "--method", "nonunitary",

@@ -6,13 +6,11 @@ import pytest
 from qtomo.errors import RankDeficientError
 from qtomo.estimators import (
     EstimatorConfig,
-    SqueezeParams,
-    effective_squeezer,
     generalized_glauber_check,
     glauber_reconstruct,
     parity_exact_element,
 )
-from qtomo.operators import Operator, identity, parity
+from qtomo.operators import Operator, identity, parity, squeeze
 from qtomo.states import StateSpec, make_state
 
 
@@ -40,7 +38,7 @@ def test_parity_deformation_matches_displaced_parity_route():
 def test_squeezed_deformation_passes():
     dim = 6
     cfg = EstimatorConfig(dim=dim)
-    s = effective_squeezer(SqueezeParams(0.1), dim)
+    s = squeeze(0.1, dim)
     rep = generalized_glauber_check(s, s, cfg)
     assert rep.weighted_error <= 1e-4
     assert rep.passed

@@ -11,7 +11,6 @@ from qtomo.estimators import (
     homodyne_estimate,
     homodyne_kernel_matrix,
     oscillator_wavefunctions,
-    squeezed_homodyne_estimate,
 )
 from qtomo.errors import InvalidSpecError, UsageError
 from qtomo.operators import Operator, annihilation, fock_matrix_unit, identity, number
@@ -120,7 +119,7 @@ class TestSqueezedEstimate:
         cfg = cfg_for(dim)
         records = sample_homodyne(coherent(0.4, dim), 2000, RngStream(104), cfg)
         plain = homodyne_estimate(number(dim), records, cfg)
-        sq = squeezed_homodyne_estimate(number(dim), records, SqueezeParams(0.0), cfg)
+        sq = homodyne_estimate(number(dim), records, cfg, squeeze=SqueezeParams(0.0))
         assert sq.mean == pytest.approx(plain.mean, abs=1e-12)
         assert sq.std_error == pytest.approx(plain.std_error, abs=1e-12)
 
@@ -137,7 +136,7 @@ class TestSqueezedEstimate:
         cfg = cfg_for(dim)
         sq = SqueezeParams(0.2)
         records = sample_homodyne(fock(0, dim), 100_000, RngStream(105), cfg, squeeze=sq)
-        res = squeezed_homodyne_estimate(number(dim), records, sq, cfg)
+        res = homodyne_estimate(number(dim), records, cfg, squeeze=sq)
         assert abs(res.mean) <= 5 * res.std_error + 4 * cfg.reg_eps
 
 

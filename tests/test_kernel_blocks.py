@@ -13,7 +13,6 @@ from qtomo.estimators import (
     kerr_estimate,
     parity_estimate,
     spin_estimate,
-    squeezed_homodyne_estimate,
 )
 from qtomo.estimators.homodyne import _real_table, homodyne_kernel_block
 from qtomo.operators import fock_matrix_unit, identity
@@ -49,7 +48,7 @@ def _squeezed_case():
     vac = make_state(StateSpec(kind="fock", dim=dim, n=0))
     recs = sample_homodyne(vac, SHOTS, RngStream(802), cfg, squeeze=sq)
     return (recs, dim, dict(cfg=cfg, squeeze=sq),
-            lambda a: squeezed_homodyne_estimate(a, recs, sq, cfg))
+            lambda a: homodyne_estimate(a, recs, cfg, squeeze=sq))
 
 
 def _parity_case():

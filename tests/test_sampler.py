@@ -45,14 +45,14 @@ class TestHomodyne:
         assert density < 0.02
 
     def test_coherent_pinned_phase_mean(self):
+        # E[q | phi] = beta cos(phi) and phi is uniform on [0, pi), so
+        # 2 q cos(phi) is unbiased for beta = 0.5
         dim = 10
         rho = make_state(StateSpec(kind="coherent", dim=dim, beta=0.5))
-        shots = 100_000
-        records = sample_homodyne(rho, shots, RngStream(503), EstimatorConfig(dim=dim),
-                                  phases_fixed=np.zeros(shots))
-        q = outcomes(records)
-        se = q.std(ddof=1) / np.sqrt(q.size)
-        assert abs(q.mean() - 0.5) <= 5 * se
+        records = sample_homodyne(rho, 100_000, RngStream(503), EstimatorConfig(dim=dim))
+        vals = 2.0 * outcomes(records) * np.cos(settings(records))
+        se = vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(vals.mean() - 0.5) <= 5 * se
 
     def test_phase_range(self):
         dim = 6
@@ -96,11 +96,12 @@ class TestSpin:
         assert stats.chisquare(counts).pvalue > P_FLOOR
 
     def test_forced_axis_eigenstate(self):
+        # for spin 1/2 up along z, E[m | n] = n_z / 2 at every drawn direction
         rho = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=(0, 0, 1)))
-        shots = 2000
-        dirs = np.tile([0.0, 0.0, 1.0], (shots, 1))
-        ms = outcomes(sample_spin(rho, 1, shots, RngStream(512), directions=dirs))
-        assert np.all(ms == 0.5)
+        records = sample_spin(rho, 1, 100_000, RngStream(512))
+        vals = 2.0 * outcomes(records) - settings(records, 2)
+        se = vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(vals.mean()) <= 5 * se
 
     def test_cosine_moment(self):
         # E[m | n] = <S.n>, and E[n_z n_i] = delta_zi / 3 over the uniform
@@ -112,34 +113,31 @@ class TestSpin:
         assert abs(vals.mean() - 0.5) <= 5 * se
 
 
+def parity_residual(spec, seed, g):
+    """Parities s minus their conditional mean g(b) = Tr[rho P D(2b)] at each drawn b."""
+    rho = make_state(spec)
+    recs = sample_displaced_parity(rho, 100_000, RngStream(seed), EstimatorConfig(dim=spec.dim))
+    b = settings(recs, 0) + 1j * settings(recs, 1)
+    return outcomes(recs) - g(b)
+
+
 class TestParity:
+    # closed forms of G(b) = Tr[rho P D(2b)]; the residual has mean 0 at any b
     def test_vacuum_at_origin(self):
-        dim = 8
-        rho = make_state(StateSpec(kind="fock", dim=dim, n=0))
-        shots = 2000
-        recs = sample_displaced_parity(rho, shots, RngStream(521), EstimatorConfig(dim=dim),
-                                       betas=np.zeros(shots, dtype=complex))
-        assert np.all(outcomes(recs) == 1.0)
+        r = parity_residual(StateSpec(kind="fock", dim=8, n=0), 521,
+                            lambda b: np.exp(-2.0 * np.abs(b) ** 2))
+        assert abs(r.mean()) <= 5 * r.std(ddof=1) / np.sqrt(r.size)
 
     def test_first_fock_at_origin(self):
-        dim = 8
-        rho = make_state(StateSpec(kind="fock", dim=dim, n=1))
-        shots = 2000
-        recs = sample_displaced_parity(rho, shots, RngStream(522), EstimatorConfig(dim=dim),
-                                       betas=np.zeros(shots, dtype=complex))
-        assert np.all(outcomes(recs) == -1.0)
+        r = parity_residual(StateSpec(kind="fock", dim=8, n=1), 522,
+                            lambda b: -np.exp(-2.0 * np.abs(b) ** 2) * (1.0 - 4.0 * np.abs(b) ** 2))
+        assert abs(r.mean()) <= 5 * r.std(ddof=1) / np.sqrt(r.size)
 
     def test_coherent_parity_mean(self):
-        dim = 8
-        rho = make_state(StateSpec(kind="coherent", dim=dim, beta=0.5))
-        shots = 100_000
-        recs = sample_displaced_parity(rho, shots, RngStream(523), EstimatorConfig(dim=dim),
-                                       betas=np.zeros(shots, dtype=complex))
-        s = outcomes(recs)
-        se = s.std(ddof=1) / np.sqrt(s.size)
-        direct = np.trace(np.diag((-1.0) ** np.arange(dim)) @ rho.mat).real
-        assert abs(direct - np.exp(-0.5)) <= 1e-9
-        assert abs(s.mean() - direct) <= 5 * se
+        # the dim-8 truncation differs from the untruncated form by < 2e-5
+        r = parity_residual(StateSpec(kind="coherent", dim=8, beta=0.5), 523,
+                            lambda b: np.exp(-2.0 * np.abs(b + 0.5) ** 2))
+        assert abs(r.mean()) <= 5 * r.std(ddof=1) / np.sqrt(r.size)
 
 
 class TestKerrPhase:
@@ -156,13 +154,13 @@ class TestKerrPhase:
         v[0] = v[1] = 1.0 / np.sqrt(2.0)
         rho = DensityMatrix(Operator(np.outer(v, v.conj())))
         shots = 100_000
-        recs = sample_kerr_phase(rho, shots, RngStream(532), EstimatorConfig(dim=dim),
-                                 psis=np.zeros(shots))
-        phi = outcomes(recs)
+        recs = sample_kerr_phase(rho, shots, RngStream(532), EstimatorConfig(dim=dim))
+        x = np.mod(outcomes(recs) + settings(recs), 2.0 * np.pi)
         bins = np.linspace(0.0, 2.0 * np.pi, 33)
-        observed, _ = np.histogram(phi, bins=bins)
+        observed, _ = np.histogram(x, bins=bins)
         centers = 0.5 * (bins[1:] + bins[:-1])
-        # p(phi) = (1 + cos phi) / 2pi for the equal two-level superposition
+        # p(phi | psi) = (1 + cos(phi + psi)) / 2pi for the equal two-level
+        # superposition, so x = phi + psi mod 2pi has density (1 + cos x) / 2pi
         density = (1.0 + np.cos(centers)) / (2.0 * np.pi)
         expected = shots * density * np.diff(bins)
         expected *= observed.sum() / expected.sum()
