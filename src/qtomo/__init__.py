@@ -14,6 +14,9 @@ sampler              synthetic measurement records, reproducible streams
 recon                streaming accumulation, density-matrix assembly
 serialize            file formats (JSON documents, record CSV)
 cli                  command-line entry point
+
+scipy is imported only inside the functions that call it, so `import qtomo`
+loads numpy only.
 """
 
 from .errors import (

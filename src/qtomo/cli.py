@@ -17,8 +17,8 @@ draw and weight the parity displacements.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from typing import Optional, Tuple
 
@@ -76,6 +76,32 @@ def _parse_complex(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError:
         raise UsageError(f"cannot parse {text!r} as a complex number") from None
+
+
+def _finite_float(flag: str):
+    """argparse type: a finite float, else a usage error that names the flag."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be a finite number, got {text!r}")
+        return value
+    return parse
+
+
+def _count(flag: str):
+    """argparse type: an integer >= 1, else a usage error that names the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise UsageError(f"{flag} must be an integer >= 1, got {text!r}")
+        return value
+    return parse
 
 
 def _parse_direction(text: str) -> Tuple[float, float, float]:
@@ -346,12 +372,10 @@ def cmd_quorum(args) -> None:
 
 def _write_kernel_csv(path, column: str, grid, values) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([column, "re", "im"])
+        fh.write(f"{column},re,im\n")
         for x, v in zip(grid, values):
             v = complex(v)
-            writer.writerow([format(float(x), ".17g"),
-                             format(v.real, ".17g"), format(v.imag, ".17g")])
+            fh.write("%.17g,%.17g,%.17g\n" % (float(x), v.real, v.imag))
 
 
 def cmd_kernels(args) -> None:
@@ -365,8 +389,7 @@ def cmd_kernels(args) -> None:
         _, a = _parse_observable(args.observable, args.dim)
         q_max = args.grid_max if args.grid_max else float(np.sqrt(args.dim) + 4.0)
         qs = np.linspace(-q_max, q_max, points)
-        phi = args.phi if args.phi else 0.0
-        vals = [np.trace(a.mat @ homodyne_kernel_matrix(q, phi, cfg).mat) for q in qs]
+        vals = [np.trace(a.mat @ homodyne_kernel_matrix(q, args.phi, cfg).mat) for q in qs]
         _write_kernel_csv(args.out, "q", qs, vals)
     elif family == "parity":
         n = args.n if args.n is not None else 0
@@ -378,14 +401,13 @@ def cmd_kernels(args) -> None:
     elif family == "kerr":
         n = args.n if args.n is not None else 0
         d = args.d if args.d is not None else 1
-        psi = args.psi if args.psi else 0.0
         phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
         if d == 0:
             if not args.eps:
                 raise UsageError("the diagonal kernel needs --eps > 0")
-            vals = kerr_kernel_regularized(n, args.eps, phis, psi)
+            vals = kerr_kernel_regularized(n, args.eps, phis, args.psi)
         else:
-            vals = kerr_kernel(n, d, phis, psi)
+            vals = kerr_kernel(n, d, phis, args.psi)
         _write_kernel_csv(args.out, "phi", phis, vals)
     elif family == "spin":
         twice_s = _twice_s(args.s)
@@ -495,13 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--dim", type=int)
     p_k.add_argument("--n", type=int, help="level index")
     p_k.add_argument("--d", type=int, help="level offset")
-    p_k.add_argument("--phi", type=float, help="fixed phase")
-    p_k.add_argument("--psi", type=float, help="fixed nonlinear shift")
-    p_k.add_argument("--eps", type=float, help="diagonal regularization")
+    p_k.add_argument("--phi", type=_finite_float("--phi"), default=0.0, help="fixed phase")
+    p_k.add_argument("--psi", type=_finite_float("--psi"), default=0.0,
+                     help="fixed nonlinear shift")
+    p_k.add_argument("--eps", type=_finite_float("--eps"), help="diagonal regularization")
     p_k.add_argument("--s", type=float, help="spin magnitude")
     p_k.add_argument("--direction", help="x,y,z axis (spin)")
-    p_k.add_argument("--grid-max", type=float, help="grid upper edge (q or alpha)")
-    p_k.add_argument("--points", type=int, default=101)
+    p_k.add_argument("--grid-max", type=_finite_float("--grid-max"),
+                     help="grid upper edge (q or alpha)")
+    p_k.add_argument("--points", type=_count("--points"), default=101)
     p_k.add_argument("--out", default="kernel.csv")
     p_k.set_defaults(func=cmd_kernels)
 
@@ -519,8 +543,11 @@ def _report_failure(args, exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # a flag's type check raises UsageError before the namespace exists
+    argv = sys.argv[1:] if argv is None else argv
+    args = argparse.Namespace(json_errors="--json-errors" in argv)
     try:
+        args = parser.parse_args(argv)
         args.func(args)
     except UsageError as exc:
         return _report_failure(args, exc, 2)

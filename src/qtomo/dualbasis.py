@@ -13,7 +13,6 @@ import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidSpecError, RankDeficientError
 from .frames import DualSet, FrameElement, SettingLabel, SpanningSet, irreducibility_rank
@@ -48,6 +47,8 @@ def gram_schmidt_dual(s: SpanningSet) -> Tuple[DualSet, GramSchmidtTrace]:
     as a triangular solve against the orthonormalized stack, which gives
     the same dual as the literal series at O(d^4) cost.
     """
+    from scipy.linalg import solve_triangular
+
     d2 = s.dim**2
     if len(s) != d2:
         raise InvalidSpecError(f"need exactly {d2} elements for a basis, got {len(s)}")

@@ -14,13 +14,14 @@ on the truncated space instead.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
-__all__ = ["disp_element", "disp_matrix", "disp_stack"]
+__all__ = ["disp_element", "disp_stack"]
 
 
 def disp_element(row: int, col: int, alpha) -> np.ndarray | complex:
     """<row|D(alpha)|col>; alpha may be a scalar or an array."""
+    from scipy.special import eval_genlaguerre, gammaln
+
     a = np.asarray(alpha, dtype=complex)
     x = np.abs(a) ** 2
     lo, hi = min(row, col), max(row, col)
@@ -34,13 +35,10 @@ def disp_element(row: int, col: int, alpha) -> np.ndarray | complex:
     return out
 
 
-def disp_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """Full dim x dim block of <r|D(alpha)|c>."""
-    return disp_stack(np.array([alpha]), dim)[0]
-
-
 def disp_stack(alphas: np.ndarray, dim: int) -> np.ndarray:
     """(len(alphas), dim, dim) stack of displacement blocks."""
+    from scipy.special import eval_genlaguerre, gammaln
+
     a = np.asarray(alphas, dtype=complex).ravel()
     x = np.abs(a) ** 2
     ex = np.exp(-x / 2)

@@ -21,7 +21,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..errors import DimensionMismatchError, NumericPreconditionError
 from ..operators import Operator, squeeze as squeeze_operator
@@ -121,6 +120,8 @@ def _real_table(f: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _f_spline(dim: int, k_max: float, reg_eps: float):
     """One cubic spline through all d^2 columns of the real F table."""
+    from scipy.interpolate import CubicSpline
+
     qs, f = _dense_f_grid(dim, k_max, reg_eps)
     return qs, CubicSpline(qs, _real_table(f).reshape(dim * dim, -1).T)
 
@@ -140,6 +141,8 @@ def _band_splines(a_mat: np.ndarray, cfg: EstimatorConfig):
     Tr[A K(q,phi)] then equals sum_d e^{i d phi} G_d(q), one spline
     evaluation per diagonal offset instead of a kernel matrix per record.
     """
+    from scipy.interpolate import CubicSpline
+
     dim = cfg.dim
     qs, f = _dense_f_grid(dim, cfg.k_max, cfg.reg_eps)
     splines = {}

@@ -17,7 +17,6 @@ import sys
 from typing import Iterable, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatchError, InvalidSpecError
 
@@ -158,6 +157,8 @@ def displacement(alpha: complex, dim: int) -> Operator:
     Exactly unitary for any alpha, but faithful to the infinite-dimensional
     displacement only while |alpha|^2 stays well below dim.
     """
+    from scipy.linalg import expm
+
     a = annihilation(dim).mat
     gen = alpha * a.conj().T - np.conj(alpha) * a
     return Operator(expm(gen))
@@ -169,6 +170,8 @@ def squeeze(zeta: complex, dim: int) -> Operator:
     Its Bogoliubov action is S^dag a S = mu a + nu a^dag with
     mu = cosh|zeta| and nu = e^{2i arg zeta} sinh|zeta|, as in SqueezeParams.
     """
+    from scipy.linalg import expm
+
     z = complex(zeta)
     if z == 0:
         return identity(dim)

@@ -3,11 +3,16 @@
 import argparse
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import qtomo
 from qtomo._parallel import CHUNK_SHOTS
 from qtomo.cli import build_parser, main
 from qtomo.dualbasis import spiral_directions, weigert_spin_quorum
@@ -248,6 +253,19 @@ BAD_INPUTS = {
     "nonunitary-reference-of-another-dim": (
         ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/vacuum.json",
          "--n-max", "0", "--reference", "{tmp}/qubit.json"], "shape (1, 1) vs (2, 2)"),
+    "kernels-points-minus-1": (
+        ["kernels", "eval", "--family", "parity", "--points", "-1"], "--points"),
+    "kernels-psi-nan": (
+        ["kernels", "eval", "--family", "kerr", "--n", "0", "--d", "1", "--psi", "nan"],
+        "--psi"),
+    "kernels-eps-nan": (
+        ["kernels", "eval", "--family", "kerr", "--n", "0", "--d", "0", "--eps", "nan"],
+        "--eps"),
+    "kernels-grid-max-nan": (
+        ["kernels", "eval", "--family", "parity", "--grid-max", "nan"], "--grid-max"),
+    "kernels-phi-nan": (
+        ["kernels", "eval", "--family", "homodyne", "--observable", "number", "--dim", "4",
+         "--phi", "nan"], "--phi"),
 }
 
 
@@ -396,6 +414,41 @@ def test_cli_surface():
     offered = {name: {opt for action in p._actions for opt in action.option_strings}
                for name, p in sub.choices.items()}
     assert offered == {name: opts | common for name, opts in expected.items()}
+
+
+# The Pauli route and the Kerr and homodyne samplers need numpy alone: scipy is
+# imported only inside the functions that call it. This module imports scipy
+# itself, so the check runs in a fresh interpreter.
+NUMPY_ONLY_COMMANDS = """
+import sys
+
+import qtomo.cli
+
+tmp = sys.argv[1]
+for argv in (
+    ["state", "--kind", "random_mixed", "--dim", "2", "--seed", "3", "--out", f"{tmp}/rho.json"],
+    ["sample", "--method", "pauli", "--state", f"{tmp}/rho.json", "--shots", "50",
+     "--seed", "1", "--out", f"{tmp}/pauli.csv"],
+    ["reconstruct", "--method", "pauli", "--records", f"{tmp}/pauli.csv",
+     "--reference", f"{tmp}/rho.json", "--out", f"{tmp}/pauli.json"],
+    ["sample", "--method", "kerr", "--dim", "3", "--shots", "20", "--seed", "1",
+     "--out", f"{tmp}/kerr.csv"],
+    ["sample", "--method", "homodyne", "--dim", "3", "--shots", "20", "--seed", "1",
+     "--out", f"{tmp}/homodyne.csv"],
+):
+    assert qtomo.cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    src = str(pathlib.Path(qtomo.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_COMMANDS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestReconstructNonunitary:
@@ -548,6 +601,31 @@ class TestKernels:
         assert data.shape[0] == 2
         assert np.allclose(data[:, 0], [-0.5, 0.5])
         assert np.allclose(data[:, 1], [1.0, 1.0], atol=1e-12)
+
+    # One table per family at flags that set every grid and phase option;
+    # the SHA-256 pins the bytes of the kernel-table format.
+    PINNED_TABLES = {
+        "homodyne": (["--observable", "number", "--dim", "4", "--points", "21"],
+                     "ff6fe214edf4901696e4131cb50b4ddf1d1699b96c4c2f9dae5288953c54c43f"),
+        "parity": (["--n", "1", "--d", "2", "--grid-max", "1.5", "--points", "17"],
+                   "1bd05c88c7ffe7eb8dc1f175eef100c8a4338c62f45377de380eab5f5278c3aa"),
+        "kerr": (["--n", "1", "--d", "0", "--eps", "0.1", "--psi", "0.25", "--points", "16"],
+                 "40c743a718548352e7ebaf03c4ad01583a6b7a73b295d69d5ca880ebd2d8edba"),
+        "spin": (["--s", "1", "--observable", "number", "--direction", "0.6,0,0.8"],
+                 "52afe2ae4b89ad5de1e3ba3746652ac0b2593ef81948457d27d58d509b0bd26c"),
+        "nonunitary": (["--observable", "matrix_unit:2,1", "--dim", "4", "--n", "1",
+                        "--points", "12"],
+                       "930a0a1cc2759cb577177b92cf51fbd371842b3215863a9d9286f65b7c537eb0"),
+    }
+
+    @pytest.mark.parametrize("family", list(PINNED_TABLES))
+    def test_table_bytes_are_pinned(self, capsys, tmp_path, family):
+        flags, digest = self.PINNED_TABLES[family]
+        out = tmp_path / "k.csv"
+        code, _, _ = run(capsys, ["kernels", "eval", "--family", family, *flags,
+                                  "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_nonunitary_ladder_phase(self, capsys, tmp_path):
         out = tmp_path / "k.csv"

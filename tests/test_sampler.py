@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import cumulative_trapezoid
 
 from qtomo.errors import TruncationError, UsageError
 from qtomo.estimators import EstimatorConfig
 from qtomo.operators import Operator
 from qtomo.sampler import (
     RngStream,
+    _cumulative_trapezoid,
     sample_displaced_parity,
     sample_homodyne,
     sample_kerr_phase,
@@ -71,6 +73,14 @@ class TestHomodyne:
         a = sample_homodyne(rho, 3000, RngStream(506), EstimatorConfig(dim=dim))
         b = sample_homodyne(rho, 3000, RngStream(506), EstimatorConfig(dim=dim))
         assert a == b
+
+    @pytest.mark.parametrize("dim", [2, 5, 8, 12, 16])
+    def test_cdf_integral_matches_scipy_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        qs = np.linspace(-6.0, 6.0, 8193)
+        bands = rng.normal(size=(dim, qs.size)) + 1j * rng.normal(size=(dim, qs.size))
+        want = cumulative_trapezoid(bands, qs, axis=1, initial=0.0)
+        assert np.array_equal(_cumulative_trapezoid(bands, qs), want)
 
     def test_worker_count_invariance(self, monkeypatch):
         # chunking is keyed by shot index, so the thread cap cannot leak
