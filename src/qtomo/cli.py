@@ -4,14 +4,15 @@ Every command is a pure function of its flags, input files, and seed;
 repeated invocations produce byte-identical outputs. Exit codes: 0 on
 success, 2 for usage errors (bad flags, unreadable or malformed files,
 mismatched inputs), 3 for numeric-precondition failures (truncation, rank
-deficiency, grid limits). With --json-errors the failure is also written
-to stderr as a one-line JSON object. File formats are frozen in
-docs/formats.md; QTOMO_THREADS caps internal parallelism.
+deficiency, a kernel the proposal disk cuts off). With --json-errors the
+failure is also written to stderr as a one-line JSON object. File formats
+are frozen in docs/formats.md; QTOMO_THREADS caps internal parallelism.
 
 An estimator flag is offered only by the commands that read it:
 --k-max and --reg-eps by reconstruct and kernels, which build the
 homodyne kernel, and --proposal-radius by sample and reconstruct, which
-draw and weight the parity displacements.
+draw and weight the parity displacements. What changes only roundoff is
+not a flag: the nonunitary phase grid, and how quorum dual builds a dual.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ def _finite_float(flag: str):
             value = math.nan
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be a finite number, got {text!r}")
+        return value
+    return parse
+
+
+def _positive_float(flag: str):
+    """argparse type: a finite float > 0, else a usage error that names the flag."""
+    def parse(text: str) -> float:
+        value = _finite_float(flag)(text)
+        if not value > 0:
+            raise UsageError(f"{flag} must be > 0, got {text!r}")
         return value
     return parse
 
@@ -178,7 +189,7 @@ def cmd_state(args) -> None:
     kind = args.kind
     if kind == "spin_pure":
         twice_s = _twice_s(args.s)
-        dim = args.dim if args.dim else twice_s + 1
+        dim = args.dim if args.dim is not None else twice_s + 1
         if args.direction is None:
             raise UsageError("spin_pure needs --direction x,y,z")
         spec = StateSpec(kind=kind, dim=dim, twice_s=twice_s,
@@ -196,10 +207,10 @@ def cmd_state(args) -> None:
             spec = StateSpec(kind=kind, dim=dim, n=n)
         elif kind == "coherent":
             spec = StateSpec(kind=kind, dim=dim,
-                             beta=_parse_complex(param) if param else 0j)
+                             beta=_parse_complex(param) if param is not None else 0j)
         elif kind == "squeezed_vacuum":
             spec = StateSpec(kind=kind, dim=dim,
-                             zeta=_parse_complex(param) if param else 0j)
+                             zeta=_parse_complex(param) if param is not None else 0j)
         elif kind == "thermal":
             try:
                 mean_n = float(param) if param is not None else 0.0
@@ -230,8 +241,7 @@ def _sample_input_state(args, method: str) -> Tuple[DensityMatrix, Optional[int]
     elif method == "pauli":
         rho = _maximally_mixed(2)
     else:
-        dim = args.dim if args.dim else 8
-        rho = make_state(StateSpec(kind="fock", dim=dim, n=0))
+        rho = make_state(StateSpec(kind="fock", dim=args.dim, n=0))
     return rho, twice_s
 
 
@@ -276,11 +286,10 @@ def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
     if not args.state:
         raise UsageError("method nonunitary needs --state")
     rho = load_state(args.state)
-    grid = args.grid if args.grid else 0
 
     if args.observable:
         name, a = _parse_observable(args.observable, rho.dim)
-        value = nonunitary_reconstruct(a, rho, grid)
+        value = nonunitary_reconstruct(a, rho)
         result = EstimationResult(mean=value, std_error=0.0, n_samples=0)
         save_estimation(args.out, name, result, extra={"method": "nonunitary", "exact": True})
         print(f"observable = {name}")
@@ -294,7 +303,7 @@ def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
     dim = args.n_max + 1
     results = {
         (k, n): EstimationResult(
-            mean=nonunitary_reconstruct(fock_matrix_unit(n, k, rho.dim), rho, grid),
+            mean=nonunitary_reconstruct(fock_matrix_unit(n, k, rho.dim), rho),
             std_error=0.0, n_samples=0)
         for k in range(dim) for n in range(dim)
     }
@@ -348,24 +357,15 @@ def cmd_quorum(args) -> None:
     print(f"rank = {rank.rank} / {d2}: "
           f"{'irreducible' if rank.irreducible else 'reducible'}")
 
-    if args.action == "verify":
-        if not rank.irreducible:
-            print("verdict = reducible")
-            return
-        dual = (gram_schmidt_dual(frame)[0] if len(frame) == d2
-                else pseudoinverse_dual(frame))
-        report = check_biorthogonality(frame, dual)
-        print(f"bi-orthogonality max violation = {report.max_violation:.3e}")
-        print(f"verdict = {'pass' if report.passed else 'fail'}")
+    if args.action == "verify" and not rank.irreducible:
+        print("verdict = reducible")
         return
-
-    # action == "dual"
-    if args.strategy == "gs":
-        dual, _ = gram_schmidt_dual(frame)
-    else:
-        dual = pseudoinverse_dual(frame)
+    dual = gram_schmidt_dual(frame)[0] if len(frame) == d2 else pseudoinverse_dual(frame)
     report = check_biorthogonality(frame, dual)
     print(f"bi-orthogonality max violation = {report.max_violation:.3e}")
+    if args.action == "verify":
+        print(f"verdict = {'pass' if report.passed else 'fail'}")
+        return
     save_quorum(args.out, dual)
     print(f"wrote {args.out}")
 
@@ -387,44 +387,41 @@ def cmd_kernels(args) -> None:
             raise UsageError("homodyne kernel needs --observable and --dim")
         cfg = _make_cfg(args, args.dim)
         _, a = _parse_observable(args.observable, args.dim)
-        q_max = args.grid_max if args.grid_max else float(np.sqrt(args.dim) + 4.0)
+        q_max = args.grid_max if args.grid_max is not None else float(np.sqrt(args.dim) + 4.0)
         qs = np.linspace(-q_max, q_max, points)
         vals = [np.trace(a.mat @ homodyne_kernel_matrix(q, args.phi, cfg).mat) for q in qs]
         _write_kernel_csv(args.out, "q", qs, vals)
     elif family == "parity":
-        n = args.n if args.n is not None else 0
         d = args.d if args.d is not None else 0
-        a_max = args.grid_max if args.grid_max else 2.0
+        a_max = args.grid_max if args.grid_max is not None else 2.0
         alphas = np.linspace(0.0, a_max, points)
-        vals = displaced_parity_kernel(n, d, alphas)
+        vals = displaced_parity_kernel(args.n, d, alphas)
         _write_kernel_csv(args.out, "alpha", alphas, vals)
     elif family == "kerr":
-        n = args.n if args.n is not None else 0
         d = args.d if args.d is not None else 1
         phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
         if d == 0:
             if not args.eps:
                 raise UsageError("the diagonal kernel needs --eps > 0")
-            vals = kerr_kernel_regularized(n, args.eps, phis, args.psi)
+            vals = kerr_kernel_regularized(args.n, args.eps, phis, args.psi)
         else:
-            vals = kerr_kernel(n, d, phis, args.psi)
+            vals = kerr_kernel(args.n, d, phis, args.psi)
         _write_kernel_csv(args.out, "phi", phis, vals)
     elif family == "spin":
         twice_s = _twice_s(args.s)
         if args.observable is None:
             raise UsageError("spin kernel needs --observable")
         _, a = _parse_observable(args.observable, twice_s + 1)
-        direction = _parse_direction(args.direction if args.direction else "0,0,1")
+        direction = _parse_direction(args.direction)
         ms = [j - twice_s / 2.0 for j in range(twice_s + 1)]
         vals = [spin_kernel(a, m, direction, twice_s) for m in ms]
         _write_kernel_csv(args.out, "m", ms, vals)
     else:  # nonunitary
         if args.observable is None or args.dim is None:
             raise UsageError("nonunitary kernel needs --observable and --dim")
-        n = args.n if args.n is not None else 0
         _, a = _parse_observable(args.observable, args.dim)
         phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-        vals = [np.trace(a.mat @ phase_shift_ladder(n, phi, args.dim).mat.conj().T)
+        vals = [np.trace(a.mat @ phase_shift_ladder(args.n, phi, args.dim).mat.conj().T)
                 for phi in phis]
         _write_kernel_csv(args.out, "phi", phis, vals)
 
@@ -472,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", parents=[common, diskp],
                               help="draw synthetic measurement records")
     p_sample.add_argument("--method", required=True, choices=list(METHODS))
-    p_sample.add_argument("--state", help="state file; default is maximally mixed")
-    p_sample.add_argument("--dim", type=int, help="dimension when no state file is given")
+    p_sample.add_argument("--state", help="state file; default is maximally mixed (spin, "
+                          "pauli) or the vacuum of dimension --dim")
+    p_sample.add_argument("--dim", type=int, default=8, help="dimension without --state")
     p_sample.add_argument("--s", type=float, help="spin magnitude (method spin)")
     p_sample.add_argument("--shots", type=int, required=True)
     p_sample.add_argument("--seed", type=int, required=True)
@@ -493,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--observable",
                        help="identity | number | quadrature:PHI | matrix_unit:K,N")
     p_rec.add_argument("--squeeze", help="squeeze parameter (homodyne)")
-    p_rec.add_argument("--grid", type=int, help="phase grid (method nonunitary)")
     p_rec.add_argument("--reference", help="state file to compare against")
     p_rec.add_argument("--nearest-physical", action="store_true",
                        help="report the distance to the nearest physical state")
@@ -504,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="verify a spanning set or write its dual")
     p_q.add_argument("action", choices=["verify", "dual"])
     p_q.add_argument("--quorum", required=True, help="quorum JSON file")
-    p_q.add_argument("--strategy", choices=["gs", "pinv"], default="gs")
     p_q.add_argument("--out", default="dual.json")
     p_q.set_defaults(func=cmd_quorum)
 
@@ -515,15 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["homodyne", "parity", "spin", "kerr", "nonunitary"])
     p_k.add_argument("--observable")
     p_k.add_argument("--dim", type=int)
-    p_k.add_argument("--n", type=int, help="level index")
+    p_k.add_argument("--n", type=int, default=0, help="level index")
     p_k.add_argument("--d", type=int, help="level offset")
     p_k.add_argument("--phi", type=_finite_float("--phi"), default=0.0, help="fixed phase")
     p_k.add_argument("--psi", type=_finite_float("--psi"), default=0.0,
                      help="fixed nonlinear shift")
     p_k.add_argument("--eps", type=_finite_float("--eps"), help="diagonal regularization")
     p_k.add_argument("--s", type=float, help="spin magnitude")
-    p_k.add_argument("--direction", help="x,y,z axis (spin)")
-    p_k.add_argument("--grid-max", type=_finite_float("--grid-max"),
+    p_k.add_argument("--direction", default="0,0,1", help="x,y,z axis (spin)")
+    p_k.add_argument("--grid-max", type=_positive_float("--grid-max"),
                      help="grid upper edge (q or alpha)")
     p_k.add_argument("--points", type=_count("--points"), default=101)
     p_k.add_argument("--out", default="kernel.csv")

@@ -28,8 +28,6 @@ __all__ = [
 
 # element rejected as dependent when its orthogonal remainder shrinks below this
 _INDEPENDENCE_RTOL = 1e-10
-# second orthogonalization pass when residual overlap exceeds this
-_REORTH_RTOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,54 +42,39 @@ def gram_schmidt_dual(s: SpanningSet) -> Tuple[DualSet, GramSchmidtTrace]:
     """Dual of an operator basis via orthogonalization.
 
     Requires exactly dim^2 independent elements. The recursion is realized
-    as a triangular solve against the orthonormalized stack, which gives
-    the same dual as the literal series at O(d^4) cost.
+    as one QR factorization C^T = Q R, phased so that diag R > 0: the
+    columns of Q are the Gram-Schmidt orthonormal set and diag R its
+    normalizers, which gives the same dual as the literal series.
     """
-    from scipy.linalg import solve_triangular
-
     d2 = s.dim**2
     if len(s) != d2:
         raise InvalidSpecError(f"need exactly {d2} elements for a basis, got {len(s)}")
 
     c_stack = s.stack()  # K x d^2
-    k = len(s)
-    y = np.zeros((k, d2), dtype=complex)
-    r = np.zeros((k, k), dtype=complex)
-    norms = []
-    for i in range(k):
-        v = c_stack[i].copy()
-        c_norm = np.linalg.norm(v)
-        if c_norm == 0.0:
+    q, r = np.linalg.qr(c_stack.T)
+    diag = np.abs(np.diagonal(r))
+    c_norms = np.linalg.norm(c_stack, axis=1)
+    for i, el in enumerate(s.elements):
+        if c_norms[i] == 0.0:
             raise RankDeficientError(f"element {i} is the zero operator")
-        if i > 0:
-            proj = y[:i].conj() @ v
-            r[:i, i] = proj
-            v -= proj @ y[:i]
-            # classical-GS cancellation guard: one corrective pass
-            resid = y[:i].conj() @ v
-            if np.max(np.abs(resid)) > _REORTH_RTOL * c_norm:
-                r[:i, i] += resid
-                v -= resid @ y[:i]
-        nk = np.linalg.norm(v)
-        if nk < _INDEPENDENCE_RTOL * c_norm:
+        if diag[i] < _INDEPENDENCE_RTOL * c_norms[i]:
             raise RankDeficientError(
-                f"element {i} ({s.elements[i].label}) is dependent on its predecessors"
+                f"element {i} ({el.label}) is dependent on its predecessors"
             )
-        r[i, i] = nk
-        y[i] = v / nk
-        norms.append(float(nk))
+    phase = np.diagonal(r) / diag
+    q = q * phase[None, :]
+    r = r / phase[:, None]
 
-    # plain dual: columns of Y inv(R)^dag satisfy <B_m, C_n> = delta_mn
-    rinv = solve_triangular(r, np.eye(k, dtype=complex), lower=False)
-    b_plain = (y.T @ rinv.conj().T).T  # K x d^2, row m = vec(plain B_m)
+    # plain dual: rows of inv(R)^* Q^T satisfy <B_m, C_n> = delta_mn
+    b_plain = np.linalg.solve(r.conj(), q.T)  # K x d^2, row m = vec(plain B_m)
     w = s.weights
     b_elements = [
         FrameElement(el.label, el.weight, Operator((b_plain[i] / w[i]).reshape(s.dim, s.dim)))
         for i, el in enumerate(s.elements)
     ]
     trace = GramSchmidtTrace(
-        normalizers=tuple(norms),
-        orthonormal=tuple(Operator(y[i].reshape(s.dim, s.dim)) for i in range(k)),
+        normalizers=tuple(float(x) for x in diag),
+        orthonormal=tuple(Operator(q[:, i].reshape(s.dim, s.dim)) for i in range(d2)),
     )
     return DualSet(s.dim, b_elements), trace
 

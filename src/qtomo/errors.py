@@ -2,7 +2,7 @@
 
 Two CLI-visible families: usage errors (bad arguments, malformed files,
 mismatched inputs) exit with code 2, numeric-precondition failures
-(truncation regime violated, rank deficiency, grids too small) exit with
+(truncation regime violated, rank deficiency, unresolved kernels) exit with
 code 3. Everything derives from QtomoError so callers can catch broadly.
 """
 
@@ -36,4 +36,4 @@ class RankDeficientError(NumericPreconditionError):
 
 
 class GridError(NumericPreconditionError):
-    """A quadrature or sampling grid is below its documented minimum."""
+    """A phase grid or proposal disk does not resolve the kernel it integrates."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Optional
 
 from ..errors import InvalidSpecError
 from ..operators import SqueezeParams
@@ -17,7 +18,7 @@ class EstimatorConfig:
 
     k_max and reg_eps set the homodyne kernel's frequency cutoff and
     regularization; alpha_grid_points and alpha_max the square grid of the
-    Glauber check. proposal_radius left at 0 resolves to 2 + sqrt(dim-1),
+    Glauber check. proposal_radius left at None resolves to 2 + sqrt(dim-1),
     the parity proposal disk. The exact-average oracles size their own
     grids from dim.
     """
@@ -27,14 +28,15 @@ class EstimatorConfig:
     reg_eps: float = 1e-3
     alpha_grid_points: int = 41
     alpha_max: float = 4.0
-    proposal_radius: float = 0.0
+    proposal_radius: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InvalidSpecError(f"dim must be >= 1, got {self.dim}")
         for name in ("k_max", "reg_eps", "alpha_max", "proposal_radius"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpecError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidSpecError(f"{name} must be finite, got {value}")
         if not self.k_max > 0:
             raise InvalidSpecError(f"k_max must be > 0, got {self.k_max}")
         if not self.reg_eps > 0:
@@ -43,8 +45,10 @@ class EstimatorConfig:
             raise InvalidSpecError("alpha_grid_points must be >= 2")
         if not self.alpha_max > 0:
             raise InvalidSpecError("alpha_max must be > 0")
-        if self.proposal_radius < 0:
-            raise InvalidSpecError("proposal_radius must be >= 0")
+        if self.proposal_radius is not None and not self.proposal_radius > 0:
+            raise InvalidSpecError(f"proposal_radius must be > 0, got {self.proposal_radius}")
 
     def parity_radius(self) -> float:
-        return self.proposal_radius if self.proposal_radius else 2.0 + math.sqrt(self.dim - 1)
+        if self.proposal_radius is None:
+            return 2.0 + math.sqrt(self.dim - 1)
+        return self.proposal_radius

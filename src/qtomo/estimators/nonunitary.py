@@ -6,7 +6,8 @@ R_{-k}(phi) = sum_j e^{i phi j} |j+k><j| for k > 0. Averaging
 Tr[A R_n^dag(phi)] Tr[rho R_n(phi)] over phi and summing n returns
 Tr[A rho] exactly in the truncated space, provided A does not reach the
 truncation edge. The state-side trace doubles as a phase-representation
-integral, which is the POVM reading of the scheme.
+integral, which is the POVM reading of the scheme. Both phase integrals
+use 4*dim uniform phases, which resolve every frequency in the sums.
 """
 
 from __future__ import annotations
@@ -46,22 +47,18 @@ def _direct_trace(rho_mat: np.ndarray, q: int, psi: float) -> complex:
     return complex(np.sum(np.exp(1j * m * psi) * rho_mat[m, m - q]))
 
 
-def nonunitary_phase_trace_routes(rho: DensityMatrix, q: int, psi: float,
-                                  grid: int = 0):
+def nonunitary_phase_trace_routes(rho: DensityMatrix, q: int, psi: float):
     """(direct matrix trace, phase-representation grid integral) of Tr[rho R_q(psi)].
 
     The phase route averages e^{i q (phi + psi)} <e^{i phi}| rho |e^{i (phi+psi)}>
-    over a uniform phi-grid; any grid of at least 4*dim points resolves
-    every frequency the truncated state can produce.
+    over a uniform grid of 4*dim phases, which resolves every frequency
+    the truncated state can produce.
     """
     dim = rho.dim
     if abs(q) >= dim:
         raise InvalidSpecError(f"shift |q| = {abs(q)} does not fit in dim {dim}")
-    g = grid if grid else 4 * dim
-    if g < 4 * dim:
-        raise GridError(f"phase grid needs >= {4 * dim} points, got {g}")
     direct = _direct_trace(rho.mat, q, psi)
-    phis = 2.0 * np.pi * np.arange(g) / g
+    phis = 2.0 * np.pi * np.arange(4 * dim) / (4 * dim)
     idx = np.arange(dim)
     bra = np.exp(1j * np.outer(phis, idx))           # <n|e^{i phi}> columns
     ket = np.exp(1j * np.outer(phis + psi, idx))
@@ -70,14 +67,13 @@ def nonunitary_phase_trace_routes(rho: DensityMatrix, q: int, psi: float,
     return direct, phase_route
 
 
-def nonunitary_phase_trace(rho: DensityMatrix, q: int, psi: float,
-                           grid: int = 0) -> complex:
+def nonunitary_phase_trace(rho: DensityMatrix, q: int, psi: float) -> complex:
     """Tr[rho R_q(psi)], cross-checked against the phase-representation route."""
-    direct, phase_route = nonunitary_phase_trace_routes(rho, q, psi, grid)
+    direct, phase_route = nonunitary_phase_trace_routes(rho, q, psi)
     if abs(direct - phase_route) > 1e-8:
         raise GridError(
-            f"phase-representation route deviates by {abs(direct - phase_route):.3e}; "
-            "grid does not resolve the state"
+            f"phase-representation route deviates from the direct trace by "
+            f"{abs(direct - phase_route):.3e}"
         )
     return direct
 
@@ -91,7 +87,7 @@ def _support_profile(a_mat: np.ndarray):
     return support_max, bandwidth
 
 
-def nonunitary_reconstruct(a: Operator, rho: DensityMatrix, grid: int = 0) -> complex:
+def nonunitary_reconstruct(a: Operator, rho: DensityMatrix) -> complex:
     """sum_n int dphi/2pi Tr[A R_n^dag(phi)] Tr[rho R_n(phi)].
 
     Exact on the truncated space when A stays clear of the edge: the
@@ -110,9 +106,7 @@ def nonunitary_reconstruct(a: Operator, rho: DensityMatrix, grid: int = 0) -> co
             f"operator reaches index {support_max} with shift {bandwidth}; "
             f"needs support_max + bandwidth <= dim = {dim}"
         )
-    g = grid if grid else 4 * dim
-    if g < 2 * dim - 1:
-        raise GridError(f"phi grid needs >= {2 * dim - 1} points, got {g}")
+    g = 4 * dim
     phis = 2.0 * np.pi * np.arange(g) / g
     total = 0j
     for n in range(-(dim - 1), dim):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, GridError, InvalidSpecError
+from ..errors import DimensionMismatchError, GridError, InvalidSpecError, UsageError
 from ..operators import Operator, displacement, parity
 from ..records import RecordBatch, walk
 from ..states import DensityMatrix
@@ -28,6 +28,7 @@ __all__ = [
     "parity_kernel_element",
     "parity_kernel_block",
     "check_parity_boundary",
+    "check_parity_disk",
     "displaced_parity_expectation",
     "parity_estimate",
     "parity_exact_element",
@@ -110,6 +111,23 @@ def check_parity_boundary(target, cfg: EstimatorConfig) -> None:
         )
 
 
+def check_parity_disk(records: RecordBatch, cfg: EstimatorConfig) -> None:
+    """Raise UsageError when a record's displacement lies outside the proposal disk.
+
+    Such a record was drawn from a larger disk than R = cfg.parity_radius(),
+    so the weight R^2 would bias every estimate.
+    """
+    radius = cfg.parity_radius()
+    moduli = np.hypot(records.settings[:, 0], records.settings[:, 1])
+    outside = np.flatnonzero(moduli > radius * (1.0 + 1e-12))
+    if outside.size:
+        i = int(outside[0])
+        raise UsageError(
+            f"parity record {i}: |b| = {moduli[i]:.6g} lies outside the proposal disk "
+            f"R = {radius:.6g}; estimate with the proposal radius the records were sampled with"
+        )
+
+
 def parity_kernel_block(settings: np.ndarray, outcomes: np.ndarray,
                         cfg: EstimatorConfig) -> np.ndarray:
     """Weighted kernels R^2 s 4 P D(2b) for settings (Re b, Im b) and parities s.
@@ -136,6 +154,7 @@ def parity_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
     check_parity_boundary(a, cfg)
+    check_parity_disk(records, cfg)
     radius = cfg.parity_radius()
     weight = radius * radius
     return walk(records, lambda settings, outcomes: weight * outcomes * _coeff_stack(

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DimensionMismatchError, UsageError
 from .estimators.homodyne import homodyne_estimate, homodyne_kernel_block
 from .estimators.kerr import kerr_estimate, kerr_kernel_block
-from .estimators.parity import check_parity_boundary, parity_estimate, parity_kernel_block
+from .estimators.parity import (check_parity_boundary, check_parity_disk, parity_estimate,
+                                parity_kernel_block)
 from .estimators.spin import pauli_estimate, spin_estimate, spin_kernel_block
 from .operators import Operator, fock_matrix_unit
 from .records import Accumulator, EstimationResult, RecordBatch, estimate, walk
@@ -174,6 +175,7 @@ def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
     else:
         if method == "parity":
             check_parity_boundary(None, params["cfg"])
+            check_parity_disk(records, params["cfg"])
         results = _block_elements(records, functools.partial(entry.block, **params), dim,
                                   entry.diagonal)
     return assemble_matrix(method, dim, results, {"method": method, "n_records": len(records)},

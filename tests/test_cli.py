@@ -15,7 +15,7 @@ from scipy import stats
 import qtomo
 from qtomo._parallel import CHUNK_SHOTS
 from qtomo.cli import build_parser, main
-from qtomo.dualbasis import spiral_directions, weigert_spin_quorum
+from qtomo.dualbasis import pseudoinverse_dual, spiral_directions, weigert_spin_quorum
 from qtomo.frames import DualSet, FrameElement, SettingLabel, SpanningSet
 from qtomo.operators import Operator, fock_matrix_unit, pauli
 from qtomo.serialize import load_quorum, load_state, records_from_csv, save_quorum
@@ -168,6 +168,18 @@ class TestReconstruct:
         mean, se = read_result(result)
         assert abs(mean - 1.0) <= 5.0 * se + 1e-9
 
+    def test_parity_records_outside_proposal_disk(self, capsys, tmp_path):
+        # drawn on a disk of radius 6; the default at n_max = 7 is 2 + sqrt(7) = 4.65
+        records = tmp_path / "parity.csv"
+        assert run(capsys, ["sample", "--method", "parity", "--proposal-radius", "6",
+                            "--shots", "200", "--seed", "3", "--out", str(records)])[0] == 0
+        for extra in ([], ["--observable", "identity"]):
+            argv = ["reconstruct", "--method", "parity", "--records", str(records),
+                    "--n-max", "7", "--out", str(tmp_path / "x.json"), *extra]
+            code, _, err = run(capsys, argv)
+            assert code == 2 and "outside the proposal disk R = 4.64575" in err, err
+            assert run(capsys, argv + ["--proposal-radius", "6"])[0] == 0
+
     def test_quorum_mismatch(self, capsys, tmp_path):
         records = tmp_path / "spin.csv"
         assert run(capsys, ["sample", "--method", "spin", "--s", "0.5",
@@ -239,6 +251,15 @@ BAD_INPUTS = {
     "proposal-radius-nan": (
         ["sample", "--method", "parity", "--shots", "10", "--seed", "1",
          "--proposal-radius", "nan"], "proposal_radius"),
+    "proposal-radius-0": (
+        ["sample", "--method", "parity", "--shots", "10", "--seed", "1",
+         "--proposal-radius", "0"], "proposal_radius"),
+    "sample-dim-0": (
+        ["sample", "--method", "homodyne", "--dim", "0", "--shots", "10", "--seed", "1"],
+        "dim"),
+    "spin-pure-dim-0": (
+        ["state", "--kind", "spin_pure", "--s", "1", "--direction", "0,0,1", "--dim", "0"],
+        "dim"),
     "squeezed-vacuum-cosh-overflows": (
         ["state", "--kind", "squeezed_vacuum", "--dim", "8", "--param", "1000"], "zeta"),
     "homodyne-squeeze-cosh-overflows": (
@@ -263,6 +284,11 @@ BAD_INPUTS = {
         "--eps"),
     "kernels-grid-max-nan": (
         ["kernels", "eval", "--family", "parity", "--grid-max", "nan"], "--grid-max"),
+    "kernels-grid-max-0": (
+        ["kernels", "eval", "--family", "parity", "--grid-max", "0"], "--grid-max"),
+    "kernels-grid-max-negative": (
+        ["kernels", "eval", "--family", "homodyne", "--observable", "number", "--dim", "4",
+         "--grid-max", "-1"], "--grid-max"),
     "kernels-phi-nan": (
         ["kernels", "eval", "--family", "homodyne", "--observable", "number", "--dim", "4",
          "--phi", "nan"], "--phi"),
@@ -402,9 +428,9 @@ def test_cli_surface():
         "sample": {"--proposal-radius", "--method", "--state", "--dim", "--s", "--shots",
                    "--seed", "--substream", "--squeeze", "--out"},
         "reconstruct": {"--k-max", "--reg-eps", "--proposal-radius", "--method", "--records",
-                        "--state", "--n-max", "--s", "--observable", "--squeeze", "--grid",
+                        "--state", "--n-max", "--s", "--observable", "--squeeze",
                         "--reference", "--nearest-physical", "--out"},
-        "quorum": {"--quorum", "--strategy", "--out"},
+        "quorum": {"--quorum", "--out"},
         "kernels": {"--k-max", "--reg-eps", "--family", "--observable", "--dim", "--n", "--d",
                     "--phi", "--psi", "--eps", "--s", "--direction", "--grid-max", "--points",
                     "--out"},
@@ -416,9 +442,9 @@ def test_cli_surface():
     assert offered == {name: opts | common for name, opts in expected.items()}
 
 
-# The Pauli route and the Kerr and homodyne samplers need numpy alone: scipy is
-# imported only inside the functions that call it. This module imports scipy
-# itself, so the check runs in a fresh interpreter.
+# The Pauli route, the Kerr and homodyne samplers and the quorum commands need
+# numpy alone: scipy is imported only inside the functions that call it. This
+# module imports scipy itself, so the check runs in a fresh interpreter.
 NUMPY_ONLY_COMMANDS = """
 import sys
 
@@ -435,6 +461,8 @@ for argv in (
      "--out", f"{tmp}/kerr.csv"],
     ["sample", "--method", "homodyne", "--dim", "3", "--shots", "20", "--seed", "1",
      "--out", f"{tmp}/homodyne.csv"],
+    ["quorum", "verify", "--quorum", f"{tmp}/pauli-quorum.json"],
+    ["quorum", "dual", "--quorum", f"{tmp}/pauli-quorum.json", "--out", f"{tmp}/dual.json"],
 ):
     assert qtomo.cli.main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -443,6 +471,7 @@ assert not loaded, loaded
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
+    write_pauli_quorum(tmp_path / "pauli-quorum.json")
     src = str(pathlib.Path(qtomo.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -529,11 +558,26 @@ class TestQuorum:
         save_quorum(q, frame)
         dual_path = tmp_path / "dual.json"
         code, out, _ = run(capsys, ["quorum", "dual", "--quorum", str(q),
-                                    "--strategy", "pinv", "--out", str(dual_path)])
+                                    "--out", str(dual_path)])
         assert code == 0
         assert "irreducible" in out
         dual = load_quorum(dual_path)
         assert isinstance(dual, DualSet) and len(dual.elements) == 9
+
+    def test_overcomplete_dual_is_canonical(self, capsys, tmp_path):
+        q = tmp_path / "pauli.json"
+        write_pauli_quorum(q)
+        frame = load_quorum(q)
+        first = frame.elements[0]
+        over = SpanningSet(2, (FrameElement(first.label, 0.5, first.op),
+                               *frame.elements[1:], FrameElement(first.label, 0.5, first.op)))
+        save_quorum(q, over)
+        dual_path = tmp_path / "dual.json"
+        code, _, err = run(capsys, ["quorum", "dual", "--quorum", str(q),
+                                    "--out", str(dual_path)])
+        assert code == 0, err
+        assert np.allclose(load_quorum(dual_path).stack(), pseudoinverse_dual(over).stack(),
+                           atol=1e-12)
 
 
 class TestKernels:

@@ -151,3 +151,9 @@ def test_squeeze_params_hyperbolic_identity():
 def test_config_rejects_non_finite_floats(field, value):
     with pytest.raises(InvalidSpecError, match=field):
         EstimatorConfig(dim=4, **{field: value})
+
+
+def test_config_rejects_zero_proposal_radius():
+    # the default disk is asked for with None; 0 is no radius at all
+    with pytest.raises(InvalidSpecError, match="proposal_radius"):
+        EstimatorConfig(dim=4, proposal_radius=0.0)

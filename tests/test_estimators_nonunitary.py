@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qtomo.errors import GridError, TruncationError
+from qtomo.errors import TruncationError
 from qtomo.estimators import (
     nonunitary_phase_trace,
     nonunitary_phase_trace_routes,
@@ -77,11 +77,6 @@ class TestPhaseTrace:
             psi = float(rng.uniform(0.0, 2.0 * np.pi))
             direct, phase = nonunitary_phase_trace_routes(rho, q, psi)
             assert abs(direct - phase) <= 1e-8
-
-    def test_small_grid_rejected(self):
-        rho = make_state(StateSpec(kind="fock", dim=8, n=0))
-        with pytest.raises(GridError):
-            nonunitary_phase_trace_routes(rho, 0, 0.0, grid=31)
 
 
 class TestReconstruct:

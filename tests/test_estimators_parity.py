@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qtomo.errors import GridError
+from qtomo.errors import GridError, UsageError
 from qtomo.estimators import (
     EstimatorConfig,
     displaced_parity_kernel,
@@ -12,6 +12,8 @@ from qtomo.estimators import (
     parity_exact_element,
 )
 from qtomo.operators import fock_matrix_unit, identity
+from qtomo.recon import reconstruct_matrix
+from qtomo.records import RecordBatch
 from qtomo.sampler import RngStream, sample_displaced_parity
 from qtomo.states import StateSpec, make_state
 
@@ -76,6 +78,20 @@ class TestEstimate:
         records = sample_displaced_parity(rho, 1000, RngStream(204), cfg)
         with pytest.raises(GridError):
             parity_estimate(fock_matrix_unit(0, 0, dim), records, cfg)
+
+    def test_records_outside_the_disk_refused(self):
+        # the weight R^2 is wrong for a displacement drawn from a larger disk
+        dim = 8
+        cfg = EstimatorConfig(dim=dim)
+        radius = cfg.parity_radius()
+        on_edge = RecordBatch("parity", [[radius, 0.0], [0.0, 0.5]], [1.0, -1.0])
+        parity_estimate(identity(dim), on_edge, cfg)
+        reconstruct_matrix(on_edge, "parity", dim - 1, cfg=cfg)
+        beyond = RecordBatch("parity", [[0.0, 0.5], [0.0, 1.001 * radius]], [1.0, -1.0])
+        with pytest.raises(UsageError, match="parity record 1: .* R = 4.64575"):
+            parity_estimate(identity(dim), beyond, cfg)
+        with pytest.raises(UsageError, match="parity record 1: .* R = 4.64575"):
+            reconstruct_matrix(beyond, "parity", dim - 1, cfg=cfg)
 
 
 class TestExactElement:
