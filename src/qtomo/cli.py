@@ -128,7 +128,7 @@ def _parse_direction(text: str) -> Tuple[float, float, float]:
 def _twice_s(s: Optional[float]) -> int:
     if s is None:
         raise UsageError("--s (spin magnitude) is required here")
-    t = round(2 * s)
+    t = round(2 * s) if math.isfinite(s) else 0
     if abs(2 * s - t) > 1e-9 or t < 1:
         raise UsageError(f"spin s must be a positive half-integer, got {s}")
     return int(t)
@@ -149,6 +149,8 @@ def _parse_observable(text: str, dim: int) -> Tuple[str, Operator]:
             phi = float(text.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"cannot parse quadrature phase in {text!r}") from None
+        if not math.isfinite(phi):
+            raise UsageError(f"quadrature phase must be finite in {text!r}")
         return text, quadrature(phi, dim)
     if text.startswith("matrix_unit:"):
         try:
@@ -185,6 +187,15 @@ def _squeeze_params(args) -> Optional[SqueezeParams]:
 
 # subcommands ----------------------------------------------------------------
 
+# The StateSpec field that --param sets for each kind that takes it, and its parser.
+_STATE_PARAMS = {
+    "fock": ("n", int),
+    "coherent": ("beta", _parse_complex),
+    "squeezed_vacuum": ("zeta", _parse_complex),
+    "thermal": ("mean_n", float),
+}
+
+
 def cmd_state(args) -> None:
     kind = args.kind
     if kind == "spin_pure":
@@ -197,30 +208,14 @@ def cmd_state(args) -> None:
     else:
         if args.dim is None:
             raise UsageError("--dim is required")
-        dim = args.dim
-        param = args.param
-        if kind == "fock":
+        fields = {"seed": args.seed} if kind == "random_mixed" else {}
+        if args.param is not None and kind in _STATE_PARAMS:
+            field, parse = _STATE_PARAMS[kind]
             try:
-                n = int(param) if param is not None else 0
+                fields[field] = parse(args.param)
             except ValueError:
-                raise UsageError(f"fock level must be an integer, got {param!r}") from None
-            spec = StateSpec(kind=kind, dim=dim, n=n)
-        elif kind == "coherent":
-            spec = StateSpec(kind=kind, dim=dim,
-                             beta=_parse_complex(param) if param is not None else 0j)
-        elif kind == "squeezed_vacuum":
-            spec = StateSpec(kind=kind, dim=dim,
-                             zeta=_parse_complex(param) if param is not None else 0j)
-        elif kind == "thermal":
-            try:
-                mean_n = float(param) if param is not None else 0.0
-            except ValueError:
-                raise UsageError(f"thermal mean occupation must be a number, got {param!r}") from None
-            spec = StateSpec(kind=kind, dim=dim, mean_n=mean_n)
-        elif kind == "random_mixed":
-            spec = StateSpec(kind=kind, dim=dim, seed=args.seed)
-        else:  # pragma: no cover - argparse choices guard this
-            raise UsageError(f"unknown state kind {kind!r}")
+                raise UsageError(f"cannot parse --param {args.param!r} as {kind} {field}") from None
+        spec = StateSpec(kind=kind, dim=args.dim, **fields)
 
     rho = make_state(spec)
     save_state(args.out, rho)
@@ -279,6 +274,16 @@ def _write_matrix(args, rec: ReconstructedMatrix) -> None:
     print(f"wrote {args.out}")
 
 
+def _write_estimate(args, name: str, result: EstimationResult, extra: dict) -> None:
+    """Save an observable's estimate and print its lines."""
+    save_estimation(args.out, name, result, extra=extra)
+    print(f"observable = {name}")
+    print(f"mean = {_fmt_c(result.mean)}")
+    print(f"std_error = {_fmt(result.std_error)}")
+    print(f"n_samples = {result.n_samples}")
+    print(f"wrote {args.out}")
+
+
 def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
     if args.records:
         raise UsageError("method nonunitary is an exact route from a state file; "
@@ -289,12 +294,8 @@ def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
 
     if args.observable:
         name, a = _parse_observable(args.observable, rho.dim)
-        value = nonunitary_reconstruct(a, rho)
-        result = EstimationResult(mean=value, std_error=0.0, n_samples=0)
-        save_estimation(args.out, name, result, extra={"method": "nonunitary", "exact": True})
-        print(f"observable = {name}")
-        print(f"mean = {_fmt_c(result.mean)}")
-        print(f"wrote {args.out}")
+        _write_estimate(args, name, EstimationResult(nonunitary_reconstruct(a, rho), 0.0, 0),
+                        {"method": "nonunitary", "exact": True})
         return
 
     if args.n_max is None:
@@ -335,12 +336,7 @@ def cmd_reconstruct(args) -> None:
         name, a = _parse_observable(args.observable, n_max + 1)
         result = estimate_observable(records, method, a, cfg=cfg, twice_s=twice_s,
                                      squeeze=squeeze)
-        save_estimation(args.out, name, result, extra={"method": method})
-        print(f"observable = {name}")
-        print(f"mean = {_fmt_c(result.mean)}")
-        print(f"std_error = {_fmt(result.std_error)}")
-        print(f"n_samples = {result.n_samples}")
-        print(f"wrote {args.out}")
+        _write_estimate(args, name, result, {"method": method})
         return
 
     _write_matrix(args, reconstruct_matrix(

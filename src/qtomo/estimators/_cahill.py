@@ -18,18 +18,23 @@ import numpy as np
 __all__ = ["disp_element", "disp_stack"]
 
 
-def disp_element(row: int, col: int, alpha) -> np.ndarray | complex:
-    """<row|D(alpha)|col>; alpha may be a scalar or an array."""
+def _element(row: int, col: int, a: np.ndarray, x: np.ndarray, ex: np.ndarray) -> np.ndarray:
+    """<row|D(a)|col> from x = |a|^2 and ex = e^(-x/2), computed once by the caller."""
     from scipy.special import eval_genlaguerre, gammaln
 
-    a = np.asarray(alpha, dtype=complex)
-    x = np.abs(a) ** 2
     lo, hi = min(row, col), max(row, col)
     d = hi - lo
     pref = float(np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))))
     lag = eval_genlaguerre(lo, d, x)
     fac = a**d if row >= col else (-np.conj(a)) ** d
-    out = pref * fac * np.exp(-x / 2) * lag
+    return pref * fac * ex * lag
+
+
+def disp_element(row: int, col: int, alpha) -> np.ndarray | complex:
+    """<row|D(alpha)|col>; alpha may be a scalar or an array."""
+    a = np.asarray(alpha, dtype=complex)
+    x = np.abs(a) ** 2
+    out = _element(row, col, a, x, np.exp(-x / 2))
     if np.isscalar(alpha) or np.ndim(alpha) == 0:
         return complex(out)
     return out
@@ -37,18 +42,11 @@ def disp_element(row: int, col: int, alpha) -> np.ndarray | complex:
 
 def disp_stack(alphas: np.ndarray, dim: int) -> np.ndarray:
     """(len(alphas), dim, dim) stack of displacement blocks."""
-    from scipy.special import eval_genlaguerre, gammaln
-
     a = np.asarray(alphas, dtype=complex).ravel()
     x = np.abs(a) ** 2
     ex = np.exp(-x / 2)
     out = np.empty((a.size, dim, dim), dtype=complex)
     for r in range(dim):
         for c in range(dim):
-            lo, hi = min(r, c), max(r, c)
-            d = hi - lo
-            pref = float(np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))))
-            lag = eval_genlaguerre(lo, d, x)
-            fac = a**d if r >= c else (-np.conj(a)) ** d
-            out[:, r, c] = pref * fac * ex * lag
+            out[:, r, c] = _element(r, c, a, x, ex)
     return out

@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import DimensionMismatchError, NumericPreconditionError
 from ..operators import Operator, squeeze as squeeze_operator
 from ..records import RecordBatch, walk
-from ..states import DensityMatrix
+from ..states import as_matrix
 from . import _cahill
 from .config import EstimatorConfig, SqueezeParams
 
@@ -60,7 +60,6 @@ def oscillator_wavefunctions(dim: int, q: np.ndarray) -> np.ndarray:
     return psi
 
 
-@functools.lru_cache(maxsize=8)
 def _k_rule(k_max: float) -> Tuple[np.ndarray, np.ndarray]:
     """Panel Gauss-Legendre rule over [-k_max, k_max]; resolves the |k| kink at 0."""
     nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
@@ -205,10 +204,6 @@ def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig,
     return walk(records, values)[0]
 
 
-def _as_matrix(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, (DensityMatrix, Operator)) else np.asarray(rho, dtype=complex)
-
-
 def exact_homodyne_average(a: Operator, rho, cfg: EstimatorConfig) -> complex:
     """Deterministic double integral of the kernel against p(q; phi).
 
@@ -219,7 +214,7 @@ def exact_homodyne_average(a: Operator, rho, cfg: EstimatorConfig) -> complex:
     exactly.
     """
     dim = cfg.dim
-    rho_m = _as_matrix(rho)
+    rho_m = as_matrix(rho)
     if a.dim != dim or rho_m.shape[0] != dim:
         raise DimensionMismatchError("operator/state/config dims differ")
     q_max = math.sqrt(dim) + 4.0
@@ -244,7 +239,7 @@ def exact_homodyne_average(a: Operator, rho, cfg: EstimatorConfig) -> complex:
 def exact_squeezed_average(a: Operator, rho, sq: SqueezeParams, cfg: EstimatorConfig) -> complex:
     """Exact-average analogue of homodyne_estimate with squeeze."""
     s = squeeze_operator(sq.zeta, cfg.dim).mat
-    rho_m = _as_matrix(rho)
+    rho_m = as_matrix(rho)
     a_tilde = Operator(s @ a.mat @ s.conj().T)
     rho_tilde = s @ rho_m @ s.conj().T
     return exact_homodyne_average(a_tilde, rho_tilde, cfg)

@@ -15,7 +15,8 @@ behavior is reported, not asserted.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -92,23 +93,24 @@ def kerr_sideband_coefficients(rho: DensityMatrix, psis) -> np.ndarray:
     return out
 
 
-def _grids(cfg: EstimatorConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """The exact (psi, phi) grids: 2*dim^2+1 Kerr strengths and 2*dim+1 phases."""
-    q = 2 * cfg.dim**2 + 1
-    p = 2 * cfg.dim + 1
-    return (2.0 * np.pi * np.arange(q) / q, 2.0 * np.pi * np.arange(p) / p)
+def _grid_averages(rho: DensityMatrix, cfg: EstimatorConfig, kernels) -> list:
+    """Average of each kernel(phi, psi) against p(phi, psi) on the exact grids.
+
+    The grids hold 2*dim^2+1 Kerr strengths psi and 2*dim+1 phases phi.
+    """
+    if rho.dim != cfg.dim:
+        raise DimensionMismatchError(f"state dim {rho.dim} vs config dim {cfg.dim}")
+    psis, phis = (2.0 * np.pi * np.arange(m) / m for m in (2 * cfg.dim**2 + 1, 2 * cfg.dim + 1))
+    p = kerr_phase_distribution(rho, psis, phis)
+    return [complex(np.sum(p * kernel(phis[None, :], psis[:, None])) / p.size)
+            for kernel in kernels]
 
 
 def kerr_exact_element(rho: DensityMatrix, n: int, d: int, cfg: EstimatorConfig) -> complex:
     """Exact-grid average recovering <n+d|rho|n>."""
-    if rho.dim != cfg.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} vs config dim {cfg.dim}")
     if n + d >= cfg.dim or n >= cfg.dim:
         raise InvalidSpecError("element indices must lie inside the configured dimension")
-    psis, phis = _grids(cfg)
-    p = kerr_phase_distribution(rho, psis, phis)
-    k = kerr_kernel(n, d, phis[None, :], psis[:, None])
-    return complex(np.sum(p * k) / (psis.size * phis.size))
+    return _grid_averages(rho, cfg, [functools.partial(kerr_kernel, n, d)])[0]
 
 
 def _observable_offdiag(a: Operator) -> np.ndarray:
@@ -162,12 +164,6 @@ def kerr_epsilon_sweep(rho: DensityMatrix, n: int, eps_values: Sequence[float],
     Returned for extrapolation studies; no limit value is asserted because
     the plain eps -> 0 limit of the average is Tr[rho], not rho_nn.
     """
-    if rho.dim != cfg.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} vs config dim {cfg.dim}")
-    psis, phis = _grids(cfg)
-    p = kerr_phase_distribution(rho, psis, phis)
-    out = []
-    for eps in eps_values:
-        k = kerr_kernel_regularized(n, float(eps), phis[None, :], psis[:, None])
-        out.append((float(eps), complex(np.sum(p * k) / (psis.size * phis.size))))
-    return out
+    eps_values = [float(eps) for eps in eps_values]
+    return list(zip(eps_values, _grid_averages(
+        rho, cfg, [functools.partial(kerr_kernel_regularized, n, eps) for eps in eps_values])))

@@ -37,6 +37,7 @@ __all__ = [
 _BIAS_ANGLES = 64
 _EXACT_RADIAL = 80  # Gauss-Legendre order of parity_exact_element in the radius
 _EXACT_ANGULAR = 80  # uniform angular points of parity_exact_element
+_CHUNK = 1024  # displacements per disp_stack call in the per-displacement contractions
 
 
 def displaced_parity_kernel(n: int, d: int, alpha) -> complex:
@@ -66,28 +67,28 @@ def _parity_signs(dim: int) -> np.ndarray:
     return (-1.0) ** np.arange(dim)
 
 
+def _per_displacement(betas: np.ndarray, dim: int, dtype, contract) -> np.ndarray:
+    """contract(blocks) of the (n, dim, dim) D(2b) blocks, _CHUNK displacements at a time."""
+    out = np.empty(betas.size, dtype=dtype)
+    for i in range(0, betas.size, _CHUNK):
+        out[i : i + _CHUNK] = contract(_cahill.disp_stack(2.0 * betas[i : i + _CHUNK], dim))
+    return out
+
+
 def displaced_parity_expectation(rho: DensityMatrix, betas) -> np.ndarray:
     """G(b) = Tr[rho P D(2b)] for a batch of displacements; exactly real, in [-1, 1]."""
     b = np.atleast_1d(np.asarray(betas, dtype=complex))
     signs = _parity_signs(rho.dim)
-    out = np.empty(b.size)
-    for i in range(0, b.size, 1024):
-        blocks = _cahill.disp_stack(2.0 * b[i : i + 1024], rho.dim)
-        out[i : i + 1024] = np.einsum(
-            "ij,j,gji->g", rho.mat, signs, blocks, optimize=True
-        ).real
-    return out
+    return _per_displacement(b, rho.dim, float, lambda blocks: np.einsum(
+        "ij,j,gji->g", rho.mat, signs, blocks, optimize=True).real)
 
 
 def _coeff_stack(a_mat: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """4 Tr[A P D(2b)] per displacement."""
     dim = a_mat.shape[0]
     signed = a_mat * _parity_signs(dim)[None, :]  # parity signs folded into the column index
-    out = np.empty(betas.size, dtype=complex)
-    for i in range(0, betas.size, 1024):
-        blocks = _cahill.disp_stack(2.0 * betas[i : i + 1024], dim)
-        out[i : i + 1024] = 4.0 * np.einsum("ij,gji->g", signed, blocks, optimize=True)
-    return out
+    return _per_displacement(betas, dim, complex, lambda blocks: 4.0 * np.einsum(
+        "ij,gji->g", signed, blocks, optimize=True))
 
 
 def check_parity_boundary(target, cfg: EstimatorConfig) -> None:
@@ -112,10 +113,12 @@ def check_parity_boundary(target, cfg: EstimatorConfig) -> None:
 
 
 def check_parity_disk(records: RecordBatch, cfg: EstimatorConfig) -> None:
-    """Raise UsageError when a record's displacement lies outside the proposal disk.
+    """Raise UsageError unless the records' displacements fill the proposal disk.
 
-    Such a record was drawn from a larger disk than R = cfg.parity_radius(),
-    so the weight R^2 would bias every estimate.
+    A record outside R = cfg.parity_radius() was drawn from a larger disk,
+    and N records that all miss the rim |b| >= R (1 - 20/N), which N
+    uniform draws do with probability below e^-40, from a smaller one.
+    Either way the weight R^2 would bias every estimate.
     """
     radius = cfg.parity_radius()
     moduli = np.hypot(records.settings[:, 0], records.settings[:, 1])
@@ -126,6 +129,10 @@ def check_parity_disk(records: RecordBatch, cfg: EstimatorConfig) -> None:
             f"parity record {i}: |b| = {moduli[i]:.6g} lies outside the proposal disk "
             f"R = {radius:.6g}; estimate with the proposal radius the records were sampled with"
         )
+    if moduli.size and np.max(moduli) < radius * (1.0 - 20.0 / moduli.size):
+        raise UsageError(
+            f"parity records reach only max |b| = {np.max(moduli):.6g} of the proposal disk "
+            f"R = {radius:.6g}: they were sampled with a smaller proposal radius")
 
 
 def parity_kernel_block(settings: np.ndarray, outcomes: np.ndarray,

@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import DimensionMismatchError, InvalidSpecError, UsageError
-from ..operators import Operator, pauli, spin_matrices
+from ..operators import Operator, pauli, spin_component, spin_matrices
 from ..records import EstimationResult, RecordBatch, walk
 from ..states import DensityMatrix
 
@@ -31,13 +31,6 @@ __all__ = [
     "pauli_estimate",
     "sphere_rule",
 ]
-
-
-def _unit(direction) -> np.ndarray:
-    n = np.asarray(direction, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise InvalidSpecError("direction must be a 3-vector of unit norm")
-    return n
 
 
 def _outcome_indices(ms: np.ndarray, twice_s: int) -> np.ndarray:
@@ -65,10 +58,7 @@ def _stencils(js: np.ndarray, twice_s: int) -> np.ndarray:
 
 def _eigenframe(direction, twice_s: int) -> Tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues m = -s..s of S.n and their eigenvector columns."""
-    n = _unit(direction)
-    sx, sy, sz = spin_matrices(twice_s)
-    evals, vecs = np.linalg.eigh(n[0] * sx.mat + n[1] * sy.mat + n[2] * sz.mat)
-    return evals, vecs
+    return np.linalg.eigh(spin_component(twice_s, direction).mat)
 
 
 def spin_kernel(a: Operator, m: float, direction, twice_s: int) -> complex:
@@ -96,7 +86,15 @@ def spin_kernel_quadrature(a: Operator, m: float, direction, twice_s: int,
 
 
 def _eigvecs(dirs: np.ndarray, twice_s: int) -> np.ndarray:
-    """Eigenvector columns of S.n per direction, eigenvalues ascending; (n, d, d)."""
+    """Eigenvector columns of S.n per direction, eigenvalues ascending; (n, d, d).
+
+    Raises InvalidSpecError unless every direction is a unit vector.
+    """
+    norms = np.linalg.norm(dirs, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
+    if bad.size:
+        raise InvalidSpecError(f"spin direction {dirs[bad[0]].tolist()} has norm "
+                               f"{norms[bad[0]]:.17g}; record directions must be unit vectors")
     sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
     mats = dirs[:, 0, None, None] * sx + dirs[:, 1, None, None] * sy + dirs[:, 2, None, None] * sz
     return np.linalg.eigh(mats)[1]

@@ -10,7 +10,7 @@ stacks.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -77,16 +77,9 @@ class SpanningSet:
     def weights(self) -> np.ndarray:
         return np.array([el.weight for el in self.elements], dtype=float)
 
-    @property
-    def labels(self) -> List[SettingLabel]:
-        return [el.label for el in self.elements]
-
     def stack(self) -> np.ndarray:
         """(|X|, d^2) array of row-major vectorized elements."""
         return np.stack([el.op.mat.reshape(-1) for el in self.elements])
-
-    def operators(self) -> List[Operator]:
-        return [el.op for el in self.elements]
 
 
 class DualSet(SpanningSet):

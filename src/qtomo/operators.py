@@ -69,12 +69,6 @@ class Operator:
     def adjoint(self) -> "Operator":
         return Operator(self.mat.conj().T)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
-
     def __add__(self, other: "Operator") -> "Operator":
         _check_dims(self, other)
         return Operator(self.mat + other.mat)
@@ -232,10 +226,7 @@ def lowering_e_minus(dim: int) -> Operator:
 
 def raising_e_plus(dim: int) -> Operator:
     """Phase raising ladder, ones on the first superdiagonal: sum |n><n+1|."""
-    m = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        m[n, n + 1] = 1.0
-    return Operator(m)
+    return lowering_e_minus(dim).adjoint()
 
 
 def fock_matrix_unit(row: int, col: int, dim: int) -> Operator:
@@ -279,7 +270,7 @@ def spin_component(twice_s: int, direction: Iterable[float]) -> Operator:
     nvec = np.asarray(tuple(direction), dtype=float)
     if nvec.shape != (3,):
         raise InvalidSpecError("spin direction must be a 3-vector")
-    if abs(np.linalg.norm(nvec) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(nvec) - 1.0) <= 1e-12:  # also refuses nan
         raise InvalidSpecError(f"spin direction must be unit length, |n| = {np.linalg.norm(nvec)}")
     sx, sy, sz = spin_matrices(twice_s)
     return Operator(nvec[0] * sx.mat + nvec[1] * sy.mat + nvec[2] * sz.mat)

@@ -26,7 +26,7 @@ from .operators import Operator, fock_matrix_unit
 from .records import Accumulator, EstimationResult, RecordBatch, estimate, walk
 from .sampler import (sample_displaced_parity, sample_homodyne, sample_kerr_phase,
                       sample_pauli, sample_spin)
-from .states import DensityMatrix
+from .states import DensityMatrix, as_matrix
 
 __all__ = [
     "EstimationResult",
@@ -219,12 +219,6 @@ def assemble_matrix(method: str, dim: int, results: Dict[Tuple[int, int], Estima
     )
 
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, (DensityMatrix, Operator)):
-        return x.mat
-    return np.asarray(x, dtype=complex)
-
-
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(mat)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
@@ -236,8 +230,8 @@ def compare_states(rho_est, rho_ref) -> Dict[str, float]:
     The estimate may be slightly non-physical; any negative eigenvalue
     mass met inside the fidelity is reported instead of silently clipped.
     """
-    a = _as_matrix(rho_est)
-    b = _as_matrix(rho_ref)
+    a = as_matrix(rho_est)
+    b = as_matrix(rho_ref)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape {a.shape} vs {b.shape}")
     a = 0.5 * (a + a.conj().T)
@@ -261,7 +255,7 @@ def nearest_physical_state(mat: Union[np.ndarray, Operator]) -> DensityMatrix:
     Eigenvalues are Euclidean-projected onto the probability simplex;
     eigenvectors are kept.
     """
-    m = _as_matrix(mat)
+    m = as_matrix(mat)
     m = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(m)
     desc = np.sort(w)[::-1]

@@ -131,15 +131,16 @@ def _homodyne_cdf_at(idx, h0: np.ndarray, hrest: np.ndarray, phases: np.ndarray)
     return vals
 
 
-def _invert_cdf_indexed(u: np.ndarray, value_at) -> Tuple[np.ndarray, np.ndarray]:
-    """Bisection over grid indices; returns the cell index and CDF at its ends."""
-    lo = np.zeros(u.size, dtype=np.int64)
-    hi = np.full(u.size, _CDF_GRID - 1, dtype=np.int64)
-    for _ in range(14):  # 2^14 > 8193: interval collapses to one cell
-        mid = (lo + hi) // 2
-        less = value_at(mid) < u
-        lo = np.where(less & (mid > lo), mid, lo)
-        hi = np.where(~less & (mid < hi), mid, hi)
+def _bisect(lo: np.ndarray, hi: np.ndarray, steps: int, below, midpoint):
+    """Halve each row's bracket [lo, hi] steps times, keeping below(lo) and not below(hi).
+
+    midpoint(lo, hi) splits a bracket; below(mid) is the per-row test CDF(mid) < target.
+    """
+    for _ in range(steps):
+        mid = midpoint(lo, hi)
+        less = below(mid)
+        lo = np.where(less, mid, lo)
+        hi = np.where(less, hi, mid)
     return lo, hi
 
 
@@ -175,7 +176,9 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
         def value_at(idx):
             return _homodyne_cdf_at(idx, h0, hrest, phases)
 
-        lo, hi = _invert_cdf_indexed(target, value_at)
+        # 2^14 > 8193: the bracket collapses to one grid cell
+        lo, hi = _bisect(np.zeros(cnt, dtype=np.int64), np.full(cnt, _CDF_GRID - 1, dtype=np.int64),
+                         14, lambda idx: value_at(idx) < target, lambda lo, hi: (lo + hi) // 2)
         c_lo = value_at(lo)
         c_hi = value_at(hi)
         frac = np.clip((target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0, 1.0)
@@ -276,13 +279,8 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
             e = np.exp(1j * phi[:, None] * ds[None, :])
             return phi / (2.0 * np.pi) + (np.einsum("gd,gd->g", c, e) - base).real / np.pi
 
-        lo = np.zeros(cnt)
-        hi = np.full(cnt, 2.0 * np.pi)
-        for _ in range(47):
-            mid = 0.5 * (lo + hi)
-            less = cdf(mid) < u
-            lo = np.where(less, mid, lo)
-            hi = np.where(less, hi, mid)
+        lo, hi = _bisect(np.zeros(cnt), np.full(cnt, 2.0 * np.pi), 47,
+                         lambda phi: cdf(phi) < u, lambda lo, hi: 0.5 * (lo + hi))
         phi = 0.5 * (lo + hi)
         return ps[:, None], phi
 

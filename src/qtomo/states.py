@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidSpecError, TruncationError
 from .operators import Operator, SqueezeParams, spin_component
 
-__all__ = ["DensityMatrix", "StateSpec", "make_state"]
+__all__ = ["DensityMatrix", "StateSpec", "as_matrix", "make_state"]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -52,6 +52,13 @@ class DensityMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(dim={self.dim})"
+
+
+def as_matrix(x) -> np.ndarray:
+    """The matrix of a DensityMatrix or an Operator; any other input as a complex array."""
+    if isinstance(x, (DensityMatrix, Operator)):
+        return x.mat
+    return np.asarray(x, dtype=complex)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,6 +161,8 @@ def make_state(spec: StateSpec) -> DensityMatrix:
         return DensityMatrix(Operator(np.diag(p.astype(complex))))
 
     if kind == "random_mixed":
+        if spec.seed < 0:
+            raise InvalidSpecError(f"random_mixed seed must be >= 0, got {spec.seed}")
         rng = np.random.default_rng(spec.seed)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T

@@ -180,6 +180,18 @@ class TestReconstruct:
             assert code == 2 and "outside the proposal disk R = 4.64575" in err, err
             assert run(capsys, argv + ["--proposal-radius", "6"])[0] == 0
 
+    def test_parity_records_from_a_smaller_disk(self, capsys, tmp_path):
+        # drawn at d = 4 (R = 3.73); the default at n_max = 7 is R = 4.65
+        records = tmp_path / "parity.csv"
+        assert run(capsys, ["sample", "--method", "parity", "--dim", "4", "--shots", "500",
+                            "--seed", "3", "--out", str(records)])[0] == 0
+        for extra in ([], ["--observable", "identity"]):
+            argv = ["reconstruct", "--method", "parity", "--records", str(records),
+                    "--out", str(tmp_path / "x.json"), *extra]
+            code, _, err = run(capsys, argv + ["--n-max", "7"])
+            assert code == 2 and "smaller proposal radius" in err and "R = 4.64575" in err, err
+            assert run(capsys, argv + ["--n-max", "3"])[0] == 0
+
     def test_quorum_mismatch(self, capsys, tmp_path):
         records = tmp_path / "spin.csv"
         assert run(capsys, ["sample", "--method", "spin", "--s", "0.5",
@@ -292,6 +304,30 @@ BAD_INPUTS = {
     "kernels-phi-nan": (
         ["kernels", "eval", "--family", "homodyne", "--observable", "number", "--dim", "4",
          "--phi", "nan"], "--phi"),
+    **{f"{command}-s-{s}": (argv + ["--s", s], "spin s")
+       for s in ("nan", "inf")
+       for command, argv in (
+           ("state", ["state", "--kind", "spin_pure", "--direction", "0,0,1"]),
+           ("sample", ["sample", "--method", "spin", "--shots", "10", "--seed", "1"]),
+           ("reconstruct", ["reconstruct", "--method", "spin", "--records",
+                            "{tmp}/homodyne.csv"]),
+           ("kernels", ["kernels", "eval", "--family", "spin", "--observable", "identity"]))},
+    "random-mixed-seed-minus-1": (
+        ["state", "--kind", "random_mixed", "--dim", "3", "--seed", "-1"], "seed"),
+    "kernels-spin-direction-nan": (
+        ["kernels", "eval", "--family", "spin", "--s", "0.5", "--observable", "identity",
+         "--direction", "nan,0,0"], "direction"),
+    "spin-pure-direction-nan": (
+        ["state", "--kind", "spin_pure", "--s", "0.5", "--direction", "nan,0,1"], "direction"),
+    "quadrature-nan": (
+        ["reconstruct", "--method", "homodyne", "--records", "{tmp}/homodyne.csv",
+         "--n-max", "3", "--observable", "quadrature:nan"], "quadrature:nan"),
+    "quadrature-inf": (
+        ["reconstruct", "--method", "homodyne", "--records", "{tmp}/homodyne.csv",
+         "--n-max", "3", "--observable", "quadrature:inf"], "quadrature:inf"),
+    "spin-record-direction-not-unit": (
+        ["reconstruct", "--method", "spin", "--s", "0.5", "--records", "{tmp}/spin-zero.csv"],
+        "unit vectors"),
 }
 
 
@@ -310,6 +346,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
         "quorum,s1,s2,s3,o1\npauli,0,,,0.5\npauli,1,,,-0.5\npauli,2,,,0.5\n")
     (tmp_path / "homodyne.csv").write_text(
         "quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,0.1,,,-0.3\n")
+    (tmp_path / "spin-zero.csv").write_text(
+        "quorum,s1,s2,s3,o1\nspin,0,0,1,0.5\nspin,0,0,0,0.5\n")
     argv, word = BAD_INPUTS[case]
     argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
     code, _, err = run(capsys, argv)

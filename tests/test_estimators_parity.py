@@ -93,6 +93,27 @@ class TestEstimate:
         with pytest.raises(UsageError, match="parity record 1: .* R = 4.64575"):
             reconstruct_matrix(beyond, "parity", dim - 1, cfg=cfg)
 
+    def test_records_from_a_smaller_disk_refused(self):
+        # drawn on the default disk at d = 4 (R = 3.73), weighted as if drawn at d = 8 (R = 4.65)
+        rho = make_state(StateSpec(kind="fock", dim=4, n=0))
+        records = sample_displaced_parity(rho, 500, RngStream(seed=7), EstimatorConfig(dim=4))
+        reconstruct_matrix(records, "parity", 3, cfg=EstimatorConfig(dim=4))
+        cfg = EstimatorConfig(dim=8)
+        message = r"max \|b\| = 3\.7\d* of the proposal disk R = 4\.64575.* smaller proposal"
+        with pytest.raises(UsageError, match=message):
+            parity_estimate(identity(8), records, cfg)
+        with pytest.raises(UsageError, match=message):
+            reconstruct_matrix(records, "parity", 7, cfg=cfg)
+
+    def test_rim_check_needs_more_than_twenty_records(self):
+        # the rim is R (1 - 20/N): at N = 20 it is the centre, so no record can miss it
+        cfg = EstimatorConfig(dim=8)
+        near = RecordBatch("parity", [[0.1, 0.0]] * 20, [1.0, -1.0] * 10)
+        parity_estimate(identity(8), near, cfg)
+        one_more = RecordBatch("parity", [[0.1, 0.0]] * 21, [1.0, -1.0] * 10 + [1.0])
+        with pytest.raises(UsageError, match="smaller proposal radius"):
+            parity_estimate(identity(8), one_more, cfg)
+
 
 class TestExactElement:
     def test_coherent_low_corner(self):

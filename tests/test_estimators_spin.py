@@ -12,6 +12,7 @@ from qtomo.estimators import (
     spin_quadrature_expectation,
 )
 from qtomo.operators import Operator, identity, pauli, spin_matrices
+from qtomo.recon import reconstruct_matrix
 from qtomo.records import RecordBatch
 from qtomo.sampler import RngStream, sample_pauli, sample_spin
 from qtomo.states import DensityMatrix, StateSpec, make_state
@@ -109,6 +110,19 @@ class TestSpinEstimate:
             target = np.trace(a.mat @ rho.mat)
             got = spin_quadrature_expectation(a, rho, twice_s)
             assert abs(got - target) <= 1e-9
+
+    @pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (0.0, 0.0, -2.0), (0.6, 0.0, 0.8001)])
+    def test_non_unit_record_direction_rejected(self, direction):
+        # unchecked, (0, 0, 0) gives <I> = 1 +- 0 and (0, 0, -2) at m = +1/2 gives <0|rho|0> = -1
+        records = RecordBatch("spin", [Z_AXIS, direction], [0.5, 0.5])
+        with pytest.raises(InvalidSpecError, match="must be unit vectors"):
+            spin_estimate(identity(2), records, 1)
+        with pytest.raises(InvalidSpecError, match="must be unit vectors"):
+            reconstruct_matrix(records, "spin", 1, twice_s=1)
+
+    def test_nan_direction_rejected(self):
+        with pytest.raises(InvalidSpecError, match="unit length"):
+            spin_kernel(identity(2), 0.5, (float("nan"), 0.0, 1.0), 1)
 
     def test_empty_records_rejected(self):
         with pytest.raises(UsageError):
