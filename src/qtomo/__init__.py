@@ -33,7 +33,6 @@ from .operators import Operator, hs_inner
 from .states import DensityMatrix, StateSpec, make_state
 from .frames import (
     DualSet,
-    FrameElement,
     FrameReport,
     RankReport,
     SettingLabel,
@@ -82,7 +81,6 @@ __all__ = [
     "StateSpec",
     "make_state",
     "SettingLabel",
-    "FrameElement",
     "SpanningSet",
     "DualSet",
     "FrameReport",

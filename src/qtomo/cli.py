@@ -194,10 +194,15 @@ _STATE_PARAMS = {
     "squeezed_vacuum": ("zeta", _parse_complex),
     "thermal": ("mean_n", float),
 }
+# The optional flags each kind reads (the kinds above read --param); the others must be unset.
+_STATE_FLAGS = {"random_mixed": ("seed",), "spin_pure": ("s", "direction")}
 
 
 def cmd_state(args) -> None:
     kind = args.kind
+    for flag in ("param", "seed", "s", "direction"):
+        if getattr(args, flag) is not None and flag not in _STATE_FLAGS.get(kind, ("param",)):
+            raise UsageError(f"--{flag} does not apply to --kind {kind}")
     if kind == "spin_pure":
         twice_s = _twice_s(args.s)
         dim = args.dim if args.dim is not None else twice_s + 1
@@ -208,8 +213,8 @@ def cmd_state(args) -> None:
     else:
         if args.dim is None:
             raise UsageError("--dim is required")
-        fields = {"seed": args.seed} if kind == "random_mixed" else {}
-        if args.param is not None and kind in _STATE_PARAMS:
+        fields = {"seed": args.seed} if args.seed is not None else {}
+        if args.param is not None:
             field, parse = _STATE_PARAMS[kind]
             try:
                 fields[field] = parse(args.param)
@@ -456,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "random_mixed", "spin_pure"])
     p_state.add_argument("--dim", type=int)
     p_state.add_argument("--param", help="kind-specific parameter (level, amplitude, ...)")
-    p_state.add_argument("--seed", type=int, default=0, help="seed for random_mixed")
+    p_state.add_argument("--seed", type=int, help="seed for random_mixed (default 0)")
     p_state.add_argument("--s", type=float, help="spin magnitude for spin_pure")
     p_state.add_argument("--direction", help="x,y,z axis for spin_pure")
     p_state.add_argument("--out", default="state.json")

@@ -15,8 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidSpecError, RankDeficientError
-from .frames import DualSet, FrameElement, SettingLabel, SpanningSet, irreducibility_rank
-from .operators import Operator
+from .frames import DualSet, SettingLabel, SpanningSet, irreducibility_rank
 
 __all__ = [
     "GramSchmidtTrace",
@@ -34,8 +33,8 @@ _INDEPENDENCE_RTOL = 1e-10
 class GramSchmidtTrace:
     """Intermediate products of the orthogonalization, kept for diagnostics."""
 
-    normalizers: Tuple[float, ...]
-    orthonormal: Tuple[Operator, ...]
+    normalizers: np.ndarray  # (K,)
+    orthonormal: np.ndarray  # (K, d, d)
 
 
 def gram_schmidt_dual(s: SpanningSet) -> Tuple[DualSet, GramSchmidtTrace]:
@@ -46,37 +45,27 @@ def gram_schmidt_dual(s: SpanningSet) -> Tuple[DualSet, GramSchmidtTrace]:
     columns of Q are the Gram-Schmidt orthonormal set and diag R its
     normalizers, which gives the same dual as the literal series.
     """
-    d2 = s.dim**2
-    if len(s) != d2:
-        raise InvalidSpecError(f"need exactly {d2} elements for a basis, got {len(s)}")
+    d = s.dim
+    if len(s) != d * d:
+        raise InvalidSpecError(f"need exactly {d * d} elements for a basis, got {len(s)}")
 
     c_stack = s.stack()  # K x d^2
     q, r = np.linalg.qr(c_stack.T)
     diag = np.abs(np.diagonal(r))
     c_norms = np.linalg.norm(c_stack, axis=1)
-    for i, el in enumerate(s.elements):
+    for i, label in enumerate(s.labels):
         if c_norms[i] == 0.0:
             raise RankDeficientError(f"element {i} is the zero operator")
         if diag[i] < _INDEPENDENCE_RTOL * c_norms[i]:
-            raise RankDeficientError(
-                f"element {i} ({el.label}) is dependent on its predecessors"
-            )
+            raise RankDeficientError(f"element {i} ({label}) is dependent on its predecessors")
     phase = np.diagonal(r) / diag
     q = q * phase[None, :]
     r = r / phase[:, None]
 
     # plain dual: rows of inv(R)^* Q^T satisfy <B_m, C_n> = delta_mn
     b_plain = np.linalg.solve(r.conj(), q.T)  # K x d^2, row m = vec(plain B_m)
-    w = s.weights
-    b_elements = [
-        FrameElement(el.label, el.weight, Operator((b_plain[i] / w[i]).reshape(s.dim, s.dim)))
-        for i, el in enumerate(s.elements)
-    ]
-    trace = GramSchmidtTrace(
-        normalizers=tuple(float(x) for x in diag),
-        orthonormal=tuple(Operator(q[:, i].reshape(s.dim, s.dim)) for i in range(d2)),
-    )
-    return DualSet(s.dim, b_elements), trace
+    dual = DualSet((b_plain / s.weights[:, None]).reshape(-1, d, d), s.weights, s.labels)
+    return dual, GramSchmidtTrace(normalizers=diag, orthonormal=q.T.reshape(-1, d, d))
 
 
 def pseudoinverse_dual(s: SpanningSet) -> DualSet:
@@ -90,11 +79,7 @@ def pseudoinverse_dual(s: SpanningSet) -> DualSet:
     w = s.weights
     frame_op = (w[:, None] * c_stack).T @ c_stack.conj()
     b_stack = np.linalg.solve(frame_op, c_stack.T).T
-    b_elements = [
-        FrameElement(el.label, el.weight, Operator(b_stack[i].reshape(s.dim, s.dim)))
-        for i, el in enumerate(s.elements)
-    ]
-    return DualSet(s.dim, b_elements)
+    return DualSet(b_stack.reshape(-1, s.dim, s.dim), w, s.labels)
 
 
 def weigert_spin_quorum(twice_s: int, directions: Sequence[Sequence[float]]) -> SpanningSet:
@@ -106,19 +91,9 @@ def weigert_spin_quorum(twice_s: int, directions: Sequence[Sequence[float]]) -> 
     dirs = [tuple(float(x) for x in v) for v in directions]
     if len(dirs) != need:
         raise InvalidSpecError(f"spin s={twice_s/2} needs {need} directions, got {len(dirs)}")
-    elements = []
-    for j, nvec in enumerate(dirs):
-        sn = spin_component(twice_s, nvec)
-        _, v = np.linalg.eigh(sn.mat)
-        top = v[:, -1]
-        elements.append(
-            FrameElement(
-                SettingLabel("weigert", nvec),
-                1.0,
-                Operator(np.outer(top, top.conj())),
-            )
-        )
-    return SpanningSet(d, elements)
+    tops = [np.linalg.eigh(spin_component(twice_s, nvec).mat)[1][:, -1] for nvec in dirs]
+    projectors = [np.outer(top, top.conj()) for top in tops]
+    return SpanningSet(projectors, np.ones(need), [SettingLabel("weigert", n) for n in dirs])
 
 
 def spiral_directions(count: int) -> List[Tuple[float, float, float]]:

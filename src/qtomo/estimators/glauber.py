@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionMismatchError, RankDeficientError
-from ..frames import FrameElement, SettingLabel, SpanningSet
+from ..frames import SettingLabel, SpanningSet
 from ..operators import Operator
 from . import _cahill
 from .config import EstimatorConfig
@@ -63,15 +63,9 @@ def displacement_grid_set(cfg: EstimatorConfig) -> SpanningSet:
     Elements are the exact matrix blocks of the full displacement operator,
     not exponentials of the truncated ladder (those span strictly less).
     """
-    dim = cfg.dim
     _, alphas, wt = _grid(cfg)
-    els = []
-    for i in range(0, alphas.size, _GRID_CHUNK):
-        blk = _cahill.disp_stack(alphas[i : i + _GRID_CHUNK], dim)
-        for j, al in enumerate(alphas[i : i + _GRID_CHUNK]):
-            label = SettingLabel("weyl", (float(al.real), float(al.imag)))
-            els.append(FrameElement(label, float(wt), Operator(blk[j])))
-    return SpanningSet(dim, els)
+    labels = [SettingLabel("weyl", (al.real, al.imag)) for al in alphas.tolist()]
+    return SpanningSet(_cahill.disp_stack(alphas, cfg.dim), np.full(alphas.size, wt), labels)
 
 
 def fock_envelope(dim: int, sigma: float = _ENVELOPE_SIGMA) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Liouville-space view of operator families.
 
 A spanning set {C_x} with positive weights w_x realizes the measure of a
-tomographic resolution sum. Operators are vectorized row-major; the inner
+tomographic resolution sum. A spanning set is one (K, d, d) stack with K
+weights and labels. Operators are vectorized row-major; the inner
 product on the vectorized space is then exactly the Hilbert-Schmidt one,
 so frame checks reduce to small dense linear algebra on (d^2 x |X|)
 stacks.
@@ -19,7 +20,6 @@ from .operators import Operator, hs_norm
 
 __all__ = [
     "SettingLabel",
-    "FrameElement",
     "SpanningSet",
     "DualSet",
     "FrameReport",
@@ -45,41 +45,41 @@ class SettingLabel:
         object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class FrameElement:
-    label: SettingLabel
-    weight: float
-    op: Operator
-
-    def __post_init__(self) -> None:
-        if not (self.weight > 0):
-            raise InvalidSpecError(f"frame weight must be positive, got {self.weight}")
-
-
 class SpanningSet:
-    """An ordered, weighted operator family on one Hilbert space."""
+    """An ordered, weighted operator family on one Hilbert space: read-only copies
+    of its (K, d, d) stack, its K weights and its K labels, checked here only."""
 
-    def __init__(self, dim: int, elements: Sequence[FrameElement]):
-        if not elements:
-            raise InvalidSpecError("spanning set needs at least one element")
-        for el in elements:
-            if el.op.dim != dim:
-                raise DimensionMismatchError(
-                    f"element {el.label} has dim {el.op.dim}, set has dim {dim}"
-                )
-        self.dim = int(dim)
-        self.elements: Tuple[FrameElement, ...] = tuple(elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+    def __init__(self, ops, weights, labels: Sequence[SettingLabel]):
+        ops = np.array(ops, dtype=complex)
+        weights = np.array(weights, dtype=float)
+        labels = tuple(labels)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or 0 in ops.shape:
+            raise InvalidSpecError(
+                f"spanning set needs a (K, d, d) stack with K, d >= 1, got shape {ops.shape}")
+        if weights.shape != (len(ops),) or len(labels) != len(ops):
+            raise DimensionMismatchError(
+                f"{len(ops)} elements need as many weights and labels, got "
+                f"{weights.size} and {len(labels)}")
+        if not np.all(np.isfinite(ops)):
+            raise InvalidSpecError("spanning set entries must be finite")
+        bad = np.flatnonzero(~((weights > 0) & (weights < np.inf)))  # also catches nan
+        if bad.size:
+            raise InvalidSpecError(f"frame weight of element {labels[bad[0]]} must be finite "
+                                   f"and > 0, got {weights[bad[0]]}")
+        ops.setflags(write=False)
+        weights.setflags(write=False)
+        self.ops, self.weights, self.labels = ops, weights, labels
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([el.weight for el in self.elements], dtype=float)
+    def dim(self) -> int:
+        return self.ops.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ops)
 
     def stack(self) -> np.ndarray:
         """(|X|, d^2) array of row-major vectorized elements."""
-        return np.stack([el.op.mat.reshape(-1) for el in self.elements])
+        return self.ops.reshape(len(self), -1)
 
 
 class DualSet(SpanningSet):
@@ -97,9 +97,9 @@ def _check_paired(s: SpanningSet, b: DualSet) -> None:
         raise DimensionMismatchError(f"set dim {s.dim} vs dual dim {b.dim}")
     if len(s) != len(b):
         raise DimensionMismatchError(f"set size {len(s)} vs dual size {len(b)}")
-    for es, eb in zip(s.elements, b.elements):
-        if es.label != eb.label or abs(es.weight - eb.weight) > 1e-12 * max(1.0, es.weight):
-            raise InvalidSpecError(f"dual element {eb.label} does not pair with {es.label}")
+    drift = np.abs(s.weights - b.weights) > 1e-12 * np.maximum(1.0, s.weights)
+    if s.labels != b.labels or np.any(drift):
+        raise InvalidSpecError("dual elements do not pair with the set's labels and weights")
 
 
 @dataclasses.dataclass(frozen=True)

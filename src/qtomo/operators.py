@@ -69,26 +69,6 @@ class Operator:
     def adjoint(self) -> "Operator":
         return Operator(self.mat.conj().T)
 
-    def __add__(self, other: "Operator") -> "Operator":
-        _check_dims(self, other)
-        return Operator(self.mat + other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _check_dims(self, other)
-        return Operator(self.mat - other.mat)
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_dims(self, other)
-        return Operator(self.mat @ other.mat)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Operator(dim={self.dim})"
 

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidSpecError
-from .frames import DualSet, FrameElement, SettingLabel, SpanningSet
+from .frames import DualSet, SettingLabel, SpanningSet
 from .operators import Operator
 from .recon import EstimationResult, ReconstructedMatrix
 from .records import FAMILIES, RecordBatch
@@ -50,20 +50,22 @@ def _entries(mat: np.ndarray) -> list:
 def _matrix_from(payload: dict) -> np.ndarray:
     dim = payload.get("dim")
     entries = payload.get("entries")
-    if not isinstance(dim, int) or dim < 1 or not isinstance(entries, list):
+    if type(dim) is not int or dim < 1 or not isinstance(entries, list):  # refuses bools
         raise InvalidSpecError("matrix document needs integer dim and an entries list")
     if len(entries) != dim * dim:
         raise InvalidSpecError(
             f"entries count {len(entries)} does not match dim^2 = {dim * dim}"
         )
     for entry in entries:
-        # a finite double each; abs() <= max also refuses NaN and ints too large for a double
-        if not (isinstance(entry, list) and len(entry) == 2 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                and abs(x) <= sys.float_info.max for x in entry)):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_finite_number, entry))):
             raise InvalidSpecError(f"matrix entry {entry!r} is not a pair of finite numbers")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(dim, dim)
+
+
+def _finite_number(x) -> bool:
+    """A JSON number that is a finite double; abs() <= max also refuses NaN and huge ints."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _load_json(path) -> dict:
@@ -114,14 +116,12 @@ def load_operator(path) -> Operator:
 
 
 def save_quorum(path, frame: SpanningSet) -> None:
-    elements = []
-    for el in frame.elements:
-        elements.append({
-            "label": {"quorum": el.label.quorum, "coords": list(el.label.coords)},
-            "weight": float(el.weight),
-            "dim": frame.dim,
-            "entries": _entries(el.op.mat),
-        })
+    elements = [{
+        "label": {"quorum": label.quorum, "coords": list(label.coords)},
+        "weight": float(weight),
+        "dim": frame.dim,
+        "entries": _entries(op),
+    } for op, weight, label in zip(frame.ops, frame.weights, frame.labels)]
     _dump_json(path, {
         "version": FORMAT_VERSION,
         "kind": "quorum",
@@ -131,25 +131,44 @@ def save_quorum(path, frame: SpanningSet) -> None:
     })
 
 
+def _quorum_element(entry, dim: int):
+    """(matrix, weight, label) of one quorum element whose fields were checked."""
+    if not isinstance(entry, dict):
+        raise InvalidSpecError("not an object")
+    label = entry.get("label", {})
+    if not isinstance(label, dict):
+        raise InvalidSpecError("label is not an object")
+    quorum, coords = label.get("quorum", ""), label.get("coords", [])
+    if not (isinstance(quorum, str) and isinstance(coords, list)
+            and all(map(_finite_number, coords))):
+        raise InvalidSpecError("label needs a string quorum and a list of finite numbers as coords")
+    weight = entry.get("weight", 1.0)
+    if not (_finite_number(weight) and weight > 0):
+        raise InvalidSpecError(f"weight must be a finite number > 0, got {weight!r}")
+    if entry.get("dim") != dim:
+        raise InvalidSpecError(f"has dim {entry.get('dim')!r}, the document has dim {dim}")
+    return _matrix_from(entry), weight, SettingLabel(quorum, coords)
+
+
 def load_quorum(path) -> SpanningSet:
     payload = _load_json(path)
     if payload.get("kind") != "quorum":
         raise InvalidSpecError(f"{path}: not a quorum document")
-    dim = payload.get("dim")
-    raw = payload.get("elements")
+    role, dim, raw = payload.get("role"), payload.get("dim"), payload.get("elements")
+    if role not in ("spanning", "dual"):
+        raise InvalidSpecError(f"{path}: quorum role must be spanning or dual, got {role!r}")
+    if type(dim) is not int or dim < 1:
+        raise InvalidSpecError(f"{path}: quorum dim must be an integer >= 1, got {dim!r}")
     if not isinstance(raw, list) or not raw:
         raise InvalidSpecError(f"{path}: quorum document needs a non-empty elements list")
     elements = []
-    for entry in raw:
-        label = entry.get("label", {})
-        elements.append(FrameElement(
-            label=SettingLabel(str(label.get("quorum", "")),
-                               tuple(label.get("coords", ()))),
-            weight=float(entry.get("weight", 1.0)),
-            op=Operator(_matrix_from(entry)),
-        ))
-    cls = DualSet if payload.get("role") == "dual" else SpanningSet
-    return cls(dim, tuple(elements))
+    for i, entry in enumerate(raw):
+        try:
+            elements.append(_quorum_element(entry, dim))
+        except InvalidSpecError as exc:
+            raise InvalidSpecError(f"{path}: element {i}: {exc}") from None
+    ops, weights, labels = zip(*elements)
+    return (DualSet if role == "dual" else SpanningSet)(np.array(ops), weights, labels)
 
 
 def records_to_csv(path, batch: RecordBatch) -> None:

@@ -1,5 +1,8 @@
 """Density matrices and the standard state zoo.
 
+A DensityMatrix is an Operator whose constructor also checks that it is
+Hermitian, of unit trace and positive semidefinite.
+
 Truncation policy: a state builder must either stay faithful inside the
 requested dimension or raise TruncationError. Coherent states require
 |beta|^2 + 4|beta| <= n_max (mean photon number plus four standard
@@ -22,16 +25,13 @@ from .operators import Operator, SqueezeParams, spin_component
 __all__ = ["DensityMatrix", "StateSpec", "as_matrix", "make_state"]
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A physical state: Hermitian, unit trace, positive semidefinite."""
-
-    op: Operator
+@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+class DensityMatrix(Operator):
+    """A physical state: an Operator that is Hermitian, unit trace, positive semidefinite."""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.op, Operator):
-            object.__setattr__(self, "op", Operator(np.asarray(self.op, dtype=complex)))
-        m = self.op.mat
+        super().__post_init__()
+        m = self.mat
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > 1e-12:
             raise InvalidSpecError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
@@ -42,21 +42,13 @@ class DensityMatrix:
         if evals.min() < -1e-10:
             raise InvalidSpecError(f"density matrix not PSD (min eigenvalue {evals.min():.3e})")
 
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(dim={self.dim})"
 
 
 def as_matrix(x) -> np.ndarray:
-    """The matrix of a DensityMatrix or an Operator; any other input as a complex array."""
-    if isinstance(x, (DensityMatrix, Operator)):
+    """The matrix of an Operator (a DensityMatrix is one); any other input as a complex array."""
+    if isinstance(x, Operator):
         return x.mat
     return np.asarray(x, dtype=complex)
 
@@ -78,7 +70,7 @@ class StateSpec:
 
 def _pure(vec: np.ndarray) -> DensityMatrix:
     vec = vec / np.linalg.norm(vec)
-    return DensityMatrix(Operator(np.outer(vec, vec.conj())))
+    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 def _coherent_amplitudes(beta: complex, dim: int) -> np.ndarray:
@@ -122,7 +114,7 @@ def make_state(spec: StateSpec) -> DensityMatrix:
         amps = _coherent_amplitudes(b, d)
         rho = np.outer(amps, amps.conj())
         rho /= np.trace(rho).real
-        return DensityMatrix(Operator(rho))
+        return DensityMatrix(rho)
 
     if kind == "squeezed_vacuum":
         from scipy.special import gammaln
@@ -158,7 +150,7 @@ def make_state(spec: StateSpec) -> DensityMatrix:
             raise TruncationError(f"thermal mean_n={nb} leaves tail mass {tail:.3e} past dim={d}")
         p = (1 - x) * x ** np.arange(d)
         p /= p.sum()
-        return DensityMatrix(Operator(np.diag(p.astype(complex))))
+        return DensityMatrix(np.diag(p.astype(complex)))
 
     if kind == "random_mixed":
         if spec.seed < 0:
@@ -167,7 +159,7 @@ def make_state(spec: StateSpec) -> DensityMatrix:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        return DensityMatrix(Operator(rho))
+        return DensityMatrix(rho)
 
     if kind == "spin_pure":
         if spec.twice_s + 1 != d:

@@ -36,7 +36,6 @@ from qtomo.estimators.spin import (
 )
 from qtomo.frames import (
     DualSet,
-    FrameElement,
     SettingLabel,
     SpanningSet,
     check_biorthogonality,
@@ -76,11 +75,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def random_basis(rng, dim):
     mats = rng.normal(size=(dim * dim, dim, dim)) + 1j * rng.normal(size=(dim * dim, dim, dim))
-    els = tuple(
-        FrameElement(SettingLabel("rand", (float(i),)), 1.0, Operator(m))
-        for i, m in enumerate(mats)
-    )
-    return SpanningSet(dim, els)
+    return SpanningSet(mats, np.ones(len(mats)),
+                       [SettingLabel("rand", (float(i),)) for i in range(len(mats))])
 
 
 def random_density(rng, dim):
@@ -105,8 +101,7 @@ def test_criterion_01_dual_basis_correctness():
         gs, _ = gram_schmidt_dual(frame)
         pinv = pseudoinverse_dual(frame)
         worst_bi = max(worst_bi, check_biorthogonality(frame, gs).max_violation)
-        for a, b in zip(gs.elements, pinv.elements):
-            worst_match = max(worst_match, float(np.max(np.abs(a.op.mat - b.op.mat))))
+        worst_match = max(worst_match, float(np.max(np.abs(gs.ops - pinv.ops))))
     elapsed = time.perf_counter() - start
     ok = worst_bi <= 1e-10 and worst_match <= 1e-9 and elapsed < 10.0
     _report(1, "dual-basis correctness", ok,
@@ -127,12 +122,10 @@ def test_criterion_02_resolution_identity():
 
 
 def test_criterion_03_counterexample_behavior():
-    projectors = tuple(
-        FrameElement(SettingLabel("proj", (float(i),)), 1.0, fock_matrix_unit(i, i, 3))
-        for i in range(3)
-    )
-    frame = SpanningSet(3, projectors)
-    dual = DualSet(3, projectors)
+    projectors = [fock_matrix_unit(i, i, 3).mat for i in range(3)]
+    labels = [SettingLabel("proj", (float(i),)) for i in range(3)]
+    frame = SpanningSet(projectors, np.ones(3), labels)
+    dual = DualSet(projectors, np.ones(3), labels)
     trace_report = check_trace_condition(frame, dual)
     rank = irreducibility_rank(frame)
     a = fock_matrix_unit(0, 1, 3)
@@ -406,15 +399,14 @@ def gell_mann_type_basis():
             mats.append(asym)
     mats.append(np.diag([1.0, -1.0, 0.0]).astype(complex) / np.sqrt(2.0))
     mats.append(np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(6.0))
-    els = tuple(FrameElement(SettingLabel("gm", (float(i),)), 1.0, Operator(m))
-                for i, m in enumerate(mats))
-    return SpanningSet(3, els)
+    return SpanningSet(mats, np.ones(len(mats)),
+                       [SettingLabel("gm", (float(i),)) for i in range(len(mats))])
 
 
 def test_criterion_11_superoperator_round_trip():
     rng = np.random.default_rng(9011)
     frame = gell_mann_type_basis()
-    dual = DualSet(frame.dim, frame.elements)  # orthonormal, so self-dual
+    dual = DualSet(frame.ops, frame.weights, frame.labels)  # orthonormal, so self-dual
     lmat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     coef = superop_matrix_elements(lmat, frame, dual)
     back = superop_reassemble(coef, frame, dual)

@@ -16,8 +16,8 @@ import qtomo
 from qtomo._parallel import CHUNK_SHOTS
 from qtomo.cli import build_parser, main
 from qtomo.dualbasis import pseudoinverse_dual, spiral_directions, weigert_spin_quorum
-from qtomo.frames import DualSet, FrameElement, SettingLabel, SpanningSet
-from qtomo.operators import Operator, fock_matrix_unit, pauli
+from qtomo.frames import DualSet, SettingLabel, SpanningSet
+from qtomo.operators import fock_matrix_unit, pauli
 from qtomo.serialize import load_quorum, load_state, records_from_csv, save_quorum
 from qtomo.states import StateSpec, make_state
 
@@ -41,12 +41,10 @@ def read_result(path):
 
 
 def write_pauli_quorum(path):
-    els = [FrameElement(SettingLabel("pauli", (float(i),)), 1.0,
-                        Operator(pauli(ax).mat / np.sqrt(2.0)))
-           for i, ax in enumerate(("x", "y", "z"))]
-    els.append(FrameElement(SettingLabel("pauli", (3.0,)), 1.0,
-                            Operator(np.eye(2, dtype=complex) / np.sqrt(2.0))))
-    save_quorum(path, SpanningSet(2, tuple(els)))
+    ops = [pauli(ax).mat / np.sqrt(2.0) for ax in ("x", "y", "z")]
+    ops.append(np.eye(2, dtype=complex) / np.sqrt(2.0))
+    save_quorum(path, SpanningSet(ops, np.ones(4),
+                                  [SettingLabel("pauli", (float(i),)) for i in range(4)]))
 
 
 class TestState:
@@ -245,6 +243,9 @@ BAD_INPUTS = {
     "state-entries-not-pairs": (
         ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/short.json",
          "--observable", "identity"], "pair of finite numbers"),
+    "state-dim-true": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/dim-true.json",
+         "--observable", "identity"], "integer dim"),
     "state-entry-beyond-double": (
         ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/huge.json",
          "--observable", "identity"], "pair of finite numbers"),
@@ -328,7 +329,54 @@ BAD_INPUTS = {
     "spin-record-direction-not-unit": (
         ["reconstruct", "--method", "spin", "--s", "0.5", "--records", "{tmp}/spin-zero.csv"],
         "unit vectors"),
+    "random-mixed-param": (
+        ["state", "--kind", "random_mixed", "--dim", "3", "--param", "5"], "--param"),
+    "fock-seed": (["state", "--kind", "fock", "--dim", "3", "--seed", "3"], "--seed"),
+    "fock-spin-flags": (
+        ["state", "--kind", "fock", "--dim", "3", "--s", "1", "--direction", "0,0,1"], "--s"),
+    "coherent-direction": (
+        ["state", "--kind", "coherent", "--dim", "3", "--direction", "0,0,1"], "--direction"),
+    "spin-pure-param": (
+        ["state", "--kind", "spin_pure", "--s", "1", "--direction", "0,0,1", "--param", "2"],
+        "--param"),
+    "spin-pure-seed": (
+        ["state", "--kind", "spin_pure", "--s", "1", "--direction", "0,0,1", "--seed", "2"],
+        "--seed"),
 }
+
+# Each malformed quorum document: its role, dim and elements, and a word its error names.
+# Element 0 is well formed; the bad field sits in element 1.
+_GOOD_ELEMENT = {"label": {"quorum": "q", "coords": [0.0]}, "weight": 1.0, "dim": 1,
+                 "entries": [[1.0, 0.0]]}
+BAD_QUORUMS = {
+    "element-not-object": ("spanning", 1, [5], "element 1"),
+    "label-not-object": ("spanning", 1, [{**_GOOD_ELEMENT, "label": "q"}], "element 1"),
+    "label-quorum-not-string": (
+        "spanning", 1, [{**_GOOD_ELEMENT, "label": {"quorum": 5, "coords": []}}], "element 1"),
+    "coords-not-list": (
+        "spanning", 1, [{**_GOOD_ELEMENT, "label": {"quorum": "q", "coords": 5}}], "element 1"),
+    "coords-not-numbers": (
+        "spanning", 1, [{**_GOOD_ELEMENT, "label": {"quorum": "q", "coords": ["a"]}}],
+        "element 1"),
+    "weight-string": ("spanning", 1, [{**_GOOD_ELEMENT, "weight": "x"}], "element 1"),
+    "weight-null": ("spanning", 1, [{**_GOOD_ELEMENT, "weight": None}], "element 1"),
+    "weight-bool": ("spanning", 1, [{**_GOOD_ELEMENT, "weight": True}], "element 1"),
+    "weight-0": ("spanning", 1, [{**_GOOD_ELEMENT, "weight": 0.0}], "element 1"),
+    # json.dumps writes inf as Infinity; the test writes it as the literal 1e400
+    "weight-beyond-double": (
+        "spanning", 1, [{**_GOOD_ELEMENT, "weight": float("inf")}], "element 1"),
+    "role-bogus": ("bogus", 1, [_GOOD_ELEMENT], "role"),
+    "dim-not-integer": ("spanning", "1", [_GOOD_ELEMENT], "dim"),
+    "element-dims-differ": (
+        "spanning", 1,
+        [{**_GOOD_ELEMENT, "dim": 2, "entries": [[0.5, 0.0], [0, 0], [0, 0], [0.5, 0.0]]}],
+        "has dim"),
+    "document-dim-differs": ("spanning", 2, [_GOOD_ELEMENT], "has dim"),
+    "element-dim-true": ("spanning", 1, [{**_GOOD_ELEMENT, "dim": True}], "element 1"),
+}
+BAD_INPUTS.update({f"quorum-{case}": (["quorum", "verify", "--quorum", f"{{tmp}}/{case}.json"],
+                                      word)
+                   for case, (_, _, _, word) in BAD_QUORUMS.items()})
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -339,6 +387,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     (tmp_path / "words.json").write_text(state(1, [["a", "b"]]))
     (tmp_path / "short.json").write_text(state(2, [[1], [0], [0], [0]]))
     (tmp_path / "huge.json").write_text(state(1, [[10**400, 0]]))
+    (tmp_path / "dim-true.json").write_text(state(True, [[1.0, 0.0]]))
     (tmp_path / "vacuum.json").write_text(state(1, [[1.0, 0.0]]))
     (tmp_path / "qubit.json").write_text(state(2, [[1.0, 0.0], [0, 0], [0, 0], [0, 0]]))
     (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
@@ -348,6 +397,10 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
         "quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,0.1,,,-0.3\n")
     (tmp_path / "spin-zero.csv").write_text(
         "quorum,s1,s2,s3,o1\nspin,0,0,1,0.5\nspin,0,0,0,0.5\n")
+    for name, (role, dim, elements, _) in BAD_QUORUMS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "version": 1, "kind": "quorum", "role": role, "dim": dim,
+            "elements": [_GOOD_ELEMENT, *elements]}).replace("Infinity", "1e400"))
     argv, word = BAD_INPUTS[case]
     argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
     code, _, err = run(capsys, argv)
@@ -582,10 +635,10 @@ class TestQuorum:
         assert stdout_value(out, "verdict") == "pass"
 
     def test_single_observable_reducible(self, capsys, tmp_path):
-        els = [FrameElement(SettingLabel("proj", (float(i),)), 1.0,
-                            fock_matrix_unit(i, i, 3)) for i in range(3)]
+        ops = [fock_matrix_unit(i, i, 3).mat for i in range(3)]
         q = tmp_path / "proj.json"
-        save_quorum(q, SpanningSet(3, tuple(els)))
+        save_quorum(q, SpanningSet(ops, np.ones(3),
+                                   [SettingLabel("proj", (float(i),)) for i in range(3)]))
         code, out, _ = run(capsys, ["quorum", "verify", "--quorum", str(q)])
         assert code == 0
         assert stdout_value(out, "verdict") == "reducible"
@@ -600,15 +653,15 @@ class TestQuorum:
         assert code == 0
         assert "irreducible" in out
         dual = load_quorum(dual_path)
-        assert isinstance(dual, DualSet) and len(dual.elements) == 9
+        assert isinstance(dual, DualSet) and len(dual) == 9
 
     def test_overcomplete_dual_is_canonical(self, capsys, tmp_path):
         q = tmp_path / "pauli.json"
         write_pauli_quorum(q)
         frame = load_quorum(q)
-        first = frame.elements[0]
-        over = SpanningSet(2, (FrameElement(first.label, 0.5, first.op),
-                               *frame.elements[1:], FrameElement(first.label, 0.5, first.op)))
+        order = [0, 1, 2, 3, 0]
+        over = SpanningSet(frame.ops[order], [0.5, 1.0, 1.0, 1.0, 0.5],
+                           [frame.labels[i] for i in order])
         save_quorum(q, over)
         dual_path = tmp_path / "dual.json"
         code, _, err = run(capsys, ["quorum", "dual", "--quorum", str(q),
@@ -616,6 +669,44 @@ class TestQuorum:
         assert code == 0, err
         assert np.allclose(load_quorum(dual_path).stack(), pseudoinverse_dual(over).stack(),
                            atol=1e-12)
+
+    # The SHA-256 of the dual that `quorum dual` writes, one set per route: a weighted
+    # random basis (Gram-Schmidt), an overcomplete set (pseudoinverse) and a Weigert
+    # spin quorum. They are the oracle for refactors of the frame code: they must not move.
+    PINNED_DUALS = {
+        "weighted-basis-d3":
+            "2351208d89ce1c1c163f9ebdb0b169ac393116bcd8a18636a89fd229f53e4361",
+        "overcomplete-12-d3":
+            "0ff105c1ce28a8b89f7f6883d3edd95ad4f6e51b73df6490e5a5f501ad280478",
+        "weigert-s1":
+            "bd9a7b65fac615b0545408b71f7f17c1a030020280cdc2a9b418e054d52da786",
+    }
+
+    @staticmethod
+    def write_quorum(path, name):
+        if name == "weigert-s1":
+            save_quorum(path, weigert_spin_quorum(2, spiral_directions(9)))
+            return
+        rng = np.random.default_rng(4100)
+        count = 9 if name == "weighted-basis-d3" else 12
+        mats = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+        weights = rng.uniform(0.2, 3.0, count)
+        path.write_text(json.dumps({
+            "version": 1, "kind": "quorum", "role": "spanning", "dim": 3,
+            "elements": [{"label": {"quorum": "rand", "coords": [float(i)]},
+                          "weight": float(w), "dim": 3,
+                          "entries": [[float(z.real), float(z.imag)] for z in m.ravel()]}
+                         for i, (m, w) in enumerate(zip(mats, weights))]}))
+
+    @pytest.mark.parametrize("name", list(PINNED_DUALS))
+    def test_quorum_dual_bytes_are_pinned(self, capsys, tmp_path, name):
+        q = tmp_path / "quorum.json"
+        self.write_quorum(q, name)
+        dual_path = tmp_path / "dual.json"
+        code, _, err = run(capsys, ["quorum", "dual", "--quorum", str(q),
+                                    "--out", str(dual_path)])
+        assert code == 0, err
+        assert hashlib.sha256(dual_path.read_bytes()).hexdigest() == self.PINNED_DUALS[name]
 
 
 class TestKernels:

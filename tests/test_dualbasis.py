@@ -11,7 +11,6 @@ from qtomo.dualbasis import (
 )
 from qtomo.errors import InvalidSpecError, RankDeficientError
 from qtomo.frames import (
-    FrameElement,
     SettingLabel,
     SpanningSet,
     check_biorthogonality,
@@ -23,14 +22,9 @@ N_RECON_OPS = 20
 RECON_TOL = 1e-9
 
 
-def make_set(mats, weights=None, dim=None, quorum="test"):
-    dim = dim if dim is not None else mats[0].shape[0]
+def make_set(mats, weights=None, quorum="test"):
     weights = weights if weights is not None else [1.0] * len(mats)
-    els = [
-        FrameElement(SettingLabel(quorum, (float(i),)), float(w), Operator(np.asarray(m, dtype=complex)))
-        for i, (m, w) in enumerate(zip(mats, weights))
-    ]
-    return SpanningSet(dim, els)
+    return SpanningSet(mats, weights, [SettingLabel(quorum, (float(i),)) for i in range(len(mats))])
 
 
 def pauli_basis_mats():
@@ -56,8 +50,8 @@ def assert_reconstructs(s, dual, rng, tol=RECON_TOL):
     for _ in range(N_RECON_OPS):
         a = rng.standard_normal((s.dim, s.dim)) + 1j * rng.standard_normal((s.dim, s.dim))
         rec = sum(
-            wx * hs_inner(bel.op, Operator(a)) * cel.op.mat
-            for wx, bel, cel in zip(w, dual.elements, s.elements)
+            wx * hs_inner(Operator(b), Operator(a)) * c
+            for wx, b, c in zip(w, dual.ops, s.ops)
         )
         assert np.max(np.abs(rec - a)) <= tol * max(1.0, np.max(np.abs(a)))
 
@@ -66,8 +60,8 @@ class TestGramSchmidt:
     def test_orthonormal_input_is_self_dual(self):
         s = make_set(pauli_basis_mats())
         dual, trace = gram_schmidt_dual(s)
-        for bel, cel in zip(dual.elements, s.elements):
-            assert np.max(np.abs(bel.op.mat - cel.op.mat)) <= 1e-14
+        for b, c in zip(dual.ops, s.ops):
+            assert np.max(np.abs(b - c)) <= 1e-14
         assert np.allclose(trace.normalizers, 1.0, atol=1e-14)
 
     def test_skewed_basis_matches_pseudoinverse(self):
@@ -92,7 +86,7 @@ class TestGramSchmidt:
         rng = np.random.default_rng(31)
         s = random_basis(rng, 3)
         _, trace = gram_schmidt_dual(s)
-        y = np.array([op.mat.ravel() for op in trace.orthonormal])
+        y = trace.orthonormal.reshape(9, -1)
         gram = y.conj() @ y.T
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
 
@@ -100,7 +94,7 @@ class TestGramSchmidt:
         rng = np.random.default_rng(32)
         s = random_basis(rng, 2)
         _, trace = gram_schmidt_dual(s)
-        c0 = s.elements[0].op
+        c0 = Operator(s.ops[0])
         assert trace.normalizers[0] == pytest.approx(np.sqrt(hs_inner(c0, c0).real), abs=1e-12)
 
 
@@ -115,7 +109,7 @@ class TestPseudoinverse:
     def test_reducible_input_rejected(self):
         mats = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
         with pytest.raises(RankDeficientError):
-            pseudoinverse_dual(make_set(mats, dim=3))
+            pseudoinverse_dual(make_set(mats))
 
 
 class TestWeigertQuorum:
@@ -164,7 +158,7 @@ class TestReconstructionIdentity:
         rng = np.random.default_rng(35)
         s = random_basis(rng, 2)
         perm = [2, 0, 3, 1]
-        s_perm = SpanningSet(2, [s.elements[i] for i in perm])
+        s_perm = SpanningSet(s.ops[perm], s.weights[perm], [s.labels[i] for i in perm])
         _, tr_a = gram_schmidt_dual(s)
         dual_b, tr_b = gram_schmidt_dual(s_perm)
         assert not np.allclose(tr_a.normalizers, tr_b.normalizers)

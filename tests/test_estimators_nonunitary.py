@@ -17,7 +17,7 @@ from qtomo.states import DensityMatrix, StateSpec, make_state
 def random_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(Operator(m / np.trace(m)))
+    return DensityMatrix(m / np.trace(m))
 
 
 class TestLadderFamily:
@@ -66,7 +66,7 @@ class TestPhaseTrace:
     def test_equal_superposition(self):
         v = np.zeros(8, dtype=complex)
         v[0] = v[1] = 1.0 / np.sqrt(2.0)
-        rho = DensityMatrix(Operator(np.outer(v, v.conj())))
+        rho = DensityMatrix(np.outer(v, v.conj()))
         assert nonunitary_phase_trace(rho, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_routes_agree_on_random_states(self):

@@ -36,7 +36,7 @@ def psi_integral_oracle(a_mat, m, direction, twice_s, n_psi=2048):
 def random_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(Operator(m / np.trace(m)))
+    return DensityMatrix(m / np.trace(m))
 
 
 class TestKernel:
@@ -144,7 +144,7 @@ class TestPauliEstimate:
         assert res.std_error == 0.0
 
     def test_maximally_mixed_sigma_x(self):
-        rho = DensityMatrix(Operator(np.eye(2, dtype=complex) / 2.0))
+        rho = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
         records = sample_pauli(rho, 30_000, RngStream(305))
         res = pauli_estimate(pauli("x"), records)
         assert abs(res.mean) <= 5 * res.std_error

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from qtomo.dualbasis import pseudoinverse_dual
-from qtomo.errors import DimensionMismatchError
+from qtomo.errors import DimensionMismatchError, InvalidSpecError
 from qtomo.estimators import EstimatorConfig
 from qtomo.estimators.glauber import displacement_grid_set
 from qtomo.frames import (
     DualSet,
-    FrameElement,
     SettingLabel,
     SpanningSet,
     check_biorthogonality,
@@ -26,31 +25,59 @@ from qtomo.operators import Operator, fock_matrix_unit, identity, pauli
 def normalized_pauli_set():
     """Orthonormal self-dual basis {sx, sy, sz, I} / sqrt(2), unit weights."""
     ops = [pauli("x"), pauli("y"), pauli("z"), identity(2)]
-    els = [
-        FrameElement(SettingLabel("pauli", (float(i),)), 1.0, Operator(op.mat / np.sqrt(2)))
-        for i, op in enumerate(ops)
-    ]
-    return SpanningSet(2, els)
+    return SpanningSet([op.mat / np.sqrt(2) for op in ops], np.ones(4), labels("pauli", 4))
+
+
+def labels(quorum, count):
+    return [SettingLabel(quorum, (float(i),)) for i in range(count)]
 
 
 def as_dual(s):
-    return DualSet(s.dim, s.elements)
+    return DualSet(s.ops, s.weights, s.labels)
 
 
 def single_observable_projectors(dim=3):
-    els = [
-        FrameElement(SettingLabel("proj", (float(i),)), 1.0, fock_matrix_unit(i, i, dim))
-        for i in range(dim)
-    ]
-    return SpanningSet(dim, els)
+    ops = [fock_matrix_unit(i, i, dim).mat for i in range(dim)]
+    return SpanningSet(ops, np.ones(dim), labels("proj", dim))
 
 
 def random_basis(rng, dim, quorum="rnd"):
-    els = []
-    for i in range(dim * dim):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        els.append(FrameElement(SettingLabel(quorum, (float(i),)), 1.0, Operator(m)))
-    return SpanningSet(dim, els)
+    ops = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+           for _ in range(dim * dim)]
+    return SpanningSet(ops, np.ones(dim * dim), labels(quorum, dim * dim))
+
+
+class TestSpanningSetChecks:
+    def test_wrong_shape_rejected(self):
+        for ops in (np.zeros((4, 2, 3)), np.zeros((2, 2)), np.zeros((0, 2, 2))):
+            with pytest.raises(InvalidSpecError):
+                SpanningSet(ops, np.ones(len(ops)), labels("q", len(ops)))
+
+    def test_label_count_must_match(self):
+        s = normalized_pauli_set()
+        with pytest.raises(DimensionMismatchError):
+            SpanningSet(s.ops, s.weights, s.labels[:3])
+
+    def test_non_finite_entry_rejected(self):
+        ops = normalized_pauli_set().ops.copy()
+        ops[2, 0, 1] = complex(0.0, np.inf)
+        with pytest.raises(InvalidSpecError):
+            SpanningSet(ops, np.ones(4), labels("pauli", 4))
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+    def test_weight_must_be_finite_and_positive(self, weight):
+        weights = np.ones(4)
+        weights[2] = weight
+        with pytest.raises(InvalidSpecError, match=r"coords=\(2\.0,\)"):
+            SpanningSet(normalized_pauli_set().ops, weights, labels("pauli", 4))
+
+    def test_arrays_are_read_only_copies(self):
+        ops = normalized_pauli_set().ops.copy()
+        s = SpanningSet(ops, np.ones(4), labels("pauli", 4))
+        ops[0] = 0.0
+        assert np.all(s.ops[0] == normalized_pauli_set().ops[0])
+        assert not s.ops.flags.writeable and not s.weights.flags.writeable
+        assert np.shares_memory(s.stack(), s.ops)
 
 
 class TestBiorthogonality:
@@ -62,7 +89,7 @@ class TestBiorthogonality:
 
     def test_missing_element_fails(self):
         s = normalized_pauli_set()
-        short = SpanningSet(2, s.elements[:3])
+        short = SpanningSet(s.ops[:3], s.weights[:3], s.labels[:3])
         report = check_biorthogonality(short, as_dual(short))
         assert not report.passed
 
@@ -84,8 +111,8 @@ class TestBiorthogonality:
         w = s.weights
         for _ in range(20):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            coef = [wx * np.vdot(el.op.mat, a) for wx, el in zip(w, dual.elements)]
-            rec = sum(c * el.op.mat for c, el in zip(coef, s.elements))
+            coef = [wx * np.vdot(b, a) for wx, b in zip(w, dual.ops)]
+            rec = sum(c * op for c, op in zip(coef, s.ops))
             assert np.max(np.abs(rec - a)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
 
     def test_frame_change_preserves_verdict(self):
@@ -99,14 +126,8 @@ class TestBiorthogonality:
         b_stack = b.stack()
         new_c = t @ c_stack
         new_b = tinv.conj().T @ b_stack
-        s2 = SpanningSet(2, [
-            FrameElement(el.label, el.weight, Operator(new_c[i].reshape(2, 2)))
-            for i, el in enumerate(s.elements)
-        ])
-        b2 = DualSet(2, [
-            FrameElement(el.label, el.weight, Operator(new_b[i].reshape(2, 2)))
-            for i, el in enumerate(b.elements)
-        ])
+        s2 = SpanningSet(new_c.reshape(4, 2, 2), s.weights, s.labels)
+        b2 = DualSet(new_b.reshape(4, 2, 2), b.weights, b.labels)
         assert check_biorthogonality(s2, b2, tol=1e-9).passed
 
 
@@ -133,10 +154,7 @@ class TestTraceCondition:
         while abs(np.linalg.det(t)) < 1e-3:
             t = rng.standard_normal((4, 4))
         mixed = t @ base.stack()
-        s = SpanningSet(2, [
-            FrameElement(el.label, el.weight, Operator(mixed[i].reshape(2, 2)))
-            for i, el in enumerate(base.elements)
-        ])
+        s = SpanningSet(mixed.reshape(4, 2, 2), base.weights, base.labels)
         dual = pseudoinverse_dual(s)
         gram = dual.stack().conj() @ s.stack().T
         report = check_trace_condition(s, dual, kernel=gram)
@@ -163,10 +181,7 @@ class TestIrreducibility:
         rng = np.random.default_rng(24)
         s = random_basis(rng, 3)
         scales = rng.uniform(0.1, 10.0, len(s)) * np.exp(2j * np.pi * rng.uniform(size=len(s)))
-        scaled = SpanningSet(3, [
-            FrameElement(el.label, el.weight, Operator(c * el.op.mat))
-            for c, el in zip(scales, s.elements)
-        ])
+        scaled = SpanningSet(scales[:, None, None] * s.ops, s.weights, s.labels)
         assert irreducibility_rank(scaled).rank == irreducibility_rank(s).rank
 
 

@@ -7,7 +7,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from qtomo.errors import TruncationError, UsageError
 from qtomo.estimators import EstimatorConfig
-from qtomo.operators import Operator
 from qtomo.sampler import (
     RngStream,
     _cumulative_trapezoid,
@@ -63,7 +62,7 @@ class TestHomodyne:
         assert phis.min() >= 0.0 and phis.max() < np.pi
 
     def test_leaking_state_rejected(self):
-        rho = DensityMatrix(Operator(np.eye(4, dtype=complex) / 4.0))
+        rho = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
         with pytest.raises(TruncationError):
             sample_homodyne(rho, 100, RngStream(505), EstimatorConfig(dim=4))
 
@@ -99,7 +98,7 @@ class TestHomodyne:
 class TestSpin:
     def test_maximally_mixed_uniform_outcomes(self):
         twice_s = 3
-        rho = DensityMatrix(Operator(np.eye(4, dtype=complex) / 4.0))
+        rho = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
         ms = outcomes(sample_spin(rho, twice_s, 100_000, RngStream(511)))
         counts = [np.count_nonzero(ms == m) for m in (-1.5, -0.5, 0.5, 1.5)]
         assert sum(counts) == ms.size
@@ -162,7 +161,7 @@ class TestKerrPhase:
         dim = 6
         v = np.zeros(dim, dtype=complex)
         v[0] = v[1] = 1.0 / np.sqrt(2.0)
-        rho = DensityMatrix(Operator(np.outer(v, v.conj())))
+        rho = DensityMatrix(np.outer(v, v.conj()))
         shots = 100_000
         recs = sample_kerr_phase(rho, shots, RngStream(532), EstimatorConfig(dim=dim))
         x = np.mod(outcomes(recs) + settings(recs), 2.0 * np.pi)

@@ -7,7 +7,7 @@ import pytest
 
 from qtomo.errors import InvalidSpecError
 from qtomo.estimators import EstimatorConfig
-from qtomo.frames import DualSet, FrameElement, SettingLabel, SpanningSet
+from qtomo.frames import DualSet, SettingLabel, SpanningSet
 from qtomo.operators import Operator, pauli
 from qtomo.recon import reconstruct_matrix
 from qtomo.records import RecordBatch
@@ -33,15 +33,10 @@ from qtomo.states import StateSpec, make_state
 
 
 def pauli_quorum():
-    els = []
-    for i, ax in enumerate(("x", "y", "z")):
-        els.append(FrameElement(
-            SettingLabel("pauli", (float(i),)), 0.5, Operator(pauli(ax).mat / np.sqrt(2.0)),
-        ))
-    els.append(FrameElement(
-        SettingLabel("pauli", (3.0,)), 1.0, Operator(np.eye(2, dtype=complex) / np.sqrt(2.0)),
-    ))
-    return SpanningSet(2, tuple(els))
+    ops = [pauli(ax).mat / np.sqrt(2.0) for ax in ("x", "y", "z")]
+    ops.append(np.eye(2, dtype=complex) / np.sqrt(2.0))
+    return SpanningSet(ops, [0.5, 0.5, 0.5, 1.0],
+                       [SettingLabel("pauli", (float(i),)) for i in range(4)])
 
 
 class TestStateAndOperator:
@@ -103,15 +98,14 @@ class TestQuorum:
         save_quorum(p, frame)
         out = load_quorum(p)
         assert isinstance(out, SpanningSet) and not isinstance(out, DualSet)
-        assert out.dim == 2 and len(out.elements) == 4
-        for a, b in zip(out.elements, frame.elements):
-            assert a.label == b.label
-            assert a.weight == b.weight
-            assert np.array_equal(a.op.mat, b.op.mat)
+        assert out.dim == 2 and len(out) == 4
+        assert out.labels == frame.labels
+        assert np.array_equal(out.weights, frame.weights)
+        assert np.array_equal(out.ops, frame.ops)
 
     def test_dual_role_preserved(self, tmp_path):
         frame = pauli_quorum()
-        dual = DualSet(frame.dim, frame.elements)
+        dual = DualSet(frame.ops, frame.weights, frame.labels)
         p = tmp_path / "dual.json"
         save_quorum(p, dual)
         assert isinstance(load_quorum(p), DualSet)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtomo.errors import InvalidSpecError, TruncationError
+from qtomo.operators import Operator
 from qtomo.states import DensityMatrix, StateSpec, make_state
 
 
@@ -113,3 +114,13 @@ def test_density_matrix_validation():
 def test_density_matrix_accepts_plain_array():
     rho = DensityMatrix(np.eye(3, dtype=complex) / 3)
     assert rho.dim == 3
+
+
+@pytest.mark.parametrize("spec", [StateSpec(kind="coherent", dim=6, beta=0.4),
+                                  StateSpec(kind="random_mixed", dim=3, seed=2)])
+def test_density_matrix_is_an_operator(spec):
+    rho = make_state(spec)
+    assert isinstance(rho, Operator)
+    assert not rho.mat.flags.writeable
+    with pytest.raises(InvalidSpecError):  # an Operator's checks run first
+        DensityMatrix(np.full((2, 2), np.nan))
