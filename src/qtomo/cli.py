@@ -8,10 +8,10 @@ deficiency, a kernel the proposal disk cuts off). With --json-errors the
 failure is also written to stderr as a one-line JSON object. File formats
 are frozen in docs/formats.md; QTOMO_THREADS caps internal parallelism.
 
-An estimator flag is offered only by the commands that read it:
---k-max and --reg-eps by reconstruct and kernels, which build the
-homodyne kernel, and --proposal-radius by sample and reconstruct, which
-draw and weight the parity displacements. What changes only roundoff is
+Each route (a command's --kind, --method or --family) reads its own flags,
+and _ROUTE_FLAGS names them. A flag its route does not read, a flag it needs
+left out, and a value that does not parse each exit 2 with one error line;
+a flag set to its default counts as unset. What changes only roundoff is
 not a flag: the nonunitary phase grid, and how quorum dual builds a dual.
 """
 
@@ -125,13 +125,20 @@ def _parse_direction(text: str) -> Tuple[float, float, float]:
         raise UsageError(f"cannot parse direction {text!r}") from None
 
 
-def _twice_s(s: Optional[float]) -> int:
-    if s is None:
-        raise UsageError("--s (spin magnitude) is required here")
+def _twice_s(text: str) -> int:
+    """argparse type of --s: the spin magnitude s, returned as the integer 2s."""
+    try:
+        s = float(text)
+    except ValueError:
+        s = math.nan
     t = round(2 * s) if math.isfinite(s) else 0
     if abs(2 * s - t) > 1e-9 or t < 1:
-        raise UsageError(f"spin s must be a positive half-integer, got {s}")
+        raise UsageError(f"spin s must be a positive half-integer, got {text}")
     return int(t)
+
+
+def _parse_squeeze(text: str) -> SqueezeParams:
+    return SqueezeParams(_parse_complex(text))
 
 
 def _parse_observable(text: str, dim: int) -> Tuple[str, Operator]:
@@ -178,13 +185,6 @@ def _maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
-def _squeeze_params(args) -> Optional[SqueezeParams]:
-    text = getattr(args, "squeeze", None)
-    if text is None:
-        return None
-    return SqueezeParams(_parse_complex(text))
-
-
 # subcommands ----------------------------------------------------------------
 
 # The StateSpec field that --param sets for each kind that takes it, and its parser.
@@ -194,25 +194,51 @@ _STATE_PARAMS = {
     "squeezed_vacuum": ("zeta", _parse_complex),
     "thermal": ("mean_n", float),
 }
-# The optional flags each kind reads (the kinds above read --param); the others must be unset.
-_STATE_FLAGS = {"random_mixed": ("seed",), "spin_pure": ("s", "direction")}
+
+# The flags each route reads ("!" = needs), beyond those that every route of its
+# command reads: --out; sample's --shots, --seed, --substream and --state; and
+# reconstruct's --observable. A route refuses every other flag listed for its
+# command, unless it is left at its default; _check_route goes in table order.
+_ROUTE_FLAGS = {
+    "state": {**dict.fromkeys(_STATE_PARAMS, "!dim param"),
+              "random_mixed": "!dim seed",
+              "spin_pure": "!s !direction dim"},
+    "sample": {"homodyne": "dim squeeze", "parity": "dim proposal_radius", "kerr": "dim",
+               "spin": "!s", "pauli": ""},
+    "reconstruct": {"homodyne": "!records !n_max k_max reg_eps squeeze",
+                    "parity": "!records !n_max proposal_radius",
+                    "kerr": "!records !n_max",
+                    "spin": "!records !s n_max",
+                    "pauli": "!records n_max",
+                    "nonunitary": "!state n_max"},
+    "kernels": {"homodyne": "!observable !dim phi k_max reg_eps grid_max points",
+                "parity": "n d grid_max points",
+                "kerr": "n d psi eps points",
+                "spin": "!s !observable direction",
+                "nonunitary": "!observable !dim n points"},
+}
+
+
+def _check_route(args, route: str) -> None:
+    """Refuse a flag the route does not read that is set, or a flag it needs that is not."""
+    routes = _ROUTE_FLAGS[args.command]
+    needs = {f.lstrip("!"): f.startswith("!") for f in routes[route].split()}
+    for flag in dict.fromkeys(f.lstrip("!") for spec in routes.values() for f in spec.split()):
+        is_set = getattr(args, flag) != args.parser.get_default(flag)
+        name = "--" + flag.replace("_", "-")
+        if is_set and flag not in needs:
+            raise UsageError(f"{name} does not apply to {route}")
+        if not is_set and needs.get(flag):
+            raise UsageError(f"{name} is required for {route}")
 
 
 def cmd_state(args) -> None:
     kind = args.kind
-    for flag in ("param", "seed", "s", "direction"):
-        if getattr(args, flag) is not None and flag not in _STATE_FLAGS.get(kind, ("param",)):
-            raise UsageError(f"--{flag} does not apply to --kind {kind}")
+    _check_route(args, kind)
     if kind == "spin_pure":
-        twice_s = _twice_s(args.s)
-        dim = args.dim if args.dim is not None else twice_s + 1
-        if args.direction is None:
-            raise UsageError("spin_pure needs --direction x,y,z")
-        spec = StateSpec(kind=kind, dim=dim, twice_s=twice_s,
-                         direction=_parse_direction(args.direction))
+        dim = args.dim if args.dim is not None else args.s + 1
+        spec = StateSpec(kind=kind, dim=dim, twice_s=args.s, direction=args.direction)
     else:
-        if args.dim is None:
-            raise UsageError("--dim is required")
         fields = {"seed": args.seed} if args.seed is not None else {}
         if args.param is not None:
             field, parse = _STATE_PARAMS[kind]
@@ -231,25 +257,25 @@ def cmd_state(args) -> None:
     print(f"rho_00 = {_fmt(rho.mat[0, 0].real)}")
 
 
-def _sample_input_state(args, method: str) -> Tuple[DensityMatrix, Optional[int]]:
+def _sample_input_state(args, method: str) -> DensityMatrix:
     """Without --state: maximally mixed for finite spins, vacuum otherwise."""
-    twice_s = _twice_s(args.s) if method == "spin" else None
     if args.state:
-        rho = load_state(args.state)
-    elif method == "spin":
-        rho = _maximally_mixed(twice_s + 1)
-    elif method == "pauli":
-        rho = _maximally_mixed(2)
-    else:
-        rho = make_state(StateSpec(kind="fock", dim=args.dim, n=0))
-    return rho, twice_s
+        return load_state(args.state)
+    if method == "spin":
+        return _maximally_mixed(args.s + 1)
+    if method == "pauli":
+        return _maximally_mixed(2)
+    return make_state(StateSpec(kind="fock", dim=args.dim, n=0))
 
 
 def cmd_sample(args) -> None:
     method = args.method
-    rho, twice_s = _sample_input_state(args, method)
+    _check_route(args, method)
+    if args.state and args.dim != args.parser.get_default("dim"):
+        raise UsageError("--dim does not apply with --state")
+    rho = _sample_input_state(args, method)
     params = method_params(method, rho.dim - 1, cfg=_make_cfg(args, rho.dim),
-                           twice_s=twice_s, squeeze=_squeeze_params(args))
+                           twice_s=args.s, squeeze=args.squeeze)
     rng = RngStream(seed=args.seed, substream=args.substream)
     records = METHODS[method].sample(rho, shots=args.shots, rng=rng, **params)
 
@@ -290,11 +316,6 @@ def _write_estimate(args, name: str, result: EstimationResult, extra: dict) -> N
 
 
 def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
-    if args.records:
-        raise UsageError("method nonunitary is an exact route from a state file; "
-                         "it takes --state, not --records")
-    if not args.state:
-        raise UsageError("method nonunitary needs --state")
     rho = load_state(args.state)
 
     if args.observable:
@@ -320,32 +341,30 @@ def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
 
 def cmd_reconstruct(args) -> None:
     method = args.method
+    _check_route(args, method)
+    if args.observable and (args.reference or args.nearest_physical):
+        flag = "--reference" if args.reference else "--nearest-physical"
+        raise UsageError(f"{flag} does not apply with --observable")
     reference = load_state(args.reference) if args.reference else None
     if method == "nonunitary":
         _reconstruct_nonunitary(args, reference)
         return
 
-    if not args.records:
-        raise UsageError("--records is required for sampled methods")
     records = records_from_csv(args.records)
-
     # Spin and Pauli fix n_max (2s and 1); the other methods need --n-max.
-    twice_s = _twice_s(args.s) if method == "spin" else None
-    n_max = args.n_max if args.n_max is not None else {"spin": twice_s, "pauli": 1}.get(method)
-    if n_max is None:
-        raise UsageError("--n-max is required for this method")
+    twice_s = args.s
+    n_max = args.n_max if args.n_max is not None else {"spin": twice_s, "pauli": 1}[method]
     cfg = _make_cfg(args, n_max + 1)
-    squeeze = _squeeze_params(args)
 
     if args.observable:
         name, a = _parse_observable(args.observable, n_max + 1)
         result = estimate_observable(records, method, a, cfg=cfg, twice_s=twice_s,
-                                     squeeze=squeeze)
+                                     squeeze=args.squeeze)
         _write_estimate(args, name, result, {"method": method})
         return
 
     _write_matrix(args, reconstruct_matrix(
-        records, method, n_max, cfg=cfg, twice_s=twice_s, squeeze=squeeze,
+        records, method, n_max, cfg=cfg, twice_s=twice_s, squeeze=args.squeeze,
         reference=reference, nearest_physical=args.nearest_physical,
     ))
 
@@ -381,11 +400,10 @@ def _write_kernel_csv(path, column: str, grid, values) -> None:
 
 def cmd_kernels(args) -> None:
     family = args.family
+    _check_route(args, family)
     points = args.points
 
     if family == "homodyne":
-        if args.observable is None or args.dim is None:
-            raise UsageError("homodyne kernel needs --observable and --dim")
         cfg = _make_cfg(args, args.dim)
         _, a = _parse_observable(args.observable, args.dim)
         q_max = args.grid_max if args.grid_max is not None else float(np.sqrt(args.dim) + 4.0)
@@ -401,6 +419,8 @@ def cmd_kernels(args) -> None:
     elif family == "kerr":
         d = args.d if args.d is not None else 1
         phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+        if d != 0 and args.eps is not None:
+            raise UsageError("--eps does not apply to an off-diagonal kernel (--d not 0)")
         if d == 0:
             if not args.eps:
                 raise UsageError("the diagonal kernel needs --eps > 0")
@@ -409,17 +429,12 @@ def cmd_kernels(args) -> None:
             vals = kerr_kernel(args.n, d, phis, args.psi)
         _write_kernel_csv(args.out, "phi", phis, vals)
     elif family == "spin":
-        twice_s = _twice_s(args.s)
-        if args.observable is None:
-            raise UsageError("spin kernel needs --observable")
+        twice_s = args.s
         _, a = _parse_observable(args.observable, twice_s + 1)
-        direction = _parse_direction(args.direction)
         ms = [j - twice_s / 2.0 for j in range(twice_s + 1)]
-        vals = [spin_kernel(a, m, direction, twice_s) for m in ms]
+        vals = [spin_kernel(a, m, args.direction, twice_s) for m in ms]
         _write_kernel_csv(args.out, "m", ms, vals)
     else:  # nonunitary
-        if args.observable is None or args.dim is None:
-            raise UsageError("nonunitary kernel needs --observable and --dim")
         _, a = _parse_observable(args.observable, args.dim)
         phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
         vals = [np.trace(a.mat @ phase_shift_ladder(args.n, phi, args.dim).mat.conj().T)
@@ -431,6 +446,13 @@ def cmd_kernels(args) -> None:
 
 
 # parser ---------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as UsageError, so that main reports it like any other."""
+
+    def error(self, message):
+        raise UsageError(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -446,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     diskp = argparse.ArgumentParser(add_help=False)
     diskp.add_argument("--proposal-radius", type=float, help="displacement proposal disk radius")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtomo",
         description="Measurement-driven state and observable estimation.",
         epilog="QTOMO_THREADS caps internal parallelism. Formats: docs/formats.md.",
@@ -462,10 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--dim", type=int)
     p_state.add_argument("--param", help="kind-specific parameter (level, amplitude, ...)")
     p_state.add_argument("--seed", type=int, help="seed for random_mixed (default 0)")
-    p_state.add_argument("--s", type=float, help="spin magnitude for spin_pure")
-    p_state.add_argument("--direction", help="x,y,z axis for spin_pure")
+    p_state.add_argument("--s", type=_twice_s, help="spin magnitude for spin_pure")
+    p_state.add_argument("--direction", type=_parse_direction, help="x,y,z axis for spin_pure")
     p_state.add_argument("--out", default="state.json")
-    p_state.set_defaults(func=cmd_state)
+    p_state.set_defaults(func=cmd_state, parser=p_state)
 
     p_sample = sub.add_parser("sample", parents=[common, diskp],
                               help="draw synthetic measurement records")
@@ -473,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--state", help="state file; default is maximally mixed (spin, "
                           "pauli) or the vacuum of dimension --dim")
     p_sample.add_argument("--dim", type=int, default=8, help="dimension without --state")
-    p_sample.add_argument("--s", type=float, help="spin magnitude (method spin)")
+    p_sample.add_argument("--s", type=_twice_s, help="spin magnitude (method spin)")
     p_sample.add_argument("--shots", type=int, required=True)
     p_sample.add_argument("--seed", type=int, required=True)
     p_sample.add_argument("--substream", type=int, default=0)
-    p_sample.add_argument("--squeeze", help="squeeze parameter (homodyne)")
+    p_sample.add_argument("--squeeze", type=_parse_squeeze, help="squeeze parameter (homodyne)")
     p_sample.add_argument("--out", default="records.csv")
-    p_sample.set_defaults(func=cmd_sample)
+    p_sample.set_defaults(func=cmd_sample, parser=p_sample)
 
     p_rec = sub.add_parser("reconstruct", parents=[common, kernelp, diskp],
                            help="estimate a matrix or a single observable from records")
@@ -488,15 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--records", help="record CSV (sampled methods)")
     p_rec.add_argument("--state", help="state file (method nonunitary)")
     p_rec.add_argument("--n-max", type=int, help="largest level index to estimate")
-    p_rec.add_argument("--s", type=float, help="spin magnitude (method spin)")
+    p_rec.add_argument("--s", type=_twice_s, help="spin magnitude (method spin)")
     p_rec.add_argument("--observable",
                        help="identity | number | quadrature:PHI | matrix_unit:K,N")
-    p_rec.add_argument("--squeeze", help="squeeze parameter (homodyne)")
+    p_rec.add_argument("--squeeze", type=_parse_squeeze, help="squeeze parameter (homodyne)")
     p_rec.add_argument("--reference", help="state file to compare against")
     p_rec.add_argument("--nearest-physical", action="store_true",
                        help="report the distance to the nearest physical state")
     p_rec.add_argument("--out", default="result.json")
-    p_rec.set_defaults(func=cmd_reconstruct)
+    p_rec.set_defaults(func=cmd_reconstruct, parser=p_rec)
 
     p_q = sub.add_parser("quorum", parents=[common],
                          help="verify a spanning set or write its dual")
@@ -518,13 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--psi", type=_finite_float("--psi"), default=0.0,
                      help="fixed nonlinear shift")
     p_k.add_argument("--eps", type=_finite_float("--eps"), help="diagonal regularization")
-    p_k.add_argument("--s", type=float, help="spin magnitude")
-    p_k.add_argument("--direction", default="0,0,1", help="x,y,z axis (spin)")
+    p_k.add_argument("--s", type=_twice_s, help="spin magnitude")
+    p_k.add_argument("--direction", type=_parse_direction, default=(0.0, 0.0, 1.0),
+                     help="x,y,z axis (spin)")
     p_k.add_argument("--grid-max", type=_positive_float("--grid-max"),
                      help="grid upper edge (q or alpha)")
     p_k.add_argument("--points", type=_count("--points"), default=101)
     p_k.add_argument("--out", default="kernel.csv")
-    p_k.set_defaults(func=cmd_kernels)
+    p_k.set_defaults(func=cmd_kernels, parser=p_k)
 
     return parser
 
@@ -540,7 +563,7 @@ def _report_failure(args, exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # a flag's type check raises UsageError before the namespace exists
+    # a parse error raises UsageError before the namespace exists
     argv = sys.argv[1:] if argv is None else argv
     args = argparse.Namespace(json_errors="--json-errors" in argv)
     try:

@@ -11,6 +11,7 @@ stacks.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -43,6 +44,8 @@ class SettingLabel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        if not all(math.isfinite(c) for c in self.coords):
+            raise InvalidSpecError(f"setting label coords must be finite, got {self.coords}")
 
 
 class SpanningSet:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -406,6 +407,157 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+
+
+# The route contract, written out here rather than read from the CLI. A route is a
+# command's --kind, --method or --family. First, a valid value of each flag that some
+# route of the command does not read ({tmp} is the directory of the route_files fixture).
+ROUTE_FLAG_VALUES = {
+    "state": {"--dim": "3", "--param": "1", "--seed": "2", "--s": "1", "--direction": "0,0,1"},
+    "sample": {"--dim": "5", "--s": "0.5", "--squeeze": "0.1", "--proposal-radius": "6"},
+    "reconstruct": {"--records": "{tmp}/pauli.csv", "--state": "{tmp}/qubit.json",
+                    "--s": "0.5", "--k-max": "3", "--reg-eps": "0.01", "--squeeze": "0.1",
+                    "--proposal-radius": "6"},
+    "kernels": {"--observable": "number", "--dim": "4", "--n": "1", "--d": "1",
+                "--phi": "0.5", "--psi": "0.5", "--eps": "0.1", "--s": "1",
+                "--direction": "1,0,0", "--k-max": "3", "--reg-eps": "0.01",
+                "--grid-max": "2", "--points": "5"},
+}
+# Each route: a valid command line, and which of those flags it reads ("!" = needs).
+_SAMPLE = ["--shots", "5", "--seed", "1"]
+ROUTE_CONTRACT = {
+    **{("state", kind): (["--kind", kind, "--dim", "3"], "!--dim --param")
+       for kind in ("fock", "coherent", "squeezed_vacuum", "thermal")},
+    ("state", "random_mixed"): (["--kind", "random_mixed", "--dim", "3"], "!--dim --seed"),
+    ("state", "spin_pure"): (["--kind", "spin_pure", "--s", "1", "--direction", "0,0,1"],
+                             "!--s !--direction --dim"),
+    ("sample", "homodyne"): (["--method", "homodyne", *_SAMPLE], "--dim --squeeze"),
+    ("sample", "parity"): (["--method", "parity", *_SAMPLE], "--dim --proposal-radius"),
+    ("sample", "kerr"): (["--method", "kerr", *_SAMPLE], "--dim"),
+    ("sample", "spin"): (["--method", "spin", "--s", "0.5", *_SAMPLE], "!--s"),
+    ("sample", "pauli"): (["--method", "pauli", *_SAMPLE], ""),
+    **{("reconstruct", method): (
+        ["--method", method, "--records", f"{{tmp}}/{method}.csv", "--n-max", "3"],
+        "!--records !--n-max " + reads)
+       for method, reads in (("homodyne", "--k-max --reg-eps --squeeze"),
+                             ("parity", "--proposal-radius"), ("kerr", ""))},
+    ("reconstruct", "spin"): (["--method", "spin", "--records", "{tmp}/spin.csv", "--s", "0.5"],
+                              "!--records !--s --n-max"),
+    ("reconstruct", "pauli"): (["--method", "pauli", "--records", "{tmp}/pauli.csv"],
+                               "!--records --n-max"),
+    ("reconstruct", "nonunitary"): (
+        ["--method", "nonunitary", "--state", "{tmp}/qubit.json", "--n-max", "1"],
+        "!--state --n-max"),
+    ("kernels", "homodyne"): (
+        ["eval", "--family", "homodyne", "--observable", "number", "--dim", "4", "--points", "5"],
+        "!--observable !--dim --phi --k-max --reg-eps --grid-max --points"),
+    ("kernels", "parity"): (["eval", "--family", "parity", "--points", "5"],
+                            "--n --d --grid-max --points"),
+    ("kernels", "kerr"): (["eval", "--family", "kerr", "--points", "5"],
+                          "--n --d --psi --eps --points"),
+    ("kernels", "spin"): (["eval", "--family", "spin", "--s", "0.5", "--observable", "identity"],
+                          "!--s !--observable --direction"),
+    ("kernels", "nonunitary"): (
+        ["eval", "--family", "nonunitary", "--observable", "number", "--dim", "4",
+         "--points", "5"],
+        "!--observable !--dim --n --points"),
+}
+UNREAD_FLAGS = {
+    f"{command}-{route}-{flag[2:]}": ([command, *argv, flag, value], flag)
+    for (command, route), (argv, reads) in ROUTE_CONTRACT.items()
+    for flag, value in ROUTE_FLAG_VALUES[command].items()
+    if flag not in reads.replace("!", "").split()
+}
+# The flags whose use depends on another flag.
+_PAULI_ESTIMATE = ["reconstruct", "--method", "pauli", "--records", "{tmp}/pauli.csv",
+                   "--observable", "identity"]
+UNREAD_FLAGS.update({
+    "reconstruct-pauli+observable-reference": (
+        [*_PAULI_ESTIMATE, "--reference", "{tmp}/qubit.json"], "--reference"),
+    "reconstruct-pauli+observable-nearest-physical": (
+        [*_PAULI_ESTIMATE, "--nearest-physical"], "--nearest-physical"),
+    "kernels-kerr+d1-eps": (
+        ["kernels", "eval", "--family", "kerr", "--d", "1", "--eps", "0.1"], "--eps"),
+    "sample-homodyne+state-dim": (
+        ["sample", "--method", "homodyne", "--state", "{tmp}/vacuum4.json", *_SAMPLE,
+         "--dim", "5"], "--dim"),
+})
+
+
+def _without(argv, flag):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+MISSING_FLAGS = {
+    f"{command}-{route}-{flag[3:]}": ([command, *_without(argv, flag[1:])], flag[1:])
+    for (command, route), (argv, reads) in ROUTE_CONTRACT.items()
+    for flag in reads.split() if flag.startswith("!")
+}
+MISSING_FLAGS["kernels-kerr+d0-eps"] = (["kernels", "eval", "--family", "kerr", "--d", "0"],
+                                        "--eps")
+
+
+@pytest.fixture(scope="module")
+def route_files(tmp_path_factory):
+    """A qubit state, a dim-4 vacuum, and a small record CSV per sampled method."""
+    tmp = tmp_path_factory.mktemp("routes")
+    assert main(["state", "--kind", "random_mixed", "--dim", "2", "--seed", "1",
+                 "--out", str(tmp / "qubit.json")]) == 0
+    assert main(["state", "--kind", "fock", "--dim", "4", "--out", str(tmp / "vacuum4.json")]) == 0
+    for method, extra in (("homodyne", ["--dim", "4"]), ("parity", ["--dim", "4"]),
+                          ("kerr", ["--dim", "4"]), ("spin", ["--s", "0.5"]), ("pauli", [])):
+        assert main(["sample", "--method", method, *extra, "--shots", "50", "--seed", "1",
+                     "--out", str(tmp / f"{method}.csv")]) == 0
+    return tmp
+
+
+def assert_refused_naming(capsys, argv, flag, route_files, out):
+    code, _, err = run(capsys, [a.format(tmp=route_files) for a in argv] + ["--out", str(out)])
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    # the flag itself, not a longer flag that starts with it
+    assert re.search(re.escape(flag) + r"(?![\w-])", err), err
+
+
+def test_route_contract_base_lines_run(capsys, tmp_path, route_files):
+    for (command, _), (argv, _) in ROUTE_CONTRACT.items():
+        argv = [command, *(a.format(tmp=route_files) for a in argv),
+                "--out", str(tmp_path / "out")]
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("case", list(UNREAD_FLAGS))
+def test_unread_flag_is_refused(capsys, tmp_path, route_files, case):
+    assert_refused_naming(capsys, *UNREAD_FLAGS[case], route_files, tmp_path / "out")
+
+
+@pytest.mark.parametrize("case", list(MISSING_FLAGS))
+def test_missing_flag_is_named(capsys, tmp_path, route_files, case):
+    assert_refused_naming(capsys, *MISSING_FLAGS[case], route_files, tmp_path / "out")
+
+
+PARSE_ERRORS = {
+    "missing-seed": (["sample", "--method", "kerr", "--shots", "5"], "--seed"),
+    "bad-choice": (["sample", "--method", "bogus", "--shots", "5", "--seed", "1"], "bogus"),
+    "unknown-flag": (["sample", "--method", "kerr", "--shots", "5", "--seed", "1",
+                      "--bogus", "3"], "--bogus"),
+}
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("case", list(PARSE_ERRORS))
+def test_parse_errors_take_the_error_path(capsys, tmp_path, case, json_errors):
+    argv, word = PARSE_ERRORS[case]
+    argv = argv[:1] + ["--json-errors"] * json_errors + argv[1:] + ["--out", str(tmp_path / "x")]
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.count("\n") == 1, err
+    if json_errors:
+        doc = json.loads(err)
+        assert doc["error"] == "UsageError" and word in doc["message"], err
+    else:
+        assert err.startswith("error: ") and word in err, err
+
 
 # Golden outputs: the SHA-256 of every reconstruct route's JSONs at a pinned seed.
 # Each route is (state flags, flags shared by sample and reconstruct,

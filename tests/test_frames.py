@@ -71,6 +71,13 @@ class TestSpanningSetChecks:
         with pytest.raises(InvalidSpecError, match=r"coords=\(2\.0,\)"):
             SpanningSet(normalized_pauli_set().ops, weights, labels("pauli", 4))
 
+    @pytest.mark.parametrize("coord", [np.nan, np.inf, -np.inf])
+    def test_label_coords_must_be_finite(self, coord):
+        # save_quorum would write them as NaN or Infinity, which load_quorum refuses
+        with pytest.raises(InvalidSpecError, match="finite"):
+            SpanningSet(normalized_pauli_set().ops, np.ones(4),
+                        [*labels("pauli", 3), SettingLabel("pauli", (coord,))])
+
     def test_arrays_are_read_only_copies(self):
         ops = normalized_pauli_set().ops.copy()
         s = SpanningSet(ops, np.ones(4), labels("pauli", 4))
