@@ -2,8 +2,8 @@
 
 Work is always split into fixed-size chunks keyed by chunk index, never
 by worker count, so outputs are identical whether chunks run serially or
-on a pool. QTOMO_THREADS caps the pool; unset it falls back to a small
-multiple of the machine size.
+on a pool. QTOMO_THREADS caps the pool; unset it falls back to the
+machine size, at most 8.
 """
 
 from __future__ import annotations
@@ -12,19 +12,25 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, TypeVar
 
+from .errors import UsageError
+
 T = TypeVar("T")
 
 CHUNK_SHOTS = 1 << 16
 
 
 def max_workers() -> int:
+    """The pool size: QTOMO_THREADS, an integer >= 1, else the default when unset or empty."""
     env = os.environ.get("QTOMO_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"QTOMO_THREADS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def chunk_map(fn: Callable[[int], T], n_chunks: int) -> List[T]:

@@ -6,13 +6,15 @@ success, 2 for usage errors (bad flags, unreadable or malformed files,
 mismatched inputs), 3 for numeric-precondition failures (truncation, rank
 deficiency, a kernel the proposal disk cuts off). With --json-errors the
 failure is also written to stderr as a one-line JSON object. File formats
-are frozen in docs/formats.md; QTOMO_THREADS caps internal parallelism.
+are frozen in docs/formats.md; QTOMO_THREADS, an integer >= 1, caps
+internal parallelism.
 
-Each route (a command's --kind, --method or --family) reads its own flags,
-and _ROUTE_FLAGS names them. A flag its route does not read, a flag it needs
-left out, and a value that does not parse each exit 2 with one error line;
-a flag set to its default counts as unset. What changes only roundoff is
-not a flag: the nonunitary phase grid, and how quorum dual builds a dual.
+Each route (a command's --kind, --method or --family, or quorum's action)
+reads its own flags, and _ROUTE_FLAGS names them. A flag its route does not
+read, a flag it needs left out, and a value that does not parse each exit 2
+with one error line; a flag set to its default counts as unset. What
+changes only roundoff is not a flag: the nonunitary phase grid, and how
+quorum dual builds a dual.
 """
 
 from __future__ import annotations
@@ -196,9 +198,10 @@ _STATE_PARAMS = {
 }
 
 # The flags each route reads ("!" = needs), beyond those that every route of its
-# command reads: --out; sample's --shots, --seed, --substream and --state; and
-# reconstruct's --observable. A route refuses every other flag listed for its
-# command, unless it is left at its default; _check_route goes in table order.
+# command reads: --out, except on quorum; sample's --shots, --seed, --substream
+# and --state; and reconstruct's --observable. A route refuses every other flag
+# listed for its command, unless it is left at its default; _check_route goes in
+# table order. The keys are the choices of each command's route argument.
 _ROUTE_FLAGS = {
     "state": {**dict.fromkeys(_STATE_PARAMS, "!dim param"),
               "random_mixed": "!dim seed",
@@ -216,6 +219,7 @@ _ROUTE_FLAGS = {
                 "kerr": "n d psi eps points",
                 "spin": "!s !observable direction",
                 "nonunitary": "!observable !dim n points"},
+    "quorum": {"verify": "", "dual": "out"},
 }
 
 
@@ -316,6 +320,8 @@ def _write_estimate(args, name: str, result: EstimationResult, extra: dict) -> N
 
 
 def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
+    if args.observable and args.n_max is not None:
+        raise UsageError("--n-max does not apply to nonunitary with --observable")
     rho = load_state(args.state)
 
     if args.observable:
@@ -326,7 +332,8 @@ def _reconstruct_nonunitary(args, reference: Optional[DensityMatrix]) -> None:
 
     if args.n_max is None:
         raise UsageError("--n-max is required for a full matrix")
-    method_params("nonunitary", args.n_max)
+    if args.n_max < 0:
+        raise UsageError(f"n_max must be >= 0, got {args.n_max}")
     dim = args.n_max + 1
     results = {
         (k, n): EstimationResult(
@@ -370,6 +377,7 @@ def cmd_reconstruct(args) -> None:
 
 
 def cmd_quorum(args) -> None:
+    _check_route(args, args.action)
     frame = load_quorum(args.quorum)
     rank = irreducibility_rank(frame)
     d2 = frame.dim ** 2
@@ -478,9 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_state = sub.add_parser("state", parents=[common],
                              help="build a state file from a named recipe")
-    p_state.add_argument("--kind", required=True,
-                         choices=["fock", "coherent", "squeezed_vacuum", "thermal",
-                                  "random_mixed", "spin_pure"])
+    p_state.add_argument("--kind", required=True, choices=list(_ROUTE_FLAGS["state"]))
     p_state.add_argument("--dim", type=int)
     p_state.add_argument("--param", help="kind-specific parameter (level, amplitude, ...)")
     p_state.add_argument("--seed", type=int, help="seed for random_mixed (default 0)")
@@ -491,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", parents=[common, diskp],
                               help="draw synthetic measurement records")
-    p_sample.add_argument("--method", required=True, choices=list(METHODS))
+    p_sample.add_argument("--method", required=True, choices=list(_ROUTE_FLAGS["sample"]))
     p_sample.add_argument("--state", help="state file; default is maximally mixed (spin, "
                           "pauli) or the vacuum of dimension --dim")
     p_sample.add_argument("--dim", type=int, default=8, help="dimension without --state")
@@ -505,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("reconstruct", parents=[common, kernelp, diskp],
                            help="estimate a matrix or a single observable from records")
-    p_rec.add_argument("--method", required=True,
-                       choices=list(METHODS) + ["nonunitary"])
+    p_rec.add_argument("--method", required=True, choices=list(_ROUTE_FLAGS["reconstruct"]))
     p_rec.add_argument("--records", help="record CSV (sampled methods)")
     p_rec.add_argument("--state", help="state file (method nonunitary)")
     p_rec.add_argument("--n-max", type=int, help="largest level index to estimate")
@@ -522,16 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_q = sub.add_parser("quorum", parents=[common],
                          help="verify a spanning set or write its dual")
-    p_q.add_argument("action", choices=["verify", "dual"])
+    p_q.add_argument("action", choices=list(_ROUTE_FLAGS["quorum"]))
     p_q.add_argument("--quorum", required=True, help="quorum JSON file")
     p_q.add_argument("--out", default="dual.json")
-    p_q.set_defaults(func=cmd_quorum)
+    p_q.set_defaults(func=cmd_quorum, parser=p_q)
 
     p_k = sub.add_parser("kernels", parents=[common, kernelp],
                          help="tabulate an estimation kernel to CSV")
     p_k.add_argument("action", choices=["eval"])
-    p_k.add_argument("--family", required=True,
-                     choices=["homodyne", "parity", "spin", "kerr", "nonunitary"])
+    p_k.add_argument("--family", required=True, choices=list(_ROUTE_FLAGS["kernels"]))
     p_k.add_argument("--observable")
     p_k.add_argument("--dim", type=int)
     p_k.add_argument("--n", type=int, default=0, help="level index")

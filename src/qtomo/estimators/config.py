@@ -17,23 +17,20 @@ class EstimatorConfig:
     """Knobs shared by the kernel estimators and samplers.
 
     k_max and reg_eps set the homodyne kernel's frequency cutoff and
-    regularization; alpha_grid_points and alpha_max the square grid of the
-    Glauber check. proposal_radius left at None resolves to 2 + sqrt(dim-1),
+    regularization. proposal_radius left at None resolves to 2 + sqrt(dim-1),
     the parity proposal disk. The exact-average oracles size their own
-    grids from dim.
+    grids from dim, and the Glauber check takes its grid as arguments.
     """
 
     dim: int
     k_max: float = 40.0
     reg_eps: float = 1e-3
-    alpha_grid_points: int = 41
-    alpha_max: float = 4.0
     proposal_radius: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InvalidSpecError(f"dim must be >= 1, got {self.dim}")
-        for name in ("k_max", "reg_eps", "alpha_max", "proposal_radius"):
+        for name in ("k_max", "reg_eps", "proposal_radius"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidSpecError(f"{name} must be finite, got {value}")
@@ -41,10 +38,6 @@ class EstimatorConfig:
             raise InvalidSpecError(f"k_max must be > 0, got {self.k_max}")
         if not self.reg_eps > 0:
             raise InvalidSpecError(f"reg_eps must be > 0, got {self.reg_eps}")
-        if self.alpha_grid_points < 2:
-            raise InvalidSpecError("alpha_grid_points must be >= 2")
-        if not self.alpha_max > 0:
-            raise InvalidSpecError("alpha_max must be > 0")
         if self.proposal_radius is not None and not self.proposal_radius > 0:
             raise InvalidSpecError(f"proposal_radius must be > 0, got {self.proposal_radius}")
 

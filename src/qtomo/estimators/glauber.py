@@ -5,6 +5,7 @@ for any invertible F1, F2. Discretized on a square grid it is only as
 good as the grid and the tails of A, so the check draws test operators
 with a Gaussian envelope in the Fock index and scores the error under
 the same envelope; the raw elementwise error is reported alongside.
+Each function takes the grid as grid_points per side on [-alpha_max, alpha_max].
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, RankDeficientError
+from ..errors import DimensionMismatchError, InvalidSpecError, RankDeficientError
 from ..frames import SettingLabel, SpanningSet
 from ..operators import Operator
 from . import _cahill
-from .config import EstimatorConfig
 
 __all__ = [
     "GlauberCheckReport",
@@ -48,24 +48,27 @@ class GlauberCheckReport:
     passed: bool
 
 
-def _grid(cfg: EstimatorConfig):
-    g = cfg.alpha_grid_points
-    xs = np.linspace(-cfg.alpha_max, cfg.alpha_max, g)
+def _grid(grid_points: int, alpha_max: float):
+    """The grid_points^2 alphas of the square [-alpha_max, alpha_max]^2, and their weight d^2a/pi."""
+    if grid_points < 2:
+        raise InvalidSpecError(f"grid_points must be >= 2, got {grid_points}")
+    if not 0 < alpha_max < np.inf:  # also refuses nan
+        raise InvalidSpecError(f"alpha_max must be finite and > 0, got {alpha_max}")
+    xs = np.linspace(-alpha_max, alpha_max, grid_points)
     dx = xs[1] - xs[0]
     re, im = np.meshgrid(xs, xs, indexing="ij")
-    alphas = (re + 1j * im).ravel()
-    return g, alphas, dx * dx / np.pi
+    return (re + 1j * im).ravel(), dx * dx / np.pi
 
 
-def displacement_grid_set(cfg: EstimatorConfig) -> SpanningSet:
+def displacement_grid_set(dim: int, grid_points: int = 41, alpha_max: float = 4.0) -> SpanningSet:
     """Weyl quorum: displacement operators on the square alpha grid, weights d^2a/pi.
 
     Elements are the exact matrix blocks of the full displacement operator,
     not exponentials of the truncated ladder (those span strictly less).
     """
-    _, alphas, wt = _grid(cfg)
+    alphas, wt = _grid(grid_points, alpha_max)
     labels = [SettingLabel("weyl", (al.real, al.imag)) for al in alphas.tolist()]
-    return SpanningSet(_cahill.disp_stack(alphas, cfg.dim), np.full(alphas.size, wt), labels)
+    return SpanningSet(_cahill.disp_stack(alphas, dim), np.full(alphas.size, wt), labels)
 
 
 def fock_envelope(dim: int, sigma: float = _ENVELOPE_SIGMA) -> np.ndarray:
@@ -75,14 +78,14 @@ def fock_envelope(dim: int, sigma: float = _ENVELOPE_SIGMA) -> np.ndarray:
 
 
 def glauber_reconstruct(a: Operator, f1: Operator, f2: Operator,
-                        cfg: EstimatorConfig) -> Operator:
-    """Grid sum of Tr[A F1 D(a) F2] F2^-1 D^dag(a) F1^-1 d^2a/pi."""
-    dim = cfg.dim
-    if a.dim != dim or f1.dim != dim or f2.dim != dim:
-        raise DimensionMismatchError("operator dims must match config dim")
+                        grid_points: int = 41, alpha_max: float = 4.0) -> Operator:
+    """Grid sum of Tr[A F1 D(a) F2] F2^-1 D^dag(a) F1^-1 d^2a/pi, at the dimension of A."""
+    dim = a.dim
+    if f1.dim != dim or f2.dim != dim:
+        raise DimensionMismatchError("F1/F2 dims must match the operator dim")
     f1i = np.linalg.inv(f1.mat)
     f2i = np.linalg.inv(f2.mat)
-    _, alphas, wt = _grid(cfg)
+    alphas, wt = _grid(grid_points, alpha_max)
     rec = np.zeros((dim, dim), dtype=complex)
     for i in range(0, alphas.size, _GRID_CHUNK):
         d_blk = _cahill.disp_stack(alphas[i : i + _GRID_CHUNK], dim)
@@ -93,12 +96,12 @@ def glauber_reconstruct(a: Operator, f1: Operator, f2: Operator,
     return Operator(rec)
 
 
-def generalized_glauber_check(f1: Operator, f2: Operator,
-                              cfg: EstimatorConfig) -> GlauberCheckReport:
-    """Verify the resolution identity on random envelope-suppressed operators."""
-    dim = cfg.dim
-    if f1.dim != dim or f2.dim != dim:
-        raise DimensionMismatchError("F1/F2 dims must match config dim")
+def generalized_glauber_check(f1: Operator, f2: Operator, grid_points: int = 41,
+                              alpha_max: float = 4.0) -> GlauberCheckReport:
+    """Verify the resolution identity on random envelope-suppressed operators of F1's dimension."""
+    dim = f1.dim
+    if f2.dim != dim:
+        raise DimensionMismatchError("F1/F2 dims must match")
     cond_f1 = float(np.linalg.cond(f1.mat))
     cond_f2 = float(np.linalg.cond(f2.mat))
     if not np.isfinite(cond_f1) or cond_f1 > _COND_LIMIT:
@@ -106,7 +109,6 @@ def generalized_glauber_check(f1: Operator, f2: Operator,
     if not np.isfinite(cond_f2) or cond_f2 > _COND_LIMIT:
         raise RankDeficientError(f"F2 is numerically singular (cond {cond_f2:.2e})")
 
-    g, _, _ = _grid(cfg)
     w = fock_envelope(dim)
     w2 = np.outer(w, w)
     rng = np.random.default_rng(_CHECK_SEED)
@@ -115,12 +117,12 @@ def generalized_glauber_check(f1: Operator, f2: Operator,
     for _ in range(_CHECK_OPS):
         gmat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a = Operator(gmat * w2)
-        rec = glauber_reconstruct(a, f1, f2, cfg)
+        rec = glauber_reconstruct(a, f1, f2, grid_points, alpha_max)
         diff = np.abs(rec.mat - a.mat)
         weighted_err = max(weighted_err, float(np.max(diff * w2) / np.max(np.abs(a.mat) * w2)))
         raw_err = max(raw_err, float(np.max(diff)))
     return GlauberCheckReport(
-        dim=dim, grid_points=g, alpha_max=cfg.alpha_max, tol=_CHECK_TOL,
+        dim=dim, grid_points=grid_points, alpha_max=alpha_max, tol=_CHECK_TOL,
         weighted_error=weighted_err, raw_error=raw_err,
         cond_f1=cond_f1, cond_f2=cond_f2, n_test_ops=_CHECK_OPS,
         passed=weighted_err <= _CHECK_TOL,

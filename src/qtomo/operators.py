@@ -3,7 +3,7 @@
 Everything downstream (frames, estimator kernels, samplers) works with
 plain dim x dim complex matrices wrapped in the Operator type. Builders
 for the standard quantum-optics and spin operators live here; the
-exponential-family ones (displacement, squeeze, Kerr shift) exponentiate
+exponential-family ones (displacement, squeeze) exponentiate
 the truncated generator, so they are exactly unitary on the truncated
 space but only approximate the infinite-dimensional operator when the
 relevant excitation numbers stay well below dim.
@@ -24,19 +24,15 @@ __all__ = [
     "Operator",
     "hs_inner",
     "hs_norm",
-    "hermitian_evolution",
     "identity",
     "annihilation",
-    "creation",
     "number",
     "parity",
     "quadrature",
     "displacement",
     "squeeze",
     "SqueezeParams",
-    "kerr_shift",
     "lowering_e_minus",
-    "raising_e_plus",
     "fock_matrix_unit",
     "spin_matrices",
     "spin_component",
@@ -103,10 +99,6 @@ def annihilation(dim: int) -> Operator:
     for n in range(1, dim):
         m[n - 1, n] = math.sqrt(n)
     return Operator(m)
-
-
-def creation(dim: int) -> Operator:
-    return annihilation(dim).adjoint()
 
 
 def number(dim: int) -> Operator:
@@ -190,23 +182,12 @@ class SqueezeParams:
             raise InvalidSpecError(f"squeeze parametrization broke mu^2-|nu|^2=1 by {dev:.3e}")
 
 
-def kerr_shift(psi: float, dim: int) -> Operator:
-    """Nonlinear phase shift exp(i psi (a^dag a)^2), diagonal in Fock basis."""
-    n = np.arange(dim, dtype=float)
-    return Operator(np.diag(np.exp(1j * psi * n * n)))
-
-
 def lowering_e_minus(dim: int) -> Operator:
     """Phase lowering ladder, ones on the first subdiagonal: sum |n+1><n|."""
     m = np.zeros((dim, dim), dtype=complex)
     for n in range(dim - 1):
         m[n + 1, n] = 1.0
     return Operator(m)
-
-
-def raising_e_plus(dim: int) -> Operator:
-    """Phase raising ladder, ones on the first superdiagonal: sum |n><n+1|."""
-    return lowering_e_minus(dim).adjoint()
 
 
 def fock_matrix_unit(row: int, col: int, dim: int) -> Operator:
@@ -269,12 +250,3 @@ def pauli(axis: str) -> Operator:
     except KeyError:
         raise InvalidSpecError(f"pauli axis must be x, y, or z, got {axis!r}") from None
 
-
-def hermitian_evolution(h: Operator, t: float) -> Operator:
-    """exp(i t H) for Hermitian H, via eigendecomposition."""
-    dev = float(np.max(np.abs(h.mat - h.mat.conj().T)))
-    if dev > 1e-10:
-        raise InvalidSpecError(f"generator is not Hermitian (max deviation {dev:.3e})")
-    hm = 0.5 * (h.mat + h.mat.conj().T)
-    w, v = np.linalg.eigh(hm)
-    return Operator((v * np.exp(1j * t * w)) @ v.conj().T)

@@ -76,14 +76,12 @@ def method_params(method: str, n_max: int, cfg=None, twice_s: Optional[int] = No
 
     cfg may be built for a larger dimension; the returned one has dim
     n_max + 1. Spin needs 2s = n_max, Pauli n_max = 1, and only homodyne
-    takes squeeze. The exact route "nonunitary" takes no parameters.
+    takes squeeze.
     """
     if n_max < 0:
         raise UsageError(f"n_max must be >= 0, got {n_max}")
     if squeeze is not None and method != "homodyne":
         raise UsageError("squeeze applies to the homodyne method only")
-    if method == "nonunitary":
-        return {}
     if method not in METHODS:
         raise UsageError(f"unknown method '{method}'; choose from {tuple(METHODS)}")
     params: Dict[str, object] = {} if squeeze is None else {"squeeze": squeeze}

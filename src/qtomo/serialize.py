@@ -1,4 +1,4 @@
-"""File formats: operator/state JSON, quorum JSON, record CSV, result JSON.
+"""File formats: state JSON, quorum JSON, record CSV, result JSON.
 
 Every JSON document carries a version field; loaders reject unknown
 versions and malformed shapes instead of guessing. Writers are
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InvalidSpecError
 from .frames import DualSet, SettingLabel, SpanningSet
-from .operators import Operator
 from .recon import EstimationResult, ReconstructedMatrix
 from .records import FAMILIES, RecordBatch
 from .states import DensityMatrix
@@ -27,8 +26,6 @@ from .states import DensityMatrix
 __all__ = [
     "save_state",
     "load_state",
-    "save_operator",
-    "load_operator",
     "save_quorum",
     "load_quorum",
     "records_to_csv",
@@ -99,20 +96,6 @@ def load_state(path) -> DensityMatrix:
     if payload.get("kind") != "state":
         raise InvalidSpecError(f"{path}: not a state document")
     return DensityMatrix(_matrix_from(payload))
-
-
-def save_operator(path, op: Operator) -> None:
-    _dump_json(path, {
-        "version": FORMAT_VERSION, "kind": "operator", "dim": op.dim,
-        "entries": _entries(op.mat),
-    })
-
-
-def load_operator(path) -> Operator:
-    payload = _load_json(path)
-    if payload.get("kind") != "operator":
-        raise InvalidSpecError(f"{path}: not an operator document")
-    return Operator(_matrix_from(payload))
 
 
 def save_quorum(path, frame: SpanningSet) -> None:

@@ -14,11 +14,13 @@ import pytest
 from scipy import stats
 
 import qtomo
-from qtomo._parallel import CHUNK_SHOTS
-from qtomo.cli import build_parser, main
+from qtomo._parallel import CHUNK_SHOTS, max_workers
+from qtomo.cli import _ROUTE_FLAGS, build_parser, main
 from qtomo.dualbasis import pseudoinverse_dual, spiral_directions, weigert_spin_quorum
+from qtomo.errors import UsageError
 from qtomo.frames import DualSet, SettingLabel, SpanningSet
 from qtomo.operators import fock_matrix_unit, pauli
+from qtomo.recon import METHODS
 from qtomo.serialize import load_quorum, load_state, records_from_csv, save_quorum
 from qtomo.states import StateSpec, make_state
 
@@ -403,7 +405,9 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
             "version": 1, "kind": "quorum", "role": role, "dim": dim,
             "elements": [_GOOD_ELEMENT, *elements]}).replace("Infinity", "1e400"))
     argv, word = BAD_INPUTS[case]
-    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[:2] != ["quorum", "verify"]:  # verify writes nothing and refuses --out
+        argv += ["--out", str(tmp_path / "out")]
     code, _, err = run(capsys, argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
@@ -481,6 +485,11 @@ UNREAD_FLAGS.update({
     "sample-homodyne+state-dim": (
         ["sample", "--method", "homodyne", "--state", "{tmp}/vacuum4.json", *_SAMPLE,
          "--dim", "5"], "--dim"),
+    "reconstruct-nonunitary+observable-n-max": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/qubit.json",
+         "--observable", "identity", "--n-max", "1"], "--n-max"),
+    # quorum verify writes no file, so the --out that every case is run with is refused
+    "quorum-verify-out": (["quorum", "verify", "--quorum", "{tmp}/pauli-quorum.json"], "--out"),
 })
 
 
@@ -500,11 +509,12 @@ MISSING_FLAGS["kernels-kerr+d0-eps"] = (["kernels", "eval", "--family", "kerr", 
 
 @pytest.fixture(scope="module")
 def route_files(tmp_path_factory):
-    """A qubit state, a dim-4 vacuum, and a small record CSV per sampled method."""
+    """A qubit state, a dim-4 vacuum, a Pauli quorum, and a small record CSV per sampled method."""
     tmp = tmp_path_factory.mktemp("routes")
     assert main(["state", "--kind", "random_mixed", "--dim", "2", "--seed", "1",
                  "--out", str(tmp / "qubit.json")]) == 0
     assert main(["state", "--kind", "fock", "--dim", "4", "--out", str(tmp / "vacuum4.json")]) == 0
+    write_pauli_quorum(tmp / "pauli-quorum.json")
     for method, extra in (("homodyne", ["--dim", "4"]), ("parity", ["--dim", "4"]),
                           ("kerr", ["--dim", "4"]), ("spin", ["--s", "0.5"]), ("pauli", [])):
         assert main(["sample", "--method", method, *extra, "--shots", "50", "--seed", "1",
@@ -545,6 +555,38 @@ PARSE_ERRORS = {
 }
 
 
+def test_route_names_are_listed_once():
+    assert set(_ROUTE_FLAGS["sample"]) == set(METHODS)
+    assert set(_ROUTE_FLAGS["reconstruct"]) == set(METHODS) | {"nonunitary"}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    route_args = {"state": "kind", "sample": "method", "reconstruct": "method",
+                  "kernels": "family", "quorum": "action"}
+    for command, dest in route_args.items():
+        (arg,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+        assert list(arg.choices) == list(_ROUTE_FLAGS[command]), command
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_bad_thread_count_is_refused(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("QTOMO_THREADS", value)
+    with pytest.raises(UsageError, match="QTOMO_THREADS"):
+        max_workers()
+    code, _, err = run(capsys, ["sample", "--method", "pauli", "--shots", "5", "--seed", "1",
+                                "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "QTOMO_THREADS" in err
+
+
+def test_thread_count_caps_the_pool(monkeypatch):
+    default = min(8, os.cpu_count() or 1)
+    monkeypatch.delenv("QTOMO_THREADS", raising=False)
+    assert max_workers() == default
+    monkeypatch.setenv("QTOMO_THREADS", "")
+    assert max_workers() == default
+    monkeypatch.setenv("QTOMO_THREADS", "3")
+    assert max_workers() == 3
+
+
 @pytest.mark.parametrize("json_errors", [False, True])
 @pytest.mark.parametrize("case", list(PARSE_ERRORS))
 def test_parse_errors_take_the_error_path(capsys, tmp_path, case, json_errors):
@@ -578,7 +620,7 @@ GOLDEN_ROUTES = {
     "kerr": (["--kind", "coherent", "--param", "0.3", "--dim", "8"],
              ["--method", "kerr"], ["--n-max", "7"], ["matrix_unit:0,1", "identity"]),
     "nonunitary": (["--kind", "coherent", "--param", "0.3", "--dim", "4"],
-                   ["--method", "nonunitary"], ["--n-max", "1"], ["number"]),
+                   ["--method", "nonunitary"], [], ["number"]),
 }
 GOLDEN_DIGESTS = {
     "homodyne": {
@@ -648,9 +690,11 @@ def _golden_outputs(capsys, tmp_path, route):
         argv = ["reconstruct", *method_flags, *source, *recon_flags, "--out", str(out)]
         if observable != "matrix":
             argv += ["--observable", observable]
-        elif route != "nonunitary":
-            # the exact route reaches n_max <= dim/2 only, so none of its
-            # blocks has the state's dimension to compare with
+        elif route == "nonunitary":
+            # the exact route reads --n-max for a full matrix only; it reaches
+            # n_max <= dim/2, so no block has the state's dimension to compare with
+            argv += ["--n-max", "1"]
+        else:
             argv += ["--reference", str(state)]
         code, _, err = run(capsys, argv)
         assert code == 0, err

@@ -146,7 +146,7 @@ def test_squeeze_params_hyperbolic_identity():
         assert abs(sq.mu**2 - abs(sq.nu) ** 2 - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("field", ["k_max", "reg_eps", "alpha_max", "proposal_radius"])
+@pytest.mark.parametrize("field", ["k_max", "reg_eps", "proposal_radius"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_config_rejects_non_finite_floats(field, value):
     with pytest.raises(InvalidSpecError, match=field):

@@ -5,7 +5,6 @@ import pytest
 
 from qtomo.dualbasis import pseudoinverse_dual
 from qtomo.errors import DimensionMismatchError, InvalidSpecError
-from qtomo.estimators import EstimatorConfig
 from qtomo.estimators.glauber import displacement_grid_set
 from qtomo.frames import (
     DualSet,
@@ -101,8 +100,7 @@ class TestBiorthogonality:
         assert not report.passed
 
     def test_weyl_grid_with_pseudoinverse_dual(self):
-        cfg = EstimatorConfig(dim=4, alpha_grid_points=21, alpha_max=2.0)
-        s = displacement_grid_set(cfg)
+        s = displacement_grid_set(4, grid_points=21, alpha_max=2.0)
         assert len(s) == 21 * 21
         dual = pseudoinverse_dual(s)
         report = check_biorthogonality(s, dual, tol=1e-8)

@@ -1,4 +1,4 @@
-"""Operator algebra: inner product, builders, evolution, conventions."""
+"""Operator algebra: inner product, builders, conventions."""
 
 import numpy as np
 import pytest
@@ -8,19 +8,15 @@ from qtomo.operators import (
     Operator,
     SqueezeParams,
     annihilation,
-    creation,
     displacement,
     fock_matrix_unit,
-    hermitian_evolution,
     hs_inner,
     identity,
-    kerr_shift,
     lowering_e_minus,
     number,
     parity,
     pauli,
     quadrature,
-    raising_e_plus,
     spin_component,
     spin_matrices,
     squeeze,
@@ -88,26 +84,12 @@ class TestBuilders:
     def test_displacement_zero_is_identity(self):
         assert np.allclose(displacement(0.0, 8).mat, np.eye(8), atol=EXACT)
 
-    def test_creation_is_adjoint(self):
-        assert np.allclose(creation(6).mat, annihilation(6).mat.conj().T, atol=EXACT)
-
     def test_number_diagonal(self):
         assert np.allclose(number(4).mat, np.diag([0.0, 1.0, 2.0, 3.0]), atol=EXACT)
 
-    def test_kerr_shift_phases(self):
-        psi = 0.7
-        v = np.diag(kerr_shift(psi, 5).mat)
-        assert np.allclose(v, np.exp(1j * psi * np.arange(5.0) ** 2), atol=EXACT)
-
     def test_phase_ladders(self):
-        em = lowering_e_minus(4).mat
-        ep = raising_e_plus(4).mat
-        assert np.allclose(ep, em.conj().T, atol=EXACT)
-        # ep |n+1> = |n> with unit amplitude
-        v = np.zeros(4, dtype=complex)
-        v[2] = 1.0
-        out = ep @ v
-        assert out[1] == pytest.approx(1.0, abs=EXACT)
+        # e_- |n> = |n+1> with unit amplitude: ones on the first subdiagonal
+        assert np.allclose(lowering_e_minus(4).mat, np.eye(4, k=-1), atol=EXACT)
 
     def test_matrix_unit(self):
         m = fock_matrix_unit(1, 3, 5).mat
@@ -148,32 +130,6 @@ class TestDisplacement:
         # separation is weaker than the nearest
         assert all(m < dim / 2 for m in maxima)
         assert maxima[-1] < maxima[0]
-
-
-class TestHermitianEvolution:
-    def test_sigma_z_pi(self):
-        assert np.allclose(hermitian_evolution(pauli("z"), np.pi).mat, -np.eye(2), atol=1e-12)
-
-    def test_zero_time(self):
-        rng = np.random.default_rng(104)
-        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        h = Operator(g + g.conj().T)
-        assert np.allclose(hermitian_evolution(h, 0.0).mat, np.eye(5), atol=EXACT)
-
-    def test_sigma_x_quarter_turn(self):
-        out = hermitian_evolution(pauli("x"), np.pi / 2).mat
-        assert np.allclose(out, 1j * pauli("x").mat, atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidSpecError):
-            hermitian_evolution(annihilation(4), 1.0)
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(105)
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = Operator(g + g.conj().T)
-        u = hermitian_evolution(h, 0.37).mat
-        assert np.max(np.abs(u @ u.conj().T - np.eye(6))) <= 1e-10
 
 
 def test_quadrature_vacuum_variance():

@@ -252,9 +252,11 @@ def test_mixed_quorum_csv_is_refused(rows, tmp_path, capsys):
     with pytest.raises(InvalidSpecError, match="line 3: quorum"):
         records_from_csv(path)
     method = rows[0].split(",")[0]
-    code = main(["reconstruct", "--method", method, "--records", str(path), "--s", "0.5",
+    spin = ["--s", "0.5"] if method == "spin" else []
+    code = main(["reconstruct", "--method", method, "--records", str(path), *spin,
                  "--n-max", "1", "--out", str(tmp_path / "x.json")])
     assert code == 2
+    assert "line 3: quorum" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

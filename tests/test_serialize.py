@@ -8,7 +8,7 @@ import pytest
 from qtomo.errors import InvalidSpecError
 from qtomo.estimators import EstimatorConfig
 from qtomo.frames import DualSet, SettingLabel, SpanningSet
-from qtomo.operators import Operator, pauli
+from qtomo.operators import pauli
 from qtomo.recon import reconstruct_matrix
 from qtomo.records import RecordBatch
 from qtomo.sampler import (
@@ -18,13 +18,11 @@ from qtomo.sampler import (
     sample_spin,
 )
 from qtomo.serialize import (
-    load_operator,
     load_quorum,
     load_state,
     records_from_csv,
     records_to_csv,
     save_estimation,
-    save_operator,
     save_quorum,
     save_reconstruction,
     save_state,
@@ -48,19 +46,11 @@ class TestStateAndOperator:
         assert out.dim == 6
         assert np.array_equal(out.mat, rho.mat)
 
-    def test_operator_round_trip(self, tmp_path):
-        rng = np.random.default_rng(71)
-        op = Operator(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        p = tmp_path / "op.json"
-        save_operator(p, op)
-        assert np.array_equal(load_operator(p).mat, op.mat)
-
     def test_kind_mismatch(self, tmp_path):
-        rho = make_state(StateSpec(kind="fock", dim=3, n=1))
-        p = tmp_path / "state.json"
-        save_state(p, rho)
-        with pytest.raises(InvalidSpecError):
-            load_operator(p)
+        p = tmp_path / "quorum.json"
+        save_quorum(p, pauli_quorum())
+        with pytest.raises(InvalidSpecError, match="not a state document"):
+            load_state(p)
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "doc.json"
