@@ -1,12 +1,16 @@
 """Record generators checked against their exact target distributions."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import cumulative_trapezoid
 
+from qtomo import sampler
+from qtomo._parallel import CHUNK_SHOTS
 from qtomo.errors import TruncationError, UsageError
-from qtomo.estimators import EstimatorConfig
+from qtomo.estimators import EstimatorConfig, kerr_sideband_coefficients
 from qtomo.sampler import (
     RngStream,
     _cumulative_trapezoid,
@@ -149,7 +153,99 @@ class TestParity:
         assert abs(r.mean()) <= 5 * r.std(ddof=1) / np.sqrt(r.size)
 
 
+def kerr_bisection_oracle(rho, shots, seed, chunk=CHUNK_SHOTS):
+    """Outcomes of the plain 47-step bisection of each row's exact conditional CDF."""
+    ds = np.arange(1, rho.dim)
+    out = []
+    for i in range(-(-shots // chunk)):
+        gen = RngStream(seed).generator(i)
+        ps = gen.uniform(0.0, 2.0 * np.pi, min(chunk, shots - i * chunk))
+        u = gen.uniform(0.0, 1.0, ps.size)
+        c = kerr_sideband_coefficients(rho, ps)[:, 1:] / (1j * ds)
+        base = np.sum(c, axis=1)
+        lo, hi = np.zeros(ps.size), np.full(ps.size, 2.0 * np.pi)
+        for _ in range(47):
+            mid = 0.5 * (lo + hi)
+            e = np.exp(1j * mid[:, None] * ds)
+            less = mid / (2.0 * np.pi) + (np.einsum("gd,gd->g", c, e) - base).real / np.pi < u
+            lo, hi = np.where(less, mid, lo), np.where(less, hi, mid)
+        out.append(0.5 * (lo + hi))
+    return np.concatenate(out)
+
+
+def two_level(dim, i, j):
+    """The equal superposition of |i> and |j>; its phase density touches zero."""
+    v = np.zeros(dim, dtype=complex)
+    v[i] = v[j] = 1.0 / np.sqrt(2.0)
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
+KERR_ORACLE_STATES = {
+    "coherent-d8": lambda: make_state(StateSpec(kind="coherent", dim=8, beta=0.6)),
+    "fock2-d6": lambda: make_state(StateSpec(kind="fock", dim=6, n=2)),
+    "0+1-d6": lambda: two_level(6, 0, 1),
+    "0+7-d8": lambda: two_level(8, 0, 7),
+    "d1": lambda: DensityMatrix(np.ones((1, 1), dtype=complex)),
+    **{f"mixed-d{d}-s{s}":
+       (lambda d=d, s=s: make_state(StateSpec(kind="random_mixed", dim=d, seed=s)))
+       for d in (2, 8) for s in range(4)},
+}
+SMALL_CHUNK = 4096
+
+
+def kerr_phases(rho, shots, seed):
+    return outcomes(sample_kerr_phase(rho, shots, RngStream(seed), EstimatorConfig(dim=rho.dim)))
+
+
 class TestKerrPhase:
+    @pytest.mark.parametrize("name", sorted(KERR_ORACLE_STATES))
+    def test_matches_the_bisection_oracle(self, name, monkeypatch):
+        # a full chunk and a short one, at a chunk size that keeps the oracle quick;
+        # test_records pins the CSV digest at the real chunk size
+        monkeypatch.setattr(sampler, "CHUNK_SHOTS", SMALL_CHUNK)
+        rho = KERR_ORACLE_STATES[name]()
+        shots = SMALL_CHUNK + 1000
+        assert np.array_equal(kerr_phases(rho, shots, 541),
+                              kerr_bisection_oracle(rho, shots, 541, SMALL_CHUNK))
+
+    @pytest.mark.parametrize("wrong", [lambda r: r + 1e-6, np.zeros_like], ids=["shifted", "zero"])
+    def test_a_wrong_root_changes_no_bit(self, wrong, monkeypatch):
+        # the margined check and the exact rerun carry correctness, not the root
+        real = sampler._kerr_root
+        monkeypatch.setattr(sampler, "_kerr_root", lambda c, base, u: wrong(real(c, base, u)))
+        for name in ("coherent-d8", "0+7-d8", "mixed-d8-s1"):
+            rho = KERR_ORACLE_STATES[name]()
+            assert np.array_equal(kerr_phases(rho, 3000, 543),
+                                  kerr_bisection_oracle(rho, 3000, 543))
+
+    def test_cheap_root_settles_most_rows(self, monkeypatch):
+        # the exact 36-step rerun is the second 36-step bisection of the chunk
+        sizes = []
+        real = sampler._bisect
+
+        def counting(lo, hi, steps, below, midpoint):
+            if steps == sampler._KERR_REPLAY:
+                sizes.append(lo.size)
+            return real(lo, hi, steps, below, midpoint)
+
+        monkeypatch.setattr(sampler, "_bisect", counting)
+        kerr_phases(KERR_ORACLE_STATES["coherent-d8"](), 20_000, 544)
+        replayed, rerun = sizes
+        assert replayed == 20_000 and rerun < 0.1 * replayed
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    @hypothesis.given(dim=st.integers(1, 8), rank=st.integers(1, 8),
+                      state_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+                      shots=st.integers(1, 4096))
+    def test_random_states_match_the_bisection_oracle(self, dim, rank, state_seed, seed, shots):
+        rng = np.random.default_rng(state_seed)
+        shape = (dim, min(rank, dim))
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = g @ g.conj().T
+        rho = DensityMatrix(m / np.trace(m).real)
+        assert np.array_equal(kerr_phases(rho, shots, seed),
+                              kerr_bisection_oracle(rho, shots, seed))
+
     def test_fock_phase_invariance(self):
         dim = 6
         rho = make_state(StateSpec(kind="fock", dim=dim, n=2))
@@ -159,9 +255,7 @@ class TestKerrPhase:
 
     def test_two_level_superposition_density(self):
         dim = 6
-        v = np.zeros(dim, dtype=complex)
-        v[0] = v[1] = 1.0 / np.sqrt(2.0)
-        rho = DensityMatrix(np.outer(v, v.conj()))
+        rho = two_level(dim, 0, 1)
         shots = 100_000
         recs = sample_kerr_phase(rho, shots, RngStream(532), EstimatorConfig(dim=dim))
         x = np.mod(outcomes(recs) + settings(recs), 2.0 * np.pi)
