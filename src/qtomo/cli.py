@@ -46,6 +46,7 @@ from .recon import (
     ReconstructedMatrix,
     assemble_matrix,
     estimate_observable,
+    fixed_n_max,
     method_params,
     reconstruct_matrix,
 )
@@ -183,10 +184,6 @@ def _make_cfg(args, dim: int) -> EstimatorConfig:
                                        if getattr(args, f, None) is not None})
 
 
-def _maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
-
-
 # subcommands ----------------------------------------------------------------
 
 # The StateSpec field that --param sets for each kind that takes it, and its parser.
@@ -211,8 +208,8 @@ _ROUTE_FLAGS = {
     "reconstruct": {"homodyne": "!records !n_max k_max reg_eps squeeze",
                     "parity": "!records !n_max proposal_radius",
                     "kerr": "!records !n_max",
-                    "spin": "!records !s n_max",
-                    "pauli": "!records n_max",
+                    "spin": "!records !s",
+                    "pauli": "!records",
                     "nonunitary": "!state n_max"},
     "kernels": {"homodyne": "!observable !dim phi k_max reg_eps grid_max points",
                 "parity": "n d grid_max points",
@@ -262,13 +259,12 @@ def cmd_state(args) -> None:
 
 
 def _sample_input_state(args, method: str) -> DensityMatrix:
-    """Without --state: maximally mixed for finite spins, vacuum otherwise."""
+    """Without --state: maximally mixed where the family fixes the dimension, vacuum otherwise."""
     if args.state:
         return load_state(args.state)
-    if method == "spin":
-        return _maximally_mixed(args.s + 1)
-    if method == "pauli":
-        return _maximally_mixed(2)
+    n_max = fixed_n_max(method, args.s)
+    if n_max is not None:
+        return DensityMatrix(np.eye(n_max + 1, dtype=complex) / (n_max + 1))
     return make_state(StateSpec(kind="fock", dim=args.dim, n=0))
 
 
@@ -359,19 +355,18 @@ def cmd_reconstruct(args) -> None:
 
     records = records_from_csv(args.records)
     # Spin and Pauli fix n_max (2s and 1); the other methods need --n-max.
-    twice_s = args.s
-    n_max = args.n_max if args.n_max is not None else {"spin": twice_s, "pauli": 1}[method]
+    n_max = fixed_n_max(method, args.s) if args.n_max is None else args.n_max
     cfg = _make_cfg(args, n_max + 1)
 
     if args.observable:
         name, a = _parse_observable(args.observable, n_max + 1)
-        result = estimate_observable(records, method, a, cfg=cfg, twice_s=twice_s,
+        result = estimate_observable(records, method, a, cfg=cfg, twice_s=args.s,
                                      squeeze=args.squeeze)
         _write_estimate(args, name, result, {"method": method})
         return
 
     _write_matrix(args, reconstruct_matrix(
-        records, method, n_max, cfg=cfg, twice_s=twice_s, squeeze=args.squeeze,
+        records, method, n_max, cfg=cfg, twice_s=args.s, squeeze=args.squeeze,
         reference=reference, nearest_physical=args.nearest_physical,
     ))
 

@@ -130,11 +130,16 @@ def kerr_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
 
     Records carry the Kerr strength in the setting and the measured phase
     as the outcome; no importance weight is needed because psi is drawn
-    uniformly and phi from its exact conditional.
+    uniformly and phi from its exact conditional. Kerr records do not
+    determine the diagonal, but they are normalized: the identity is
+    averaged as the constant unit kernel, and any other diagonal weight
+    is refused.
     """
     records.require("kerr", 2)
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
+    if np.array_equal(a.mat, np.eye(a.dim)):
+        return walk(records, lambda settings, outcomes: np.ones(len(outcomes)))[0]
     a_mat = _observable_offdiag(a)
 
     def values(settings: np.ndarray, outcomes: np.ndarray) -> np.ndarray:

@@ -169,7 +169,8 @@ def pauli_estimate(a: Operator, records: RecordBatch):
 
     The standard error combines the three per-axis variances with the
     trace coefficients, so identity-like A report zero error exactly.
-    Every record lies on one of the three axes, so all of them count.
+    Every record lies on one of the three axes, so all of them count, and
+    each axis needs at least 2 records for its variance.
     """
     if a.dim != 2:
         raise DimensionMismatchError("pauli_estimate is for 2x2 operators")
@@ -181,10 +182,9 @@ def pauli_estimate(a: Operator, records: RecordBatch):
     var = 0.0
     for idx in range(3):
         sel = ms[axes == idx]
-        if sel.size == 0:
-            raise UsageError(f"no records along axis {'xyz'[idx]}")
+        if sel.size < 2:
+            raise UsageError(f"need at least 2 records along axis {'xyz'[idx]}, got {sel.size}")
         mean += coeffs[idx] * sel.mean()
-        if sel.size > 1:
-            var += abs(coeffs[idx]) ** 2 * sel.var(ddof=1) / sel.size
+        var += abs(coeffs[idx]) ** 2 * sel.var(ddof=1) / sel.size
     return EstimationResult(mean=complex(mean), std_error=math.sqrt(var),
                             n_samples=len(records))

@@ -1,17 +1,20 @@
 """Reconstruction: one table of sampled methods, and the matrices they estimate.
 
-METHODS names, for each sampled family of records.FAMILIES, its sampler,
-its estimator and its kernel block, and the parameter all three take.
-method_params checks that parameter against the working dimension once,
-for the CLI and the library alike. Every estimate is an ensemble average
-taken by records.walk; the averaging types are re-exported from here.
+METHODS holds every rule of each sampled family of records.FAMILIES: its
+sampler, its estimator, the pass that estimates each matrix element its
+records reach, and the parameter all three take. method_params checks that
+parameter against the working dimension once, for the CLI and the library
+alike, and fixed_n_max gives the dimension a family fixes itself.
+estimate_observable and reconstruct_matrix only look the family up. Every
+estimate is an ensemble average taken by records.walk; the averaging types
+are re-exported from here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -36,6 +39,7 @@ __all__ = [
     "METHODS",
     "estimate",
     "method_params",
+    "fixed_n_max",
     "estimate_observable",
     "reconstruct_matrix",
     "assemble_matrix",
@@ -47,27 +51,74 @@ __all__ = [
 _BLOCK_BYTES = 8 << 20
 
 
+def _block_elements(batch: RecordBatch, dim: int, block: Callable, diagonal: bool = True,
+                    **params) -> Dict[Tuple[int, int], EstimationResult]:
+    """One pass over the records: per chunk one kernel block, one push per element.
+
+    block(settings, outcomes, **params) is a family's <family>_kernel_block:
+    the (n, dim, dim) kernel matrices of n records, whose element [i, k, n]
+    estimates <k|rho|n>. Without diagonal the elements <k|rho|k> are skipped.
+    """
+    keys = [(k, n) for k in range(dim) for n in range(dim) if diagonal or k != n]
+
+    def columns(settings: np.ndarray, outcomes: np.ndarray) -> List[np.ndarray]:
+        kb = block(settings, outcomes, **params).reshape(-1, dim * dim)
+        # Element-major copy, in cache-sized slabs: d^2 strided column reads cost more.
+        rows = np.empty((dim * dim, kb.shape[0]), dtype=complex)
+        for i in range(0, kb.shape[0], 256):
+            rows[:, i : i + 256] = kb[i : i + 256].T
+        return [rows[k * dim + n] for k, n in keys]
+
+    step = max(1, _BLOCK_BYTES // (16 * dim * dim))
+    return dict(zip(keys, walk(batch, columns, len(keys), step)))
+
+
+def _parity_elements(batch: RecordBatch, dim: int,
+                     cfg) -> Dict[Tuple[int, int], EstimationResult]:
+    """The block pass, once the boundary kernel and the records' proposal disk pass their checks."""
+    check_parity_boundary(None, cfg)
+    check_parity_disk(batch, cfg)
+    return _block_elements(batch, dim, parity_kernel_block, cfg=cfg)
+
+
+def _pauli_elements(batch: RecordBatch, dim: int) -> Dict[Tuple[int, int], EstimationResult]:
+    """One stratified estimate per element: its mean is exact on the identity."""
+    return {(k, n): pauli_estimate(fock_matrix_unit(n, k, dim), batch)
+            for k in range(dim) for n in range(dim)}
+
+
 class Method(NamedTuple):
-    """A sampled family's functions, and the one parameter they take besides the records.
+    """A sampled family's rules: how to draw, estimate and reconstruct, and the one parameter.
 
     sample(rho, shots=, rng=, **params), estimate(a, records, **params) and
-    block(settings, outcomes, **params) take the params of method_params.
+    elements(records, dim, **params) take the params of method_params;
+    elements returns {(k, n): estimate of <k|rho|n>} for every element the
+    records reach.
     """
 
     sample: Callable
     estimate: Callable
-    block: Optional[Callable]  # None for Pauli: its stratified mean is exact on the identity
-    param: Optional[str]  # "cfg", "twice_s" or None; homodyne also takes squeeze
-    diagonal: bool = True  # False for Kerr: its records do not determine <k|rho|k>
+    elements: Callable
+    # "cfg", "twice_s" or None: a qubit family, n_max fixed at 1; homodyne also takes squeeze
+    param: Optional[str]
 
 
 METHODS = {
-    "homodyne": Method(sample_homodyne, homodyne_estimate, homodyne_kernel_block, "cfg"),
-    "spin": Method(sample_spin, spin_estimate, spin_kernel_block, "twice_s"),
-    "pauli": Method(sample_pauli, pauli_estimate, None, None),
-    "parity": Method(sample_displaced_parity, parity_estimate, parity_kernel_block, "cfg"),
-    "kerr": Method(sample_kerr_phase, kerr_estimate, kerr_kernel_block, "cfg", diagonal=False),
+    "homodyne": Method(sample_homodyne, homodyne_estimate,
+                       partial(_block_elements, block=homodyne_kernel_block), "cfg"),
+    "spin": Method(sample_spin, spin_estimate,
+                   partial(_block_elements, block=spin_kernel_block), "twice_s"),
+    "pauli": Method(sample_pauli, pauli_estimate, _pauli_elements, None),
+    "parity": Method(sample_displaced_parity, parity_estimate, _parity_elements, "cfg"),
+    # Kerr records do not determine the diagonal <k|rho|k>
+    "kerr": Method(sample_kerr_phase, kerr_estimate,
+                   partial(_block_elements, block=kerr_kernel_block, diagonal=False), "cfg"),
 }
+
+
+def fixed_n_max(method: str, twice_s: Optional[int] = None) -> Optional[int]:
+    """The n_max a family fixes: 2s for spin, 1 for Pauli; None where cfg sets the dimension."""
+    return {"twice_s": twice_s, None: 1}.get(METHODS[method].param)
 
 
 def method_params(method: str, n_max: int, cfg=None, twice_s: Optional[int] = None,
@@ -75,7 +126,7 @@ def method_params(method: str, n_max: int, cfg=None, twice_s: Optional[int] = No
     """The keyword parameters of a method at working dimension n_max + 1, checked.
 
     cfg may be built for a larger dimension; the returned one has dim
-    n_max + 1. Spin needs 2s = n_max, Pauli n_max = 1, and only homodyne
+    n_max + 1. Spin and Pauli need n_max = fixed_n_max, and only homodyne
     takes squeeze.
     """
     if n_max < 0:
@@ -90,26 +141,17 @@ def method_params(method: str, n_max: int, cfg=None, twice_s: Optional[int] = No
         if cfg is None or cfg.dim < n_max + 1:
             raise UsageError(f"{method} needs cfg with dim > n_max = {n_max}")
         params["cfg"] = dataclasses.replace(cfg, dim=n_max + 1) if cfg.dim != n_max + 1 else cfg
+    elif n_max != fixed_n_max(method, twice_s):
+        raise UsageError(f"{method} fixes n_max (spin 2s, pauli 1); got {n_max}, 2s = {twice_s}")
     elif param == "twice_s":
-        if twice_s != n_max:
-            raise UsageError(f"spin needs twice_s = 2s equal to n_max = {n_max}, got {twice_s}")
         params["twice_s"] = twice_s
-    elif n_max != 1:
-        raise UsageError(f"{method} is for a qubit, n_max = 1; got {n_max}")
     return params
 
 
 def estimate_observable(records: RecordBatch, method: str, a: Operator, cfg=None,
                         twice_s: Optional[int] = None, squeeze=None) -> EstimationResult:
-    """<A> from records of a sampled method, by the family's estimator at dimension a.dim.
-
-    Kerr records do not determine the diagonal, but they are normalized:
-    the identity is averaged as the constant unit kernel.
-    """
+    """<A> from records of a sampled method, by the family's estimator at dimension a.dim."""
     params = method_params(method, a.dim - 1, cfg, twice_s, squeeze)
-    records.require(method, 2)
-    if not METHODS[method].diagonal and np.array_equal(a.mat, np.eye(a.dim)):
-        return walk(records, lambda settings, outcomes: np.ones(len(outcomes)))[0]
     return METHODS[method].estimate(a, records, **params)
 
 
@@ -132,50 +174,22 @@ class ReconstructedMatrix:
         return self.elements[k][n]
 
 
-def _block_elements(batch: RecordBatch, block: Callable, dim: int,
-                    diagonal: bool = True) -> Dict[Tuple[int, int], EstimationResult]:
-    """One pass over the records: per chunk one kernel block, one push per element.
-
-    block(settings, outcomes) is a family's <family>_kernel_block: the
-    (n, dim, dim) kernel matrices of n records, whose element [i, k, n]
-    estimates <k|rho|n>.
-    """
-    keys = [(k, n) for k in range(dim) for n in range(dim) if diagonal or k != n]
-
-    def columns(settings: np.ndarray, outcomes: np.ndarray) -> List[np.ndarray]:
-        kb = block(settings, outcomes).reshape(-1, dim * dim)
-        # Element-major copy, in cache-sized slabs: d^2 strided column reads cost more.
-        rows = np.empty((dim * dim, kb.shape[0]), dtype=complex)
-        for i in range(0, kb.shape[0], 256):
-            rows[:, i : i + 256] = kb[i : i + 256].T
-        return [rows[k * dim + n] for k, n in keys]
-
-    step = max(1, _BLOCK_BYTES // (16 * dim * dim))
-    return dict(zip(keys, walk(batch, columns, len(keys), step)))
-
-
 def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
                        cfg=None, twice_s: Optional[int] = None,
                        squeeze=None, reference: Optional[DensityMatrix] = None,
                        nearest_physical: bool = False) -> ReconstructedMatrix:
-    """Estimate every element <k|rho|n> with k, n <= n_max for the given method.
+    """Estimate every element <k|rho|n> with k, n <= n_max that the method's records reach.
 
     n_max is the largest Fock/spin index wanted; the working dimension is
-    n_max + 1 and must not exceed what cfg (or 2s+1) supports.
+    n_max + 1 and must not exceed what cfg (or 2s+1) supports. Records that
+    reach no element there (Kerr at n_max = 0) raise UsageError.
     """
     params = method_params(method, n_max, cfg, twice_s, squeeze)
     records.require(method)
     dim = n_max + 1
-    entry = METHODS[method]
-    if entry.block is None:  # one estimate per element
-        results = {(k, n): entry.estimate(fock_matrix_unit(n, k, dim), records)
-                   for k in range(dim) for n in range(dim)}
-    else:
-        if method == "parity":
-            check_parity_boundary(None, params["cfg"])
-            check_parity_disk(records, params["cfg"])
-        results = _block_elements(records, functools.partial(entry.block, **params), dim,
-                                  entry.diagonal)
+    results = METHODS[method].elements(records, dim, **params)
+    if not results:
+        raise UsageError(f"{method} records reach no element at n_max = {n_max}")
     return assemble_matrix(method, dim, results, {"method": method, "n_records": len(records)},
                            reference, nearest_physical)
 

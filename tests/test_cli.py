@@ -255,6 +255,11 @@ BAD_INPUTS = {
     "reference-not-utf8": (
         ["reconstruct", "--method", "pauli", "--records", "{tmp}/pauli.csv",
          "--reference", "{tmp}/undecodable.json"], "UTF-8"),
+    "pauli-one-record-per-axis": (
+        ["reconstruct", "--method", "pauli", "--records", "{tmp}/pauli.csv"], "axis x"),
+    "kerr-n-max-0": (
+        ["reconstruct", "--method", "kerr", "--records", "{tmp}/kerr.csv", "--n-max", "0"],
+        "no element"),
     "nonunitary-n-max-minus-2": (
         ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/vacuum.json",
          "--n-max", "-2"], "n_max"),
@@ -398,6 +403,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
         "quorum,s1,s2,s3,o1\npauli,0,,,0.5\npauli,1,,,-0.5\npauli,2,,,0.5\n")
     (tmp_path / "homodyne.csv").write_text(
         "quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,0.1,,,-0.3\n")
+    (tmp_path / "kerr.csv").write_text("quorum,s1,s2,s3,o1\nkerr,0.5,,,1.25\nkerr,2.5,,,4\n")
     (tmp_path / "spin-zero.csv").write_text(
         "quorum,s1,s2,s3,o1\nspin,0,0,1,0.5\nspin,0,0,0,0.5\n")
     for name, (role, dim, elements, _) in BAD_QUORUMS.items():
@@ -420,7 +426,7 @@ ROUTE_FLAG_VALUES = {
     "state": {"--dim": "3", "--param": "1", "--seed": "2", "--s": "1", "--direction": "0,0,1"},
     "sample": {"--dim": "5", "--s": "0.5", "--squeeze": "0.1", "--proposal-radius": "6"},
     "reconstruct": {"--records": "{tmp}/pauli.csv", "--state": "{tmp}/qubit.json",
-                    "--s": "0.5", "--k-max": "3", "--reg-eps": "0.01", "--squeeze": "0.1",
+                    "--n-max": "1", "--s": "0.5", "--k-max": "3", "--reg-eps": "0.01", "--squeeze": "0.1",
                     "--proposal-radius": "6"},
     "kernels": {"--observable": "number", "--dim": "4", "--n": "1", "--d": "1",
                 "--phi": "0.5", "--psi": "0.5", "--eps": "0.1", "--s": "1",
@@ -446,9 +452,9 @@ ROUTE_CONTRACT = {
        for method, reads in (("homodyne", "--k-max --reg-eps --squeeze"),
                              ("parity", "--proposal-radius"), ("kerr", ""))},
     ("reconstruct", "spin"): (["--method", "spin", "--records", "{tmp}/spin.csv", "--s", "0.5"],
-                              "!--records !--s --n-max"),
+                              "!--records !--s"),
     ("reconstruct", "pauli"): (["--method", "pauli", "--records", "{tmp}/pauli.csv"],
-                               "!--records --n-max"),
+                               "!--records"),
     ("reconstruct", "nonunitary"): (
         ["--method", "nonunitary", "--state", "{tmp}/qubit.json", "--n-max", "1"],
         "!--state --n-max"),

@@ -14,7 +14,7 @@ from qtomo.estimators import (
     kerr_kernel,
     kerr_kernel_regularized,
 )
-from qtomo.operators import fock_matrix_unit, number
+from qtomo.operators import Operator, fock_matrix_unit, identity, number
 from qtomo.sampler import RngStream, sample_kerr_phase
 from qtomo.states import StateSpec, make_state
 
@@ -104,6 +104,15 @@ class TestEstimate:
         records = sample_kerr_phase(rho, 100, RngStream(402), cfg)
         with pytest.raises(UsageError):
             kerr_estimate(number(dim), records, cfg)
+
+    def test_identity_is_the_constant_unit_kernel(self):
+        dim = 6
+        cfg = EstimatorConfig(dim=dim)
+        records = sample_kerr_phase(coherent(0.6, dim), 100, RngStream(403), cfg)
+        res = kerr_estimate(identity(dim), records, cfg)
+        assert (res.mean, res.std_error, res.n_samples) == (1.0, 0.0, 100)
+        with pytest.raises(UsageError):
+            kerr_estimate(Operator(2.0 * identity(dim).mat), records, cfg)
 
 
 class TestEpsilonSweep:

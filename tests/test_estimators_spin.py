@@ -149,10 +149,13 @@ class TestPauliEstimate:
         res = pauli_estimate(pauli("x"), records)
         assert abs(res.mean) <= 5 * res.std_error
 
-    def test_missing_axis_rejected(self):
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_missing_axis_rejected(self, kept):
+        # an axis with fewer than 2 records has no variance, so no standard error
         rho = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=Z_AXIS))
         records = sample_pauli(rho, 3000, RngStream(306))
         keep = records.settings[:, 0] != 0.0
+        keep[np.flatnonzero(~keep)[:kept]] = True
         records = RecordBatch("pauli", records.settings[keep], records.outcomes[keep])
-        with pytest.raises(UsageError):
-            pauli_estimate(pauli("x"), records)
+        with pytest.raises(UsageError, match="axis x"):
+            pauli_estimate(pauli("z"), records)

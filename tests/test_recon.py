@@ -192,6 +192,13 @@ class TestReconstructKerr:
         with pytest.raises(UsageError):
             reconstruct_matrix(records, "parity", n_max=dim - 1, cfg=EstimatorConfig(dim=dim))
 
+    def test_n_max_0_reaches_no_element(self):
+        cfg = EstimatorConfig(dim=4)
+        rho = make_state(StateSpec(kind="coherent", dim=4, beta=0.5))
+        records = sample_kerr_phase(rho, 100, RngStream(619), cfg)
+        with pytest.raises(UsageError, match="no element"):
+            reconstruct_matrix(records, "kerr", n_max=0, cfg=cfg)
+
 
 class TestReconstructValidation:
     def test_unknown_method(self):

@@ -226,11 +226,14 @@ def test_bad_record_refused_by_csv_reader(quorum, row, outcome, tmp_path):
 @pytest.mark.parametrize("quorum,row,outcome", BAD_RECORDS)
 def test_bad_record_csv_is_a_usage_error(quorum, row, outcome, tmp_path, capsys):
     path = _bad_csv(tmp_path / "records.csv", quorum, row, outcome)
-    n_max = "1" if quorum == "pauli" else "3"
-    code = main(["reconstruct", "--method", quorum, "--records", str(path),
-                 "--n-max", n_max, "--out", str(tmp_path / "x.json")])
+    # pauli fixes n_max = 1 and refuses --n-max
+    flags = [] if quorum == "pauli" else ["--n-max", "3"]
+    code = main(["reconstruct", "--method", quorum, "--records", str(path), *flags,
+                 "--out", str(tmp_path / "x.json")])
     assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "records.csv" in err
+    assert "Traceback" not in err
 
 
 def test_pauli_n_samples_counts_the_averaged_records():
@@ -252,9 +255,10 @@ def test_mixed_quorum_csv_is_refused(rows, tmp_path, capsys):
     with pytest.raises(InvalidSpecError, match="line 3: quorum"):
         records_from_csv(path)
     method = rows[0].split(",")[0]
-    spin = ["--s", "0.5"] if method == "spin" else []
-    code = main(["reconstruct", "--method", method, "--records", str(path), *spin,
-                 "--n-max", "1", "--out", str(tmp_path / "x.json")])
+    # spin fixes n_max = 2s and refuses --n-max
+    flags = ["--s", "0.5"] if method == "spin" else ["--n-max", "1"]
+    code = main(["reconstruct", "--method", method, "--records", str(path), *flags,
+                 "--out", str(tmp_path / "x.json")])
     assert code == 2
     assert "line 3: quorum" in capsys.readouterr().err
 
