@@ -18,35 +18,38 @@ import numpy as np
 __all__ = ["disp_element", "disp_stack"]
 
 
-def _element(row: int, col: int, a: np.ndarray, x: np.ndarray, ex: np.ndarray) -> np.ndarray:
-    """<row|D(a)|col> from x = |a|^2 and ex = e^(-x/2), computed once by the caller."""
+def _elements(lo: int, d: int, x: np.ndarray, ex: np.ndarray, facs) -> list:
+    """<lo+d|D(a)|lo> for fac = a**d and <lo|D(a)|lo+d> for fac = (-conj(a))**d, one
+    Laguerre for all facs; x = |a|^2 and ex = e^(-x/2) are computed once by the caller."""
     from scipy.special import eval_genlaguerre, gammaln
 
-    lo, hi = min(row, col), max(row, col)
-    d = hi - lo
-    pref = float(np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1))))
+    pref = float(np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1))))
     lag = eval_genlaguerre(lo, d, x)
-    fac = a**d if row >= col else (-np.conj(a)) ** d
-    return pref * fac * ex * lag
+    return [pref * fac * ex * lag for fac in facs]
 
 
 def disp_element(row: int, col: int, alpha) -> np.ndarray | complex:
     """<row|D(alpha)|col>; alpha may be a scalar or an array."""
     a = np.asarray(alpha, dtype=complex)
     x = np.abs(a) ** 2
-    out = _element(row, col, a, x, np.exp(-x / 2))
+    d = abs(row - col)
+    fac = a**d if row >= col else (-np.conj(a)) ** d
+    out = _elements(min(row, col), d, x, np.exp(-x / 2), [fac])[0]
     if np.isscalar(alpha) or np.ndim(alpha) == 0:
         return complex(out)
     return out
 
 
 def disp_stack(alphas: np.ndarray, dim: int) -> np.ndarray:
-    """(len(alphas), dim, dim) stack of displacement blocks."""
+    """(len(alphas), dim, dim) stack of displacement blocks, two elements per Laguerre."""
     a = np.asarray(alphas, dtype=complex).ravel()
     x = np.abs(a) ** 2
     ex = np.exp(-x / 2)
     out = np.empty((a.size, dim, dim), dtype=complex)
-    for r in range(dim):
-        for c in range(dim):
-            out[:, r, c] = _element(r, c, a, x, ex)
+    for d in range(dim):
+        facs = [a**d] if d == 0 else [a**d, (-np.conj(a)) ** d]
+        for lo in range(dim - d):
+            vals = _elements(lo, d, x, ex, facs)
+            out[:, lo + d, lo] = vals[0]
+            out[:, lo, lo + d] = vals[-1]
     return out

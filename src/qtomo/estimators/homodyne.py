@@ -61,32 +61,44 @@ def oscillator_wavefunctions(dim: int, q: np.ndarray) -> np.ndarray:
 
 
 def _k_rule(k_max: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Panel Gauss-Legendre rule over [-k_max, k_max]; resolves the |k| kink at 0."""
+    """Panel Gauss-Legendre rule over [-k_max, k_max], its k < 0 half the exact
+    mirror of its k > 0 half; resolves the |k| kink at 0."""
     nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-    edges = np.linspace(-k_max, k_max, _PANELS + 1)
+    edges = np.linspace(0.0, k_max, _PANELS // 2 + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     k = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
-    return k, w
+    return np.concatenate([-k[::-1], k]), np.concatenate([w[::-1], w])
 
 
 @functools.lru_cache(maxsize=8)
 def _k_tables(dim: int, k_max: float, reg_eps: float):
     """Frequency nodes, damped weights, and D(-ik/2) blocks for the kernel integral."""
     k, w = _k_rule(k_max)
-    blocks = _cahill.disp_stack(-0.5j * k, dim)  # (nk, dim, dim)
     g = w * (np.abs(k) / 4.0) * np.exp(-reg_eps * k * k)
+    half = k.size // 2
+    if not (np.array_equal(k[:half], -k[: half - 1 : -1]) and np.array_equal(g, g[::-1])):
+        raise NumericPreconditionError("the k rule is not mirror-symmetric bit for bit")
+    blocks = _cahill.disp_stack(-0.5j * k, dim)  # (nk, dim, dim)
     return k, g, blocks
 
 
 def _f_at(qs: np.ndarray, dim: int, k_max: float, reg_eps: float) -> np.ndarray:
-    """F[n,m](q) = int dk |k|/4 e^{ikq} e^{-eps k^2} <n|D(-ik/2)|m>; shape (d,d,nq)."""
+    """F[n,m](q) = int dk |k|/4 e^{ikq} e^{-eps k^2} <n|D(-ik/2)|m>; shape (d,d,nq).
+    e^{ikq} is cos + i sin for k >= 0; the k < 0 rows are its exact conjugate."""
     k, g, blocks = _k_tables(dim, k_max, reg_eps)
+    half = k.size // 2
     out = np.empty((dim, dim, qs.size), dtype=complex)
+    buf = np.empty(k.size * min(qs.size, 256), dtype=complex)
     for i in range(0, qs.size, 256):
         qc = qs[i : i + 256]
-        ph = np.exp(1j * np.outer(k, qc))  # (nk, nq)
+        ph = buf[: k.size * qc.size].reshape(k.size, qc.size)  # (nk, nq)
+        kq = np.outer(k[half:], qc)
+        np.cos(kq, out=ph.real[half:])
+        np.sin(kq, out=ph.imag[half:])
+        ph.real[:half] = ph.real[: half - 1 : -1]
+        np.negative(ph.imag[: half - 1 : -1], out=ph.imag[:half])
         out[:, :, i : i + 256] = np.einsum("k,knm,kq->nmq", g, blocks, ph, optimize=True)
     return out
 
@@ -101,17 +113,17 @@ def _dense_f_grid(dim: int, k_max: float, reg_eps: float):
 
 
 def _real_table(f: np.ndarray) -> np.ndarray:
-    """F.real, after checking that the imaginary part is quadrature roundoff.
+    """F.real, after checking that the imaginary part is summation roundoff.
 
-    F_nm(q) is real analytically: the k and -k halves of the symmetric
-    rule are complex conjugates of each other.
+    F_nm(q) is real analytically: the k and -k blocks are conjugates and
+    _f_at builds their phases as exact conjugates, so the einsum rounds alone.
     """
     scale = float(np.max(np.abs(f)))
     imag = float(np.max(np.abs(f.imag)))
     if imag > _IMAG_TOL * scale:
         raise NumericPreconditionError(
             f"pattern-function table has imaginary part {imag:.3e} "
-            f"(max |F| = {scale:.3e}); the k rule is not symmetric"
+            f"(max |F| = {scale:.3e}), beyond summation roundoff"
         )
     return f.real
 

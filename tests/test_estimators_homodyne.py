@@ -1,5 +1,7 @@
 """Quadrature-kernel estimators against exact averages and sampled records."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from qtomo.estimators import (
     homodyne_kernel_matrix,
     oscillator_wavefunctions,
 )
-from qtomo.errors import InvalidSpecError, UsageError
+from qtomo.estimators import homodyne
+from qtomo.errors import InvalidSpecError, NumericPreconditionError, UsageError
 from qtomo.operators import Operator, annihilation, fock_matrix_unit, identity, number
 from qtomo.records import RecordBatch
 from qtomo.sampler import RngStream, sample_homodyne
@@ -75,6 +78,44 @@ class TestKernelMatrix:
             lhs = np.sum(qw * p * kern)
             rhs = 2.0 * np.exp(1j * phi) * np.sum(qw * p * qq)
             assert abs(lhs - rhs) <= 1e-3
+
+
+class TestPatternTable:
+    # SHA-256 of the tables a d = 8 homodyne reconstruct builds at the
+    # default k_max and reg_eps: all 17 q-chunks of the dense grid, the
+    # last one a single column, and disp_stack at 4096 alphas
+    DENSE_F_SHA256 = "dbcb98a4022061b3ad8c1a8069fc270f1f6fedce8e828412ee0b0a9a4c09b78a"
+    BLOCKS_SHA256 = "3fa4199db502e0557572fb85046c80120eef65259527171dbbaac3fcc56e9343"
+
+    def test_dense_table_bytes_are_pinned(self):
+        f = homodyne._dense_f_grid(8, 40.0, 1e-3)[1]
+        assert hashlib.sha256(f.tobytes()).hexdigest() == self.DENSE_F_SHA256
+
+    def test_displacement_blocks_bytes_are_pinned(self):
+        blocks = homodyne._k_tables(8, 40.0, 1e-3)[2]
+        assert hashlib.sha256(blocks.tobytes()).hexdigest() == self.BLOCKS_SHA256
+
+    @pytest.mark.parametrize("nudged", ["node", "weight"])
+    def test_asymmetric_k_rule_refused(self, monkeypatch, nudged):
+        # the k < 0 phases are the mirror of the k >= 0 ones, so a rule
+        # that is not mirror-symmetric would give a silently wrong F
+        rule = homodyne._k_rule
+
+        def lopsided(k_max):
+            k, w = rule(k_max)
+            (k if nudged == "node" else w)[0] *= 1.0 + 1e-15
+            return k, w
+
+        monkeypatch.setattr(homodyne, "_k_rule", lopsided)
+        with pytest.raises(NumericPreconditionError, match="mirror-symmetric"):
+            homodyne._f_at(np.array([0.3]), 2, 7.25, 0.0625)
+
+    def test_inexact_k_max_is_accepted(self):
+        # multiples of 10.3 round, so panel edges taken from one linspace
+        # over [-k_max, k_max] are mirror-symmetric only up to roundoff
+        beta = 0.3 + 0.2j
+        val = exact_homodyne_average(annihilation(8), coherent(beta, 8), cfg_for(8, k_max=10.3))
+        assert abs(val - beta) <= 1e-6
 
 
 class TestHomodyneEstimate:

@@ -149,6 +149,17 @@ class TestPauliEstimate:
         res = pauli_estimate(pauli("x"), records)
         assert abs(res.mean) <= 5 * res.std_error
 
+    def test_complex_operator_is_pinned(self):
+        # every coefficient Tr[A sigma] has nonzero real and imaginary
+        # parts, and |c|^2 from abs() and np.abs() differ in the last bit
+        # for all three, so the pinned std_error fixes how the moduli are taken
+        a = Operator(np.array([[-1.15 + 1.61j, 0.17 + 1.53j], [-1.33 - 1.46j, 0.46 + 0.5j]]))
+        rho = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=(0.6, 0.0, 0.8)))
+        res = pauli_estimate(a, sample_pauli(rho, 3001, RngStream(309)))
+        assert res.mean == -1.3200524975024976 + 1.508513426573427j
+        assert res.std_error == 0.05779734512758877
+        assert res.n_samples == 3001
+
     @pytest.mark.parametrize("kept", [0, 1])
     def test_missing_axis_rejected(self, kept):
         # an axis with fewer than 2 records has no variance, so no standard error

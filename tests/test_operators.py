@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtomo.errors import DimensionMismatchError, InvalidSpecError
+from qtomo.estimators._cahill import disp_stack
 from qtomo.operators import (
     Operator,
     SqueezeParams,
@@ -105,6 +108,15 @@ class TestDisplacement:
         for dim, alpha in ((16, 1.0), (16, 1.0 + 1.0j), (32, 2.0), (8, 0.9j)):
             d = displacement(alpha, dim).mat
             assert np.max(np.abs(d @ d.conj().T - np.eye(dim))) <= 1e-8
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(re=st.floats(-1.0, 1.0), im=st.floats(-1.0, 1.0), dim=st.integers(1, 6))
+    def test_laguerre_stack_matches_truncated_exponential(self, re, im, dim):
+        # at |alpha|^2 <= 2, far inside a 40-level cutoff, the truncated
+        # generator exponential is an independent route to the closed form
+        alpha = complex(re, im)
+        oracle = displacement(alpha, 40).mat[:dim, :dim]
+        assert np.max(np.abs(disp_stack(np.array([alpha]), dim)[0] - oracle)) <= 1e-12
 
     def test_overlap_grid(self):
         # self-overlap is exactly the dimension; cross-overlaps fall off
