@@ -4,10 +4,10 @@ Every command is a pure function of its flags, input files, and seed;
 repeated invocations produce byte-identical outputs. Exit codes: 0 on
 success, 2 for usage errors (bad flags, unreadable or malformed files,
 mismatched inputs), 3 for numeric-precondition failures (truncation, rank
-deficiency, a kernel the proposal disk cuts off). With --json-errors the
-failure is also written to stderr as a one-line JSON object. File formats
-are frozen in docs/formats.md; QTOMO_THREADS, an integer >= 1, caps
-internal parallelism.
+deficiency, a kernel the proposal disk cuts off, a --k-max the homodyne k
+rule cannot resolve). With --json-errors the failure is also written to
+stderr as a one-line JSON object. File formats are frozen in
+docs/formats.md; QTOMO_THREADS, an integer >= 1, caps internal parallelism.
 
 Each route (a command's --kind, --method or --family, or quorum's action)
 reads its own flags, and _ROUTE_FLAGS names them. A flag its route does not
@@ -202,7 +202,7 @@ _STATE_PARAMS = {
 _ROUTE_FLAGS = {
     "state": {**dict.fromkeys(_STATE_PARAMS, "!dim param"),
               "random_mixed": "!dim seed",
-              "spin_pure": "!s !direction dim"},
+              "spin_pure": "!s !direction"},
     "sample": {"homodyne": "dim squeeze", "parity": "dim proposal_radius", "kerr": "dim",
                "spin": "!s", "pauli": ""},
     "reconstruct": {"homodyne": "!records !n_max k_max reg_eps squeeze",
@@ -237,8 +237,7 @@ def cmd_state(args) -> None:
     kind = args.kind
     _check_route(args, kind)
     if kind == "spin_pure":
-        dim = args.dim if args.dim is not None else args.s + 1
-        spec = StateSpec(kind=kind, dim=dim, twice_s=args.s, direction=args.direction)
+        spec = StateSpec(kind=kind, dim=args.s + 1, twice_s=args.s, direction=args.direction)
     else:
         fields = {"seed": args.seed} if args.seed is not None else {}
         if args.param is not None:
@@ -262,7 +261,7 @@ def _sample_input_state(args, method: str) -> DensityMatrix:
     """Without --state: maximally mixed where the family fixes the dimension, vacuum otherwise."""
     if args.state:
         return load_state(args.state)
-    n_max = fixed_n_max(method, args.s)
+    n_max = args.s if args.s is not None else fixed_n_max(method)
     if n_max is not None:
         return DensityMatrix(np.eye(n_max + 1, dtype=complex) / (n_max + 1))
     return make_state(StateSpec(kind="fock", dim=args.dim, n=0))
@@ -274,8 +273,10 @@ def cmd_sample(args) -> None:
     if args.state and args.dim != args.parser.get_default("dim"):
         raise UsageError("--dim does not apply with --state")
     rho = _sample_input_state(args, method)
+    if args.s is not None and args.s + 1 != rho.dim:
+        raise UsageError(f"--s gives 2s+1 = {args.s + 1}, but the state has dim {rho.dim}")
     params = method_params(method, rho.dim - 1, cfg=_make_cfg(args, rho.dim),
-                           twice_s=args.s, squeeze=args.squeeze)
+                           squeeze=args.squeeze)
     rng = RngStream(seed=args.seed, substream=args.substream)
     records = METHODS[method].sample(rho, shots=args.shots, rng=rng, **params)
 
@@ -354,19 +355,18 @@ def cmd_reconstruct(args) -> None:
         return
 
     records = records_from_csv(args.records)
-    # Spin and Pauli fix n_max (2s and 1); the other methods need --n-max.
-    n_max = fixed_n_max(method, args.s) if args.n_max is None else args.n_max
+    # The route reads --n-max, or --s (spin's n_max is 2s), or neither (Pauli fixes 1).
+    n_max = next(n for n in (args.n_max, args.s, fixed_n_max(method)) if n is not None)
     cfg = _make_cfg(args, n_max + 1)
 
     if args.observable:
         name, a = _parse_observable(args.observable, n_max + 1)
-        result = estimate_observable(records, method, a, cfg=cfg, twice_s=args.s,
-                                     squeeze=args.squeeze)
+        result = estimate_observable(records, method, a, cfg=cfg, squeeze=args.squeeze)
         _write_estimate(args, name, result, {"method": method})
         return
 
     _write_matrix(args, reconstruct_matrix(
-        records, method, n_max, cfg=cfg, twice_s=args.s, squeeze=args.squeeze,
+        records, method, n_max, cfg=cfg, squeeze=args.squeeze,
         reference=reference, nearest_physical=args.nearest_physical,
     ))
 

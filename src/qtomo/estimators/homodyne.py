@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, NumericPreconditionError
+from ..errors import DimensionMismatchError, GridError, NumericPreconditionError
 from ..operators import Operator, squeeze as squeeze_operator
 from ..records import RecordBatch, walk
 from ..states import as_matrix
@@ -40,6 +40,8 @@ __all__ = [
 
 _PANELS = 256
 _PANEL_ORDER = 16
+# Radians of e^{ikq} one k panel may span: 20 keeps the d = 8 table within 1e-10 of k_max = 40
+_MAX_PANEL_PHASE = 20.0
 _DENSE_Q_POINTS = 4097
 _IMAG_TOL = 1e-10
 
@@ -86,7 +88,12 @@ def _k_tables(dim: int, k_max: float, reg_eps: float):
 
 def _f_at(qs: np.ndarray, dim: int, k_max: float, reg_eps: float) -> np.ndarray:
     """F[n,m](q) = int dk |k|/4 e^{ikq} e^{-eps k^2} <n|D(-ik/2)|m>; shape (d,d,nq).
-    e^{ikq} is cos + i sin for k >= 0; the k < 0 rows are its exact conjugate."""
+    e^{ikq} is cos + i sin for k >= 0; the k < 0 rows are its exact conjugate. GridError
+    if a k panel spans over _MAX_PANEL_PHASE at max |q|, never below the dense grid's."""
+    q_max = max(float(np.max(np.abs(qs), initial=0.0)), math.sqrt(dim) + 6.0)
+    if k_max / (_PANELS // 2) * q_max > _MAX_PANEL_PHASE:
+        raise GridError(f"k_max = {k_max:g} is too large: a k panel spans over "
+                        f"{_MAX_PANEL_PHASE:g} rad of e^(ikq) at |q| = {q_max:.3g}")
     k, g, blocks = _k_tables(dim, k_max, reg_eps)
     half = k.size // 2
     out = np.empty((dim, dim, qs.size), dtype=complex)
@@ -199,7 +206,7 @@ def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig,
     """
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
-    records.require("homodyne", 2)
+    records.require("homodyne", 2, cfg.dim)
     a_mat = a.mat
     if squeeze is not None:
         s = squeeze_operator(squeeze.zeta, cfg.dim).mat

@@ -135,7 +135,7 @@ def kerr_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
     averaged as the constant unit kernel, and any other diagonal weight
     is refused.
     """
-    records.require("kerr", 2)
+    records.require("kerr", 2, cfg.dim)
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
     if np.array_equal(a.mat, np.eye(a.dim)):
@@ -152,14 +152,12 @@ def kerr_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
 
 def kerr_kernel_block(settings: np.ndarray, outcomes: np.ndarray,
                       cfg: EstimatorConfig) -> np.ndarray:
-    """Kernels conj(u_n) u_k for settings psi and outcomes phi; zero diagonal.
+    """Kernels conj(u_n) u_k for settings psi and outcomes phi.
 
-    The records do not determine the diagonal, so it is left at zero.
+    The records do not determine the diagonal; its entries are 1 and the caller skips them.
     """
     u = _phase_vectors(settings[:, 0], outcomes, cfg.dim)
-    block = u[:, :, None] * u.conj()[:, None, :]
-    block[:, np.arange(cfg.dim), np.arange(cfg.dim)] = 0.0
-    return block
+    return u[:, :, None] * u.conj()[:, None, :]
 
 
 def kerr_epsilon_sweep(rho: DensityMatrix, n: int, eps_values: Sequence[float],

@@ -59,8 +59,9 @@ def parity_kernel_element(row: int, col: int, alpha) -> complex:
     """<row| 4 P D(2a) |col>, valid for any index pair."""
     if row < 0 or col < 0:
         raise InvalidSpecError("indices must be non-negative")
-    val = 4.0 * (-1.0) ** row * _cahill.disp_element(row, col, 2.0 * np.asarray(alpha, dtype=complex))
-    return complex(val) if np.ndim(alpha) == 0 else val
+    a = np.asarray(alpha, dtype=complex)
+    val = 4.0 * (-1.0) ** row * _cahill.disp_stack(2.0 * a, max(row, col) + 1)[:, row, col]
+    return complex(val[0]) if a.ndim == 0 else val.reshape(a.shape)
 
 
 def _parity_signs(dim: int) -> np.ndarray:

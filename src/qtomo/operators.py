@@ -32,7 +32,6 @@ __all__ = [
     "displacement",
     "squeeze",
     "SqueezeParams",
-    "lowering_e_minus",
     "fock_matrix_unit",
     "spin_matrices",
     "spin_component",
@@ -180,14 +179,6 @@ class SqueezeParams:
         dev = abs(self.mu**2 - abs(self.nu) ** 2 - 1.0)
         if dev > 1e-12 * self.mu**2:
             raise InvalidSpecError(f"squeeze parametrization broke mu^2-|nu|^2=1 by {dev:.3e}")
-
-
-def lowering_e_minus(dim: int) -> Operator:
-    """Phase lowering ladder, ones on the first subdiagonal: sum |n+1><n|."""
-    m = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        m[n + 1, n] = 1.0
-    return Operator(m)
 
 
 def fock_matrix_unit(row: int, col: int, dim: int) -> Operator:

@@ -99,7 +99,7 @@ class Method(NamedTuple):
     sample: Callable
     estimate: Callable
     elements: Callable
-    # "cfg", "twice_s" or None: a qubit family, n_max fixed at 1; homodyne also takes squeeze
+    # "cfg", "twice_s" (= n_max) or None: a qubit family (fixed_n_max); homodyne also takes squeeze
     param: Optional[str]
 
 
@@ -116,18 +116,17 @@ METHODS = {
 }
 
 
-def fixed_n_max(method: str, twice_s: Optional[int] = None) -> Optional[int]:
-    """The n_max a family fixes: 2s for spin, 1 for Pauli; None where cfg sets the dimension."""
-    return {"twice_s": twice_s, None: 1}.get(METHODS[method].param)
+def fixed_n_max(method: str) -> Optional[int]:
+    """The n_max a family fixes: 1 for Pauli; None where the caller's n_max sets it."""
+    return None if METHODS[method].param else 1
 
 
-def method_params(method: str, n_max: int, cfg=None, twice_s: Optional[int] = None,
-                  squeeze=None) -> Dict[str, object]:
+def method_params(method: str, n_max: int, cfg=None, squeeze=None) -> Dict[str, object]:
     """The keyword parameters of a method at working dimension n_max + 1, checked.
 
     cfg may be built for a larger dimension; the returned one has dim
-    n_max + 1. Spin and Pauli need n_max = fixed_n_max, and only homodyne
-    takes squeeze.
+    n_max + 1. Spin's 2s is n_max, Pauli's n_max must be fixed_n_max, and
+    only homodyne takes squeeze.
     """
     if n_max < 0:
         raise UsageError(f"n_max must be >= 0, got {n_max}")
@@ -141,17 +140,17 @@ def method_params(method: str, n_max: int, cfg=None, twice_s: Optional[int] = No
         if cfg is None or cfg.dim < n_max + 1:
             raise UsageError(f"{method} needs cfg with dim > n_max = {n_max}")
         params["cfg"] = dataclasses.replace(cfg, dim=n_max + 1) if cfg.dim != n_max + 1 else cfg
-    elif n_max != fixed_n_max(method, twice_s):
-        raise UsageError(f"{method} fixes n_max (spin 2s, pauli 1); got {n_max}, 2s = {twice_s}")
     elif param == "twice_s":
-        params["twice_s"] = twice_s
+        params["twice_s"] = n_max
+    elif n_max != fixed_n_max(method):
+        raise UsageError(f"{method} fixes n_max = {fixed_n_max(method)}, got {n_max}")
     return params
 
 
 def estimate_observable(records: RecordBatch, method: str, a: Operator, cfg=None,
-                        twice_s: Optional[int] = None, squeeze=None) -> EstimationResult:
+                        squeeze=None) -> EstimationResult:
     """<A> from records of a sampled method, by the family's estimator at dimension a.dim."""
-    params = method_params(method, a.dim - 1, cfg, twice_s, squeeze)
+    params = method_params(method, a.dim - 1, cfg, squeeze)
     return METHODS[method].estimate(a, records, **params)
 
 
@@ -175,18 +174,17 @@ class ReconstructedMatrix:
 
 
 def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
-                       cfg=None, twice_s: Optional[int] = None,
-                       squeeze=None, reference: Optional[DensityMatrix] = None,
+                       cfg=None, squeeze=None, reference: Optional[DensityMatrix] = None,
                        nearest_physical: bool = False) -> ReconstructedMatrix:
     """Estimate every element <k|rho|n> with k, n <= n_max that the method's records reach.
 
     n_max is the largest Fock/spin index wanted; the working dimension is
-    n_max + 1 and must not exceed what cfg (or 2s+1) supports. Records that
-    reach no element there (Kerr at n_max = 0) raise UsageError.
+    n_max + 1 and must not exceed what cfg supports; for spin it is 2s+1. Records
+    that reach no element there (Kerr at n_max = 0) raise UsageError.
     """
-    params = method_params(method, n_max, cfg, twice_s, squeeze)
-    records.require(method)
+    params = method_params(method, n_max, cfg, squeeze)
     dim = n_max + 1
+    records.require(method, dim=dim)
     results = METHODS[method].elements(records, dim, **params)
     if not results:
         raise UsageError(f"{method} records reach no element at n_max = {n_max}")

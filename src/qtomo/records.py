@@ -32,14 +32,18 @@ class Family(NamedTuple):
     arity: int
     settings: Optional[Tuple[float, ...]] = None
     outcomes: Optional[Tuple[float, ...]] = None
+    # The power of d - 1 by which the first setting and the outcome (None: neither) multiply
+    # in the kernel phases at dimension d, so that sum |column| (d - 1)^power is the largest
+    phase: Tuple[Optional[int], Optional[int]] = (None, None)
 
 
 FAMILIES = {
-    "homodyne": Family(1),  # phase phi; quadrature q
+    "homodyne": Family(1, phase=(1, None)),  # phase phi; quadrature q; kernel phi (k - n)
     "spin": Family(3),  # direction n; eigenvalue m of S.n, in a range the estimators check
     "pauli": Family(1, settings=(0.0, 1.0, 2.0), outcomes=(-0.5, 0.5)),  # axis x, y, z; +-1/2
     "parity": Family(2, outcomes=(-1.0, 1.0)),  # displacement (Re b, Im b); parity +-1
-    "kerr": Family(1),  # Kerr strength psi; measured phase phi
+    # Kerr strength psi; measured phase phi; kernel psi (b^2 - a^2) + phi (b - a)
+    "kerr": Family(1, phase=(2, 1)),
 }
 
 
@@ -95,14 +99,25 @@ class RecordBatch:
                 and np.array_equal(self.settings.view(np.int64), other.settings.view(np.int64))
                 and np.array_equal(self.outcomes.view(np.int64), other.outcomes.view(np.int64)))
 
-    def require(self, quorum: str, at_least: int = 1) -> None:
-        """Raise UsageError unless these are at least at_least records of the family quorum."""
+    def require(self, quorum: str, at_least: int = 1, dim: int = 1) -> None:
+        """Raise UsageError unless these are at least at_least records of the family quorum
+        and, at working dimension dim, the largest kernel phase of each is finite."""
         if self.quorum != quorum:
             raise UsageError(
                 f"records carry quorum '{self.quorum}' but the method expects '{quorum}'"
             )
         if len(self) < at_least:
             raise UsageError(f"need at least {at_least} {quorum} records, got {len(self)}")
+        columns = (self.settings[:, 0], self.outcomes)
+        with np.errstate(over="ignore"):  # the overflow is the fault reported
+            phase = sum(np.abs(c) * float(dim - 1) ** p
+                        for c, p in zip(columns, FAMILIES[quorum].phase) if p is not None)
+        bad = np.flatnonzero(~np.isfinite(phase))
+        if bad.size:
+            i = int(bad[0])
+            raise InvalidSpecError(
+                f"{quorum} record {i}: setting {self.settings[i].tolist()} and outcome "
+                f"{self.outcomes[i].tolist()} overflow the kernel phase at dimension {dim}")
 
 
 @dataclasses.dataclass(frozen=True)

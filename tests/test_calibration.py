@@ -48,7 +48,7 @@ CASES = {
     "kerr": (lambda k: _COHERENT, fock_matrix_unit(0, 1, 8),
              lambda a, rho: kerr_exact_element(rho, 0, 1, _CFG), {"cfg": _CFG}),
     "spin": (_random_mixed(4), number(4),
-             lambda a, rho: spin_quadrature_expectation(a, rho, 3), {"twice_s": 3}),
+             lambda a, rho: spin_quadrature_expectation(a, rho, 3), {}),
     "pauli": (_random_mixed(2), pauli("x"),
               lambda a, rho: complex(np.trace(a.mat @ rho.mat)), {}),
 }

@@ -350,6 +350,18 @@ BAD_INPUTS = {
     "spin-pure-seed": (
         ["state", "--kind", "spin_pure", "--s", "1", "--direction", "0,0,1", "--seed", "2"],
         "--seed"),
+    "spin-s-disagrees-with-state": (
+        ["sample", "--method", "spin", "--s", "1", "--state", "{tmp}/qubit.json",
+         "--shots", "10", "--seed", "1"], "--s"),
+    # phi (d - 1) and psi (d - 1)^2 overflow to inf: refused before any kernel is built
+    "homodyne-phase-overflows": (
+        ["reconstruct", "--method", "homodyne", "--records", "{tmp}/homodyne-phi.csv",
+         "--n-max", "3"], "homodyne record 1"),
+    **{f"kerr-{column}-overflows{name}": (
+        ["reconstruct", "--method", "kerr", "--records", f"{{tmp}}/kerr-{column}.csv",
+         "--n-max", "7", *extra], "kerr record 1")
+       for column in ("psi", "phi")
+       for name, extra in (("", []), ("-observable", ["--observable", "matrix_unit:0,1"]))},
 }
 
 # Each malformed quorum document: its role, dim and elements, and a word its error names.
@@ -404,6 +416,10 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     (tmp_path / "homodyne.csv").write_text(
         "quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,0.1,,,-0.3\n")
     (tmp_path / "kerr.csv").write_text("quorum,s1,s2,s3,o1\nkerr,0.5,,,1.25\nkerr,2.5,,,4\n")
+    (tmp_path / "homodyne-phi.csv").write_text(
+        "quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,1e308,,,-0.3\n")
+    (tmp_path / "kerr-psi.csv").write_text("quorum,s1,s2,s3,o1\nkerr,0.5,,,1.25\nkerr,1e307,,,4\n")
+    (tmp_path / "kerr-phi.csv").write_text("quorum,s1,s2,s3,o1\nkerr,0.5,,,1.25\nkerr,2.5,,,1e308\n")
     (tmp_path / "spin-zero.csv").write_text(
         "quorum,s1,s2,s3,o1\nspin,0,0,1,0.5\nspin,0,0,0,0.5\n")
     for name, (role, dim, elements, _) in BAD_QUORUMS.items():
@@ -440,7 +456,7 @@ ROUTE_CONTRACT = {
        for kind in ("fock", "coherent", "squeezed_vacuum", "thermal")},
     ("state", "random_mixed"): (["--kind", "random_mixed", "--dim", "3"], "!--dim --seed"),
     ("state", "spin_pure"): (["--kind", "spin_pure", "--s", "1", "--direction", "0,0,1"],
-                             "!--s !--direction --dim"),
+                             "!--s !--direction"),
     ("sample", "homodyne"): (["--method", "homodyne", *_SAMPLE], "--dim --squeeze"),
     ("sample", "parity"): (["--method", "parity", *_SAMPLE], "--dim --proposal-radius"),
     ("sample", "kerr"): (["--method", "kerr", *_SAMPLE], "--dim"),
@@ -559,6 +575,24 @@ PARSE_ERRORS = {
     "unknown-flag": (["sample", "--method", "kerr", "--shots", "5", "--seed", "1",
                       "--bogus", "3"], "--bogus"),
 }
+
+
+# A k_max whose k panels span more than 20 rad at the table's largest |q| (here 8)
+K_MAX_ARGV = {
+    "reconstruct": ["reconstruct", "--method", "homodyne", "--records", "{tmp}/homodyne.csv",
+                    "--n-max", "3"],
+    "kernels": ["kernels", "eval", "--family", "homodyne", "--observable", "number", "--dim", "4"],
+}
+
+
+@pytest.mark.parametrize("k_max", ["700", "1e200"])
+@pytest.mark.parametrize("command", list(K_MAX_ARGV))
+def test_unresolved_k_max_exits_3(capsys, tmp_path, route_files, command, k_max):
+    # in-process, so a numpy RuntimeWarning would fail the test as an error
+    argv = [a.format(tmp=route_files) for a in K_MAX_ARGV[command]]
+    code, _, err = run(capsys, argv + ["--k-max", k_max, "--out", str(tmp_path / "out")])
+    assert code == 3 and err.count("\n") == 1, err
+    assert f"k_max = {float(k_max):g}" in err, err
 
 
 def test_route_names_are_listed_once():

@@ -15,7 +15,7 @@ from qtomo.estimators import (
     oscillator_wavefunctions,
 )
 from qtomo.estimators import homodyne
-from qtomo.errors import InvalidSpecError, NumericPreconditionError, UsageError
+from qtomo.errors import GridError, InvalidSpecError, NumericPreconditionError, UsageError
 from qtomo.operators import Operator, annihilation, fock_matrix_unit, identity, number
 from qtomo.records import RecordBatch
 from qtomo.sampler import RngStream, sample_homodyne
@@ -116,6 +116,17 @@ class TestPatternTable:
         beta = 0.3 + 0.2j
         val = exact_homodyne_average(annihilation(8), coherent(beta, 8), cfg_for(8, k_max=10.3))
         assert abs(val - beta) <= 1e-6
+
+    def test_k_max_is_bounded_by_the_panel_phase(self):
+        # one of the 128 panels spans k_max / 128 (sqrt(8) + 6) rad of e^{ikq} at the
+        # table's edge: 13.8 rad at k_max = 200, 20.7 rad at k_max = 300
+        q_max = np.sqrt(8) + 6.0
+        qs = np.linspace(-q_max, q_max, 257)
+        ref = homodyne._f_at(qs, 8, 40.0, 1e-3)
+        diff = homodyne._f_at(qs, 8, 200.0, 1e-3) - ref
+        assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
+        with pytest.raises(GridError, match="k_max = 300"):
+            homodyne._f_at(qs, 8, 300.0, 1e-3)
 
 
 class TestHomodyneEstimate:

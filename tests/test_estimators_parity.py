@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtomo.errors import GridError, UsageError
 from qtomo.estimators import (
@@ -11,7 +13,8 @@ from qtomo.estimators import (
     parity_estimate,
     parity_exact_element,
 )
-from qtomo.operators import fock_matrix_unit, identity
+from qtomo.estimators.parity import parity_kernel_block
+from qtomo.operators import displacement, fock_matrix_unit, identity, parity
 from qtomo.recon import reconstruct_matrix
 from qtomo.records import RecordBatch
 from qtomo.sampler import RngStream, sample_displaced_parity
@@ -43,6 +46,19 @@ class TestKernel:
                     closed = displaced_parity_kernel(n, d, al)
                     matrix = displaced_parity_kernel_matrix_route(n, d, al, ORACLE_DIM)
                     assert abs(closed - matrix) <= 1e-8
+
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(re=st.floats(-1.0, 1.0), im=st.floats(-1.0, 1.0), dim=st.integers(1, 6),
+           s=st.sampled_from([-1.0, 1.0]))
+    def test_block_matches_the_matrix_route(self, re, im, dim, s):
+        # the block is R^2 s 4 P D(2b) = R^2 s 4 D(b)^dag P D(b); at |b|^2 <= 2 the
+        # truncated exponential at 40 levels is an independent route to it
+        cfg = EstimatorConfig(dim=dim)
+        block = parity_kernel_block(np.array([[re, im]]), np.array([s]), cfg)[0]
+        dm = displacement(complex(re, im), 40).mat
+        oracle = (4.0 * dm.conj().T @ parity(40).mat @ dm)[:dim, :dim]
+        assert np.max(np.abs(block / (cfg.parity_radius() ** 2 * s) - oracle)) <= 1e-12
 
 
 class TestEstimate:

@@ -118,7 +118,7 @@ class TestSpinEstimate:
         with pytest.raises(InvalidSpecError, match="must be unit vectors"):
             spin_estimate(identity(2), records, 1)
         with pytest.raises(InvalidSpecError, match="must be unit vectors"):
-            reconstruct_matrix(records, "spin", 1, twice_s=1)
+            reconstruct_matrix(records, "spin", 1)
 
     def test_nan_direction_rejected(self):
         with pytest.raises(InvalidSpecError, match="unit length"):

@@ -69,7 +69,7 @@ def _spin_case():
     twice_s = 2
     rho = make_state(StateSpec(kind="random_mixed", dim=twice_s + 1, seed=5))
     recs = sample_spin(rho, twice_s, SHOTS, RngStream(805))
-    return (recs, twice_s + 1, dict(twice_s=twice_s),
+    return (recs, twice_s + 1, {},
             lambda a: spin_estimate(a, recs, twice_s))
 
 
@@ -135,7 +135,7 @@ def _spin_half_records(bad_m):
 @pytest.mark.parametrize("bad_m", [-2.0, 0.25, float("nan"), float("inf")])
 def test_spin_reconstruct_rejects_non_eigenvalue_outcomes(bad_m):
     with pytest.raises(InvalidSpecError):
-        reconstruct_matrix(_spin_half_records(bad_m), "spin", 1, twice_s=1)
+        reconstruct_matrix(_spin_half_records(bad_m), "spin", 1)
 
 
 def test_spin_estimate_rejects_nan_outcome():

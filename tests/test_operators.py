@@ -15,7 +15,6 @@ from qtomo.operators import (
     fock_matrix_unit,
     hs_inner,
     identity,
-    lowering_e_minus,
     number,
     parity,
     pauli,
@@ -89,10 +88,6 @@ class TestBuilders:
 
     def test_number_diagonal(self):
         assert np.allclose(number(4).mat, np.diag([0.0, 1.0, 2.0, 3.0]), atol=EXACT)
-
-    def test_phase_ladders(self):
-        # e_- |n> = |n+1> with unit amplitude: ones on the first subdiagonal
-        assert np.allclose(lowering_e_minus(4).mat, np.eye(4, k=-1), atol=EXACT)
 
     def test_matrix_unit(self):
         m = fock_matrix_unit(1, 3, 5).mat

@@ -99,7 +99,7 @@ class TestReconstructSpin:
     def test_qubit_up_state(self):
         rho = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=(0, 0, 1)))
         records = sample_spin(rho, 1, 100_000, RngStream(611))
-        rec = reconstruct_matrix(records, "spin", n_max=1, twice_s=1)
+        rec = reconstruct_matrix(records, "spin", n_max=1)
         assert rec.dim == 2 and rec.method == "spin"
         for k in range(2):
             for n in range(2):
@@ -107,12 +107,6 @@ class TestReconstructSpin:
         tr = rec.diagnostics["trace"]
         assert abs(tr - 1.0) <= 5.0 * rec.diagnostics["trace_std_error"] + 1e-12
         assert np.allclose(rec.hermitized, rec.hermitized.conj().T)
-
-    def test_requires_twice_s(self):
-        rho = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=(0, 0, 1)))
-        records = sample_spin(rho, 1, 100, RngStream(612))
-        with pytest.raises(UsageError):
-            reconstruct_matrix(records, "spin", n_max=1)
 
 
 class TestReconstructPauli:
@@ -208,14 +202,12 @@ class TestReconstructValidation:
 
     def test_empty_records(self):
         with pytest.raises(UsageError):
-            reconstruct_matrix(RecordBatch("spin", np.empty((0, 3)), []), "spin", n_max=1,
-                               twice_s=1)
+            reconstruct_matrix(RecordBatch("spin", np.empty((0, 3)), []), "spin", n_max=1)
 
     def test_reference_and_projection_diagnostics(self):
         rho = make_state(StateSpec(kind="spin_pure", dim=2, twice_s=1, direction=(0, 0, 1)))
         records = sample_spin(rho, 1, 20_000, RngStream(619))
-        rec = reconstruct_matrix(records, "spin", n_max=1, twice_s=1,
-                                 reference=rho, nearest_physical=True)
+        rec = reconstruct_matrix(records, "spin", n_max=1, reference=rho, nearest_physical=True)
         comp = rec.diagnostics["comparison"]
         assert comp["fidelity"] > 0.99
         assert comp["trace_distance"] < 0.05
@@ -305,9 +297,7 @@ class TestEstimateObservable:
         rho = make_state(StateSpec(kind="random_mixed", dim=3, seed=4))
         records = sample_spin(rho, 2, 5_000, RngStream(621))
         a = fock_matrix_unit(0, 2, 3)
-        assert estimate_observable(records, "spin", a, twice_s=2) == spin_estimate(a, records, 2)
-        with pytest.raises(UsageError):
-            estimate_observable(records, "spin", a, twice_s=1)
+        assert estimate_observable(records, "spin", a) == spin_estimate(a, records, 2)
 
     def test_kerr_identity_is_the_constant_kernel(self):
         dim = 4
