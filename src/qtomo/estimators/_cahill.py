@@ -15,14 +15,21 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["disp_stack"]
+__all__ = ["disp_stack", "disp_entry"]
+
+
+def _entries(lo: int, d: int, x: np.ndarray, ex: np.ndarray, facs) -> list:
+    """pref * fac * ex * lag for each fac: <lo+d|D(a)|lo> at fac = a**d, <lo|D(a)|lo+d>
+    at fac = (-conj(a))**d, with x = |a|^2 and ex = e^(-x/2)."""
+    from scipy.special import eval_genlaguerre, gammaln
+
+    pref = float(np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1))))
+    lag = eval_genlaguerre(lo, d, x)
+    return [pref * fac * ex * lag for fac in facs]
 
 
 def disp_stack(alphas: np.ndarray, dim: int) -> np.ndarray:
-    """(len(alphas), dim, dim) stack of displacement blocks, two elements per Laguerre:
-    <lo+d|D(a)|lo> takes fac = a**d and <lo|D(a)|lo+d> takes fac = (-conj(a))**d."""
-    from scipy.special import eval_genlaguerre, gammaln
-
+    """(len(alphas), dim, dim) stack of displacement blocks, two elements per Laguerre."""
     a = np.asarray(alphas, dtype=complex).ravel()
     x = np.abs(a) ** 2
     ex = np.exp(-x / 2)
@@ -30,9 +37,16 @@ def disp_stack(alphas: np.ndarray, dim: int) -> np.ndarray:
     for d in range(dim):
         facs = [a**d] if d == 0 else [a**d, (-np.conj(a)) ** d]
         for lo in range(dim - d):
-            pref = float(np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1))))
-            lag = eval_genlaguerre(lo, d, x)
-            vals = [pref * fac * ex * lag for fac in facs]
+            vals = _entries(lo, d, x, ex, facs)
             out[:, lo + d, lo] = vals[0]
             out[:, lo, lo + d] = vals[-1]
     return out
+
+
+def disp_entry(alphas: np.ndarray, row: int, col: int) -> np.ndarray:
+    """<row|D(a)|col> for each alpha: the bits of disp_stack(alphas, dim)[:, row, col]."""
+    a = np.asarray(alphas, dtype=complex).ravel()
+    x = np.abs(a) ** 2
+    d = abs(row - col)
+    fac = a**d if row >= col else (-np.conj(a)) ** d
+    return _entries(min(row, col), d, x, np.exp(-x / 2), [fac])[0]

@@ -60,7 +60,7 @@ def parity_kernel_element(row: int, col: int, alpha) -> complex:
     if row < 0 or col < 0:
         raise InvalidSpecError("indices must be non-negative")
     a = np.asarray(alpha, dtype=complex)
-    val = 4.0 * (-1.0) ** row * _cahill.disp_stack(2.0 * a, max(row, col) + 1)[:, row, col]
+    val = 4.0 * (-1.0) ** row * _cahill.disp_entry(2.0 * a, row, col)
     return complex(val[0]) if a.ndim == 0 else val.reshape(a.shape)
 
 

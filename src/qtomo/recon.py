@@ -184,7 +184,7 @@ def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
     """
     params = method_params(method, n_max, cfg, squeeze)
     dim = n_max + 1
-    records.require(method, dim=dim)
+    records.require(method, 2, dim)
     results = METHODS[method].elements(records, dim, **params)
     if not results:
         raise UsageError(f"{method} records reach no element at n_max = {n_max}")

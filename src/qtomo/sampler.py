@@ -135,7 +135,7 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, steps: int, below, midpoint):
     """Halve each row's bracket [lo, hi] steps times, keeping below(lo) and not below(hi).
 
     midpoint(lo, hi) splits a bracket; below(mid) is any per-row predicate: the
-    CDF test CDF(mid) < target, or the arithmetic-only replay mid < r of
+    CDF test CDF(mid) < target of sample_homodyne, or the screened one of
     sample_kerr_phase.
     """
     for _ in range(steps):
@@ -263,48 +263,25 @@ def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
 
 # Kerr phase ----------------------------------------------------------------
 
-_KERR_REPLAY = 36  # bisection levels replayed against the cheap root
 _KERR_STEPS = 47  # bisection levels of every outcome
+_KERR_SLICE = 4096  # rows per exact evaluation, each copied to c's C-ordered (rows, K) layout
 
 
-def _kerr_root(c: np.ndarray, base: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """An approximate root of each row's conditional CDF at u; only speed depends on it.
+def _kerr_cdf(phi: np.ndarray, c: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """cdf(phi) of each row: the sum over k as written, from the (n, K) coefficients c."""
+    e = 1j * phi[:, None] * np.arange(1, c.shape[1] + 1)
+    np.exp(e, out=e)
+    return phi / (2.0 * np.pi) + (np.einsum("gd,gd->g", c, e) - base).real / np.pi
 
-    Six bisection steps, then six Newton steps kept inside the bracket. The
-    trigonometric sum and its derivative are evaluated by Horner's rule in
-    z = e^{i phi}: one complex exponential per row and evaluation, not dim - 1.
-    """
-    ks = range(c.shape[1], 0, -1)
 
-    def value(phi, z):
-        p = np.zeros_like(base)
-        for k in ks:
-            p += c[:, k - 1]
-            p *= z
-        return phi / (2.0 * np.pi) + (p - base).real / np.pi
-
-    def density(z):
-        # d/dphi Re(sum c_k z^k) = -Im(sum k c_k z^k)
-        q = np.zeros_like(base)
-        for k in ks:
-            q += k * c[:, k - 1]
-            q *= z
-        return (0.5 - q.imag) / np.pi
-
-    lo, hi = _bisect(np.zeros_like(u), np.full_like(u, 2.0 * np.pi), 6,
-                     lambda phi: value(phi, np.exp(1j * phi)) < u, _midpoint)
-    phi = _midpoint(lo, hi)
-    for _ in range(6):
-        z = np.exp(1j * phi)
-        f = value(phi, z) - u
-        g = density(z)
-        lo = np.where(f < 0, phi, lo)
-        hi = np.where(f < 0, hi, phi)
-        # a step shorter than the bracket needs g > 0: a zero density is never divided by
-        short = np.abs(f) < g * (hi - lo)
-        newton = phi - np.divide(f, g, out=np.zeros_like(f), where=short)
-        phi = np.where(short & (lo <= newton) & (newton <= hi), newton, _midpoint(lo, hi))
-    return phi
+def _kerr_screen(phi: np.ndarray, ct: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The same sum by Horner's rule in z = e^{i phi}, from the (K, n) coefficients ct."""
+    z = np.exp(1j * phi)
+    p = np.zeros_like(base)
+    for ck in ct[::-1]:
+        p += ck
+        p *= z
+    return phi / (2.0 * np.pi) + (p - base).real / np.pi
 
 
 def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
@@ -316,97 +293,54 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
         F(phi) = phi / 2pi + Re(sum_k c_k e^{i k phi} - sum_k c_k) / pi,
 
     with c_k = c_k(psi_g) / (i k) from the sideband coefficients (k = 1..K,
-    K = dim - 1), and cdf() below is its float evaluation. The outcome is the
-    midpoint of a 47-step bisection of [0, 2pi] that keeps cdf(lo) < u and
-    not cdf(hi) < u. That is the refinement limit of any inverse-CDF grid.
-    The bisection is not run step by step; the same 47 decisions are reached
-    with 13 exact evaluations per row:
+    K = dim - 1). The outcome is the midpoint of a 47-step bisection of
+    [0, 2pi] that keeps cdf(lo) < u and not cdf(hi) < u, where cdf() is
+    _kerr_cdf, F in floats. That is the refinement limit of any inverse-CDF
+    grid. Each step decides by screen() (_kerr_screen), F by Horner's rule in
+    z = e^{i phi}: one complex exponential per row, not K. Only the rows
+    with |screen - u| <= delta = 8 dim eps (1 + S), S = sum_k |c_k|, take the
+    exact cdf(). Every decision is then cdf(mid) < u, so the bits are those
+    of the plain bisection of cdf().
 
-    1. _kerr_root finds an approximate root r of F = u cheaply.
-    2. The first L = 36 decisions are replayed against r, in arithmetic only:
-       _bisect(0, 2pi, 36, mid < r). This gives a level-36 cell [lo, hi].
-    3. The cell is accepted if cdf(lo) < u - 2E and not cdf(hi) < u + 2E.
-       Rows that fail (a few per cent at dim 8) rerun the 36 exact steps.
-    4. The last 11 steps run on the exact cdf().
-
-    Why an accepted row makes the exact decisions. Each replayed midpoint m
-    with m < r lies at or below lo, and each other one at or above hi. Let G
-    be the exact value of the trigonometric sum with the float c_k. If
-    |cdf - G| <= E_cdf everywhere, and G never falls by more than M between
-    two points (x < y implies G(y) >= G(x) - M), then for m <= lo
-
-        cdf(m) <= G(m) + E_cdf <= G(lo) + M + E_cdf <= cdf(lo) + 2 E_cdf + M < u
-
-    whenever 2E >= 2 E_cdf + M plus the rounding of u - 2E, and likewise
-    cdf(m) >= u for m >= hi. So the exact bisection would have taken the same
-    36 steps, and it lands in the same cell with the same float endpoints.
-    The root's accuracy only decides how many rows are accepted.
-
-    The bound E (u_r = eps / 2 is the unit roundoff, A = sum_{a<b} |rho_ab| over
-    the upper triangle, which is all the sideband coefficients read):
-
-    - E_cdf. The angle fl(phi k) errs by at most 2pi K u_r and the complex
-      exponential by 2 u_r; the product with c_k adds 3 u_r relative, the
-      sums of K terms (K - 1) u_r each, the subtraction, the division by
-      fl(pi), phi / fl(2pi) and the last addition a few u_r more. Summed,
-      E_cdf <= u_r ((2.7 K + 3.9) sum|c_k| + 3) <= 2 (K + 1) eps (1 + sum|c_k|),
-      and sum|c_k| <= (1 + dim eps) A <= 2A.
-    - M. 2pi G'(phi) = 1 + 2 Re sum (i k c_k) e^{i k phi}. Let H be the
-      Hermitian matrix with rho's upper triangle and diagonal Re rho_aa, and
-      gamma_k its exact sideband coefficients. Its density v^dag H v is at
-      least dim * lambda_min(H), so 2pi G' >= dim * lambda_min(H) - |1 - tr H|
-      - 2 sum_k |i k c_k - gamma_k|. Each term of the last sum errs by the
-      angle fl(psi (b^2 - a^2)) (at most 2pi (dim-1)^2 u_r), the exponential,
-      the matrix-vector sum and the division by i k, so
-      sum_k |i k c_k - gamma_k| <= 4 (dim^2 + 2) eps A. Integrated over
-      [0, 2pi], M <= dim * max(0, -lambda_min(H)) + |1 - tr H|
-      + 8 (dim^2 + 2) eps A.
-    - lambda_min(H) is at least eigvalsh's value (which reads the same upper
-      triangle) minus the backward error of LAPACK's Hermitian eigensolver,
-      taken as 4 dim eps ||H||_F <= 6 dim eps ||triu(rho)||_F. The float
-      trace errs by at most dim eps sum|Re rho_aa|.
-
-    E = 4 dim eps (1 + A) + M / 2 + eps bounds E_cdf + M / 2 and the rounding
-    of u - 2E and u + 2E; it is the margin below. At dim 8 it is about 1e-13, against
-    a level-36 cell that holds about 1.5e-11 of probability at a typical
-    density.
+    Why. Let G be F in exact arithmetic from the float c_k and the float
+    base that both evaluations subtract, and u_r = eps / 2.
+    - cdf() errs from G by at most u_r ((2.7 K + 3.9) S + 3): the angle
+      fl(phi k) by 2pi K u_r, the exponential by 2 u_r, the product with c_k
+      by 3 u_r, the K-term sum by (K - 1) u_r, and the tail (base, fl(pi),
+      phi / fl(2pi), the last addition) by a few u_r more.
+    - screen() errs from G by at most u_r ((5.3 K + 3.9) S + 3): z's error of
+      2 u_r (the same assumption on the exponential) moves the sum by at most
+      2 K u_r S, Horner's K complex multiply-adds by 3.3 K u_r S, and the
+      tail is cdf()'s.
+    - So |screen - cdf| <= u_r ((8 K + 7.8) S + 6) <= 8 dim u_r (1 + S) = delta / 2,
+      and |screen - u| > delta puts cdf() on the same side of u as screen().
+      The factor 2 also covers the rounding of delta and of screen - u.
     """
     if cfg.dim != rho.dim:
         raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
     dim = rho.dim
     ds = np.arange(1, dim)
     eps = np.finfo(float).eps
-    m = rho.mat
-    a_sum = float(np.sum(np.abs(np.triu(m, 1))))
-    diag = m.diagonal().real
-    lam = float(np.linalg.eigvalsh(m, UPLO="U")[0])
-    half_m = (4 * (dim * dim + 2) * eps * a_sum
-              + 0.5 * dim * max(0.0, 6 * dim * eps * float(np.linalg.norm(np.triu(m))) - lam)
-              + 0.5 * (abs(1.0 - float(np.sum(diag))) + dim * eps * float(np.sum(np.abs(diag)))))
-    margin = 4 * dim * eps * (1.0 + a_sum) + half_m + eps
-
-    def cdf(phi, c, base):
-        e = 1j * phi[:, None] * ds
-        np.exp(e, out=e)
-        return phi / (2.0 * np.pi) + (np.einsum("gd,gd->g", c, e) - base).real / np.pi
 
     def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
         ps = gen.uniform(0.0, 2.0 * np.pi, cnt)
         u = gen.uniform(0.0, 1.0, cnt)
         c = kerr_sideband_coefficients(rho, ps)[:, 1:] / (1j * ds)[None, :]
         base = np.sum(c, axis=1)  # subtracted so that CDF(0) = 0
+        delta = 8 * dim * eps * (1.0 + np.sum(np.abs(c), axis=1))
+        ct = np.ascontiguousarray(c.T)  # Horner reads one contiguous row per k
+        del c
 
-        r = _kerr_root(c, base, u)
-        lo, hi = _bisect(np.zeros(cnt), np.full(cnt, 2.0 * np.pi), _KERR_REPLAY,
-                         lambda mid: mid < r, _midpoint)
-        settled = (cdf(lo, c, base) < u - 2.0 * margin) & ~(cdf(hi, c, base) < u + 2.0 * margin)
-        redo = np.flatnonzero(~settled)
-        c_redo, base_redo, u_redo = c[redo], base[redo], u[redo]
-        lo[redo], hi[redo] = _bisect(np.zeros(redo.size), np.full(redo.size, 2.0 * np.pi),
-                                     _KERR_REPLAY, lambda phi: cdf(phi, c_redo, base_redo) < u_redo,
-                                     _midpoint)
-        lo, hi = _bisect(lo, hi, _KERR_STEPS - _KERR_REPLAY,
-                         lambda phi: cdf(phi, c, base) < u, _midpoint)
+        def below(mid):
+            screen = _kerr_screen(mid, ct, base)
+            less = screen < u
+            near = np.flatnonzero(np.abs(screen - u) <= delta)
+            for i in range(0, near.size, _KERR_SLICE):
+                rows = near[i : i + _KERR_SLICE]
+                less[rows] = _kerr_cdf(mid[rows], ct[:, rows].T.copy(), base[rows]) < u[rows]
+            return less
+
+        lo, hi = _bisect(np.zeros(cnt), np.full(cnt, 2.0 * np.pi), _KERR_STEPS, below, _midpoint)
         return ps[:, None], _midpoint(lo, hi)
 
     return _sampled("kerr", shots, rng, draw)

@@ -362,6 +362,13 @@ BAD_INPUTS = {
          "--n-max", "7", *extra], "kerr record 1")
        for column in ("psi", "phi")
        for name, extra in (("", []), ("-observable", ["--observable", "matrix_unit:0,1"]))},
+    # a full matrix needs a standard error, so 2 records, as every --observable does
+    **{f"{method}-one-record": (
+        ["reconstruct", "--method", method, "--records", f"{{tmp}}/one-{method}.csv", *extra],
+        f"need at least 2 {method} records, got 1")
+       for method, extra in (("homodyne", ["--n-max", "3"]), ("kerr", ["--n-max", "3"]),
+                             ("parity", ["--n-max", "3"]), ("spin", ["--s", "0.5"]),
+                             ("pauli", []))},
 }
 
 # Each malformed quorum document: its role, dim and elements, and a word its error names.
@@ -422,6 +429,9 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     (tmp_path / "kerr-phi.csv").write_text("quorum,s1,s2,s3,o1\nkerr,0.5,,,1.25\nkerr,2.5,,,1e308\n")
     (tmp_path / "spin-zero.csv").write_text(
         "quorum,s1,s2,s3,o1\nspin,0,0,1,0.5\nspin,0,0,0,0.5\n")
+    for method, row in (("homodyne", "0.5,,,1.25"), ("kerr", "0.5,,,1.25"),
+                        ("parity", "0.1,0.2,,1"), ("spin", "0,0,1,0.5"), ("pauli", "0,,,0.5")):
+        (tmp_path / f"one-{method}.csv").write_text(f"quorum,s1,s2,s3,o1\n{method},{row}\n")
     for name, (role, dim, elements, _) in BAD_QUORUMS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({
             "version": 1, "kind": "quorum", "role": role, "dim": dim,

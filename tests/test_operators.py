@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtomo.errors import DimensionMismatchError, InvalidSpecError
-from qtomo.estimators._cahill import disp_stack
+from qtomo.estimators._cahill import disp_entry, disp_stack
 from qtomo.operators import (
     Operator,
     SqueezeParams,
@@ -112,6 +112,14 @@ class TestDisplacement:
         alpha = complex(re, im)
         oracle = displacement(alpha, 40).mat[:dim, :dim]
         assert np.max(np.abs(disp_stack(np.array([alpha]), dim)[0] - oracle)) <= 1e-12
+
+    def test_one_entry_is_the_stack_entry_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        alphas = np.concatenate([[0.0, 1.0, -2.5j], rng.normal(size=40) + 1j * rng.normal(size=40)])
+        stack = disp_stack(alphas, 8)
+        for r in range(8):
+            for c in range(8):
+                assert np.array_equal(disp_entry(alphas, r, c), stack[:, r, c])
 
     def test_overlap_grid(self):
         # self-overlap is exactly the dimension; cross-overlaps fall off

@@ -208,30 +208,35 @@ class TestKerrPhase:
         assert np.array_equal(kerr_phases(rho, shots, 541),
                               kerr_bisection_oracle(rho, shots, 541, SMALL_CHUNK))
 
-    @pytest.mark.parametrize("wrong", [lambda r: r + 1e-6, np.zeros_like], ids=["shifted", "zero"])
-    def test_a_wrong_root_changes_no_bit(self, wrong, monkeypatch):
-        # the margined check and the exact rerun carry correctness, not the root
-        real = sampler._kerr_root
-        monkeypatch.setattr(sampler, "_kerr_root", lambda c, base, u: wrong(real(c, base, u)))
-        for name in ("coherent-d8", "0+7-d8", "mixed-d8-s1"):
-            rho = KERR_ORACLE_STATES[name]()
-            assert np.array_equal(kerr_phases(rho, 3000, 543),
-                                  kerr_bisection_oracle(rho, 3000, 543))
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    @hypothesis.given(dim=st.integers(1, 16), rank=st.integers(1, 16),
+                      seed=st.integers(0, 2**32 - 1))
+    def test_screen_is_within_half_the_margin_of_the_cdf(self, dim, rank, seed):
+        # the screen may decide a row only where it cannot disagree with cdf()
+        rng = np.random.default_rng(seed)
+        shape = (dim, min(rank, dim))
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = g @ g.conj().T
+        rho = DensityMatrix(m / np.trace(m).real)
+        psi, phi = rng.uniform(0.0, 2.0 * np.pi, (2, 1000))
+        c = kerr_sideband_coefficients(rho, psi)[:, 1:] / (1j * np.arange(1, dim))
+        base = np.sum(c, axis=1)
+        delta = 8 * dim * np.finfo(float).eps * (1.0 + np.sum(np.abs(c), axis=1))
+        screen = sampler._kerr_screen(phi, np.ascontiguousarray(c.T), base)
+        assert np.all(np.abs(screen - sampler._kerr_cdf(phi, c, base)) <= delta / 2)
 
-    def test_cheap_root_settles_most_rows(self, monkeypatch):
-        # the exact 36-step rerun is the second 36-step bisection of the chunk
-        sizes = []
-        real = sampler._bisect
+    def test_screen_settles_most_decisions(self, monkeypatch):
+        # rows that reach the exact cdf(), summed over the 47 steps: about 3.2 per row here
+        rows = []
+        real = sampler._kerr_cdf
 
-        def counting(lo, hi, steps, below, midpoint):
-            if steps == sampler._KERR_REPLAY:
-                sizes.append(lo.size)
-            return real(lo, hi, steps, below, midpoint)
+        def counting(phi, c, base):
+            rows.append(phi.size)
+            return real(phi, c, base)
 
-        monkeypatch.setattr(sampler, "_bisect", counting)
+        monkeypatch.setattr(sampler, "_kerr_cdf", counting)
         kerr_phases(KERR_ORACLE_STATES["coherent-d8"](), 20_000, 544)
-        replayed, rerun = sizes
-        assert replayed == 20_000 and rerun < 0.1 * replayed
+        assert sum(rows) < 6 * 20_000
 
     @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
     @hypothesis.given(dim=st.integers(1, 8), rank=st.integers(1, 8),
