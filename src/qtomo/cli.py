@@ -1,12 +1,12 @@
 """Command-line surface: seeded, file-based estimation workflows.
 
-Every command is a pure function of its flags, input files, and seed;
-repeated invocations produce byte-identical outputs. Exit codes: 0 on
-success, 2 for usage errors (bad flags, unreadable or malformed files,
-mismatched inputs), 3 for numeric-precondition failures (truncation, rank
-deficiency, a kernel the proposal disk cuts off, a --k-max the homodyne k
-rule cannot resolve). With --json-errors the failure is also written to
-stderr as a one-line JSON object. File formats are frozen in
+Every command is a pure function of its flags, input files, and seed; repeated
+invocations produce byte-identical outputs. Exit codes: 0 on success, 2 for
+usage errors (bad flags, unreadable or malformed files, mismatched inputs), 3
+for numeric-precondition failures (truncation, rank deficiency, a kernel the
+proposal disk cuts off or that is not finite, a --k-max the homodyne k rule
+cannot resolve, out of memory). With --json-errors the failure is also written
+to stderr as a one-line JSON object. File formats are frozen in
 docs/formats.md; QTOMO_THREADS, an integer >= 1, caps internal parallelism.
 
 Each route (a command's --kind, --method or --family, or quorum's action)
@@ -394,13 +394,19 @@ def cmd_quorum(args) -> None:
 
 
 def _write_kernel_csv(path, column: str, grid, values) -> None:
+    """The kernel table; refused before the file is opened if a value is not finite."""
+    values = np.asarray(values, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericPreconditionError(
+            f"kernel value at {column} = {float(grid[bad[0]]):.17g} is not finite")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{column},re,im\n")
         for x, v in zip(grid, values):
-            v = complex(v)
             fh.write("%.17g,%.17g,%.17g\n" % (float(x), v.real, v.imag))
 
 
+@np.errstate(all="ignore")  # _write_kernel_csv refuses what overflows
 def cmd_kernels(args) -> None:
     family = args.family
     _check_route(args, family)
@@ -574,6 +580,9 @@ def main(argv=None) -> int:
         return _report_failure(args, exc, 3)
     except OSError as exc:
         return _report_failure(args, UsageError(f"cannot open {exc.filename}: {exc.strerror}"), 2)
+    except MemoryError as exc:
+        return _report_failure(args, NumericPreconditionError(
+            f"out of memory: {str(exc) or 'an allocation failed'}"), 3)
     return 0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, RankDeficientError
 from .frames import DualSet, SettingLabel, SpanningSet, irreducibility_rank
+from .operators import spin_frames
 
 __all__ = [
     "GramSchmidtTrace",
@@ -84,15 +85,12 @@ def pseudoinverse_dual(s: SpanningSet) -> DualSet:
 
 def weigert_spin_quorum(twice_s: int, directions: Sequence[Sequence[float]]) -> SpanningSet:
     """Projectors onto the top S.n eigenstate along (2s+1)^2 directions, unit weights."""
-    from .operators import spin_component  # local import keeps module load light
-
     d = twice_s + 1
     need = d * d
     dirs = [tuple(float(x) for x in v) for v in directions]
     if len(dirs) != need:
         raise InvalidSpecError(f"spin s={twice_s/2} needs {need} directions, got {len(dirs)}")
-    tops = [np.linalg.eigh(spin_component(twice_s, nvec).mat)[1][:, -1] for nvec in dirs]
-    projectors = [np.outer(top, top.conj()) for top in tops]
+    projectors = [np.outer(top, top.conj()) for top in spin_frames(twice_s, dirs)[1][:, :, -1]]
     return SpanningSet(projectors, np.ones(need), [SettingLabel("weigert", n) for n in dirs])
 
 

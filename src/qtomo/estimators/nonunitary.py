@@ -26,24 +26,23 @@ __all__ = [
 ]
 
 
+def _ladder_columns(n: int, dim: int) -> np.ndarray:
+    """Columns c of the shift-n entries of R_n(phi); each sits at row c - n, phase e^{i phi c}."""
+    return np.arange(max(0, n), dim + min(0, n))
+
+
 def phase_shift_ladder(n: int, phi: float, dim: int) -> Operator:
     """Matrix of R_n(phi); raises when the shift empties the truncated space."""
     if abs(n) >= dim:
         raise InvalidSpecError(f"shift |n| = {abs(n)} does not fit in dim {dim}")
     m = np.zeros((dim, dim), dtype=complex)
-    if n >= 0:
-        j = np.arange(dim - n)
-        m[j, j + n] = np.exp(1j * phi * (j + n))
-    else:
-        k = -n
-        j = np.arange(dim - k)
-        m[j + k, j] = np.exp(1j * phi * j)
+    c = _ladder_columns(n, dim)
+    m[c - n, c] = np.exp(1j * phi * c)
     return Operator(m)
 
 
 def _direct_trace(rho_mat: np.ndarray, q: int, psi: float) -> complex:
-    dim = rho_mat.shape[0]
-    m = np.arange(max(0, q), dim + min(0, q))
+    m = _ladder_columns(q, rho_mat.shape[0])
     return complex(np.sum(np.exp(1j * m * psi) * rho_mat[m, m - q]))
 
 
@@ -110,18 +109,11 @@ def nonunitary_reconstruct(a: Operator, rho: DensityMatrix) -> complex:
     phis = 2.0 * np.pi * np.arange(g) / g
     total = 0j
     for n in range(-(dim - 1), dim):
-        if n >= 0:
-            j = np.arange(dim - n)
-            a_diag = a.mat[j, j + n]
-            a_phase = np.exp(-1j * np.outer(phis, j + n))
-        else:
-            j = np.arange(dim + n)
-            a_diag = a.mat[j - n, j]
-            a_phase = np.exp(-1j * np.outer(phis, j))
+        c = _ladder_columns(n, dim)
+        a_diag = a.mat[c - n, c]
         if not np.any(a_diag):
             continue
-        coef_a = a_phase @ a_diag                     # Tr[A R_n^dag(phi)]
-        m = np.arange(max(0, n), dim + min(0, n))
-        coef_rho = np.exp(1j * np.outer(phis, m)) @ rho.mat[m, m - n]
+        coef_a = np.exp(-1j * np.outer(phis, c)) @ a_diag    # Tr[A R_n^dag(phi)]
+        coef_rho = np.exp(1j * np.outer(phis, c)) @ rho.mat[c, c - n]
         total += np.sum(coef_a * coef_rho) / g
     return complex(total)

@@ -13,12 +13,11 @@ dropped. The numeric psi-quadrature route is kept as the oracle.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
 from ..errors import DimensionMismatchError, InvalidSpecError, UsageError
-from ..operators import Operator, pauli, spin_component, spin_matrices
+from ..operators import Operator, pauli, spin_frames
 from ..records import EstimationResult, RecordBatch, walk
 from ..states import DensityMatrix
 
@@ -56,17 +55,12 @@ def _stencils(js: np.ndarray, twice_s: int) -> np.ndarray:
     return pad[:, 1:-1]
 
 
-def _eigenframe(direction, twice_s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues m = -s..s of S.n and their eigenvector columns."""
-    return np.linalg.eigh(spin_component(twice_s, direction).mat)
-
-
 def spin_kernel(a: Operator, m: float, direction, twice_s: int) -> complex:
     """Closed-form R[A](m, n)."""
     if a.dim != twice_s + 1:
         raise DimensionMismatchError(f"operator dim {a.dim} vs 2s+1 = {twice_s + 1}")
     js = _outcome_indices(np.array([m], dtype=float), twice_s)
-    _, vecs = _eigenframe(direction, twice_s)
+    _, (vecs,) = spin_frames(twice_s, [direction])
     diag = np.einsum("aj,ab,bj->j", vecs.conj(), a.mat, vecs, optimize=True)
     return complex(_stencils(js, twice_s)[0] @ diag)
 
@@ -77,27 +71,12 @@ def spin_kernel_quadrature(a: Operator, m: float, direction, twice_s: int,
     if a.dim != twice_s + 1:
         raise DimensionMismatchError(f"operator dim {a.dim} vs 2s+1 = {twice_s + 1}")
     _outcome_indices(np.array([m], dtype=float), twice_s)  # the integral tolerates any m
-    evals, vecs = _eigenframe(direction, twice_s)
+    (evals,), (vecs,) = spin_frames(twice_s, [direction])
     diag = np.einsum("aj,ab,bj->j", vecs.conj(), a.mat, vecs, optimize=True)
     psi = 2.0 * np.pi * np.arange(n_psi) / n_psi
     phases = np.exp(-1j * np.outer(psi, evals - m))  # (n_psi, 2s+1)
     integrand = np.sin(psi / 2.0) ** 2 * (phases @ diag)
     return complex((twice_s + 1) / np.pi * (2.0 * np.pi / n_psi) * np.sum(integrand))
-
-
-def _eigvecs(dirs: np.ndarray, twice_s: int) -> np.ndarray:
-    """Eigenvector columns of S.n per direction, eigenvalues ascending; (n, d, d).
-
-    Raises InvalidSpecError unless every direction is a unit vector.
-    """
-    norms = np.linalg.norm(dirs, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
-    if bad.size:
-        raise InvalidSpecError(f"spin direction {dirs[bad[0]].tolist()} has norm "
-                               f"{norms[bad[0]]:.17g}; record directions must be unit vectors")
-    sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
-    mats = dirs[:, 0, None, None] * sx + dirs[:, 1, None, None] * sy + dirs[:, 2, None, None] * sz
-    return np.linalg.eigh(mats)[1]
 
 
 def spin_kernel_block(settings: np.ndarray, outcomes: np.ndarray, twice_s: int) -> np.ndarray:
@@ -106,7 +85,7 @@ def spin_kernel_block(settings: np.ndarray, outcomes: np.ndarray, twice_s: int) 
     V holds the S.n eigenvectors and c the closed-form stencil at m.
     """
     c = _stencils(_outcome_indices(outcomes, twice_s), twice_s)
-    vecs = _eigvecs(settings, twice_s)
+    vecs = spin_frames(twice_s, settings)[1]
     return (vecs * c[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
@@ -118,7 +97,7 @@ def spin_estimate(a: Operator, records: RecordBatch, twice_s: int):
 
     def values(settings: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         c = _stencils(_outcome_indices(outcomes, twice_s), twice_s)
-        vecs = _eigvecs(settings, twice_s)
+        vecs = spin_frames(twice_s, settings)[1]
         diag = np.einsum("gaj,ab,gbj->gj", vecs.conj(), a.mat, vecs, optimize=True)
         return np.einsum("gj,gj->g", c, diag)
 
@@ -156,8 +135,7 @@ def spin_quadrature_expectation(a: Operator, rho: DensityMatrix, twice_s: int) -
     dirs, weights = sphere_rule(twice_s)
     stencils = _stencils(np.arange(twice_s + 1), twice_s)  # row j: outcome index j
     total = 0.0 + 0.0j
-    for nvec, w in zip(dirs, weights):
-        evals, vecs = _eigenframe(nvec, twice_s)
+    for w, vecs in zip(weights, spin_frames(twice_s, dirs)[1]):
         diag_a = np.einsum("aj,ab,bj->j", vecs.conj(), a.mat, vecs, optimize=True)
         probs = np.einsum("aj,ab,bj->j", vecs.conj(), rho.mat, vecs, optimize=True).real
         total += w * (probs @ (stencils @ diag_a))

@@ -35,6 +35,7 @@ __all__ = [
     "fock_matrix_unit",
     "spin_matrices",
     "spin_component",
+    "spin_frames",
     "pauli",
 ]
 
@@ -60,9 +61,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def adjoint(self) -> "Operator":
-        return Operator(self.mat.conj().T)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Operator(dim={self.dim})"
@@ -217,15 +215,34 @@ def spin_matrices(twice_s: int) -> Tuple[Operator, Operator, Operator]:
     return Operator(sx), Operator(sy), Operator(sz)
 
 
+def _spin_dots(twice_s: int, directions) -> np.ndarray:
+    """S . n for each row n of an (N, 3) array of unit vectors; (N, 2s+1, 2s+1)."""
+    try:
+        dirs = np.asarray(directions, dtype=float)
+    except ValueError:
+        raise InvalidSpecError("spin directions must be an (N, 3) array of numbers") from None
+    if dirs.ndim != 2 or dirs.shape[1] != 3:
+        raise InvalidSpecError(f"spin directions must be an (N, 3) array, got shape {dirs.shape}")
+    norms = np.linalg.norm(dirs, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))  # also refuses nan
+    if bad.size:
+        raise InvalidSpecError(f"spin direction {dirs[bad[0]].tolist()} is not of unit length "
+                               f"(norm {norms[bad[0]]:.17g}); directions must be unit vectors")
+    sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
+    return dirs[:, 0, None, None] * sx + dirs[:, 1, None, None] * sy + dirs[:, 2, None, None] * sz
+
+
 def spin_component(twice_s: int, direction: Iterable[float]) -> Operator:
     """S . n for a unit 3-vector n."""
-    nvec = np.asarray(tuple(direction), dtype=float)
-    if nvec.shape != (3,):
-        raise InvalidSpecError("spin direction must be a 3-vector")
-    if not abs(np.linalg.norm(nvec) - 1.0) <= 1e-12:  # also refuses nan
-        raise InvalidSpecError(f"spin direction must be unit length, |n| = {np.linalg.norm(nvec)}")
-    sx, sy, sz = spin_matrices(twice_s)
-    return Operator(nvec[0] * sx.mat + nvec[1] * sy.mat + nvec[2] * sz.mat)
+    return Operator(_spin_dots(twice_s, [tuple(direction)])[0])
+
+
+def spin_frames(twice_s: int, directions) -> Tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of S . n for each row n of an (N, 3) array of unit vectors.
+
+    Ascending eigenvalues m = -s..s (N, 2s+1) and eigenvector columns (N, 2s+1, 2s+1).
+    """
+    return np.linalg.eigh(_spin_dots(twice_s, directions))
 
 
 _PAULI = {

@@ -158,19 +158,19 @@ def estimate_observable(records: RecordBatch, method: str, a: Operator, cfg=None
 class ReconstructedMatrix:
     """Per-element estimates for A = |k><n| plus the Hermitized point value.
 
-    elements[k][n] estimates <k|rho|n>; None marks elements the method
-    cannot reach (Kerr diagonals). hermitized is (M + M^dag)/2 with
-    unreachable elements left at zero.
+    elements[(k, n)] estimates <k|rho|n>; elements the method cannot reach
+    (Kerr diagonals) are absent, and element(k, n) gives None for them.
+    hermitized is (M + M^dag)/2 with unreachable elements left at zero.
     """
 
     dim: int
     method: str
-    elements: Tuple[Tuple[Optional[EstimationResult], ...], ...]
+    elements: Dict[Tuple[int, int], EstimationResult]
     hermitized: np.ndarray
     diagnostics: Dict[str, object]
 
     def element(self, k: int, n: int) -> Optional[EstimationResult]:
-        return self.elements[k][n]
+        return self.elements.get((k, n))
 
 
 def reconstruct_matrix(records: RecordBatch, method: str, n_max: int,
@@ -201,9 +201,6 @@ def assemble_matrix(method: str, dim: int, results: Dict[Tuple[int, int], Estima
     error follow when the diagonal was estimated; then the comparison with
     reference, and the distance to the nearest physical state if asked.
     """
-    elements = tuple(
-        tuple(results.get((k, n)) for n in range(dim)) for k in range(dim)
-    )
     raw = np.zeros((dim, dim), dtype=complex)
     for (k, n), res in results.items():
         raw[k, n] = res.mean
@@ -224,7 +221,7 @@ def assemble_matrix(method: str, dim: int, results: Dict[Tuple[int, int], Estima
             np.linalg.norm(herm - phys.mat)
         )
     return ReconstructedMatrix(
-        dim=dim, method=method, elements=elements, hermitized=herm,
+        dim=dim, method=method, elements=results, hermitized=herm,
         diagnostics=diagnostics,
     )
 

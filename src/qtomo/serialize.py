@@ -247,42 +247,20 @@ def _parse_error(path, exc: ValueError) -> str:
     return str(exc)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        return [float(value.real), float(value.imag)]
-    return value
-
-
 def save_reconstruction(path, rec: ReconstructedMatrix) -> None:
-    elements = []
-    for k in range(rec.dim):
-        for n in range(rec.dim):
-            res = rec.elements[k][n]
-            if res is None:
-                continue
-            elements.append({
-                "k": k, "n": n,
-                "mean": [float(res.mean.real), float(res.mean.imag)],
-                "std_error": float(res.std_error),
-                "n_samples": int(res.n_samples),
-            })
+    elements = [{
+        "k": k, "n": n,
+        "mean": [float(res.mean.real), float(res.mean.imag)],
+        "std_error": float(res.std_error),
+        "n_samples": int(res.n_samples),
+    } for (k, n), res in sorted(rec.elements.items())]
     _dump_json(path, {
         "version": FORMAT_VERSION,
         "kind": "reconstruction",
         "dim": rec.dim,
         "method": rec.method,
         "elements": elements,
-        "diagnostics": _jsonable(rec.diagnostics),
+        "diagnostics": rec.diagnostics,
     })
 
 
@@ -297,5 +275,5 @@ def save_estimation(path, observable: str, result: EstimationResult,
         "n_samples": int(result.n_samples),
     }
     if extra:
-        payload["diagnostics"] = _jsonable(extra)
+        payload["diagnostics"] = extra
     _dump_json(path, payload)

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InvalidSpecError, TruncationError
-from .operators import Operator, SqueezeParams, spin_component
+from .operators import Operator, SqueezeParams, spin_frames
 
 __all__ = ["DensityMatrix", "StateSpec", "as_matrix", "make_state"]
 
@@ -166,9 +166,7 @@ def make_state(spec: StateSpec) -> DensityMatrix:
             raise InvalidSpecError(f"spin_pure needs dim = 2s+1, got dim={d} for 2s={spec.twice_s}")
         if spec.direction is None:
             raise InvalidSpecError("spin_pure requires a direction")
-        sn = spin_component(spec.twice_s, spec.direction)
-        w, v = np.linalg.eigh(sn.mat)
-        return _pure(v[:, -1])  # highest-weight state along the axis
+        return _pure(spin_frames(spec.twice_s, [spec.direction])[1][0, :, -1])  # highest weight
 
     raise InvalidSpecError(f"unknown state kind {kind!r}")
 

@@ -605,6 +605,57 @@ def test_unresolved_k_max_exits_3(capsys, tmp_path, route_files, command, k_max)
     assert f"k_max = {float(k_max):g}" in err, err
 
 
+# kernels eval arguments whose table holds a non-finite value, and the grid point named
+NON_FINITE_KERNELS = {
+    "kerr-offset": (["--family", "kerr", "--n", "0", "--d", "200", "--psi", "1e308"],
+                    "phi = 0 "),
+    "kerr-diagonal": (["--family", "kerr", "--n", "0", "--d", "0", "--eps", "1e308",
+                       "--psi", "1e308"], "phi = 0 "),
+    "parity-offset": (["--family", "parity", "--n", "0", "--d", "200", "--grid-max", "1e10"],
+                      "alpha = 100000000 "),
+    "parity-level": (["--family", "parity", "--n", "300", "--d", "0", "--grid-max", "30"],
+                     "alpha = 19.800000000000001 "),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_KERNELS))
+def test_non_finite_kernel_table_exits_3(capsys, tmp_path, case):
+    # in-process, so a numpy RuntimeWarning would fail the test as an error
+    args, where = NON_FINITE_KERNELS[case]
+    out = tmp_path / "kernel.csv"
+    code, _, err = run(capsys, ["kernels", "eval", *args, "--out", str(out)])
+    assert code == 3 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert where in err and "not finite" in err, err
+    assert not out.exists()
+
+
+def test_overflowing_parity_grid_is_quiet(capsys, tmp_path):
+    out = tmp_path / "kernel.csv"
+    code, _, err = run(capsys, ["kernels", "eval", "--family", "parity", "--grid-max", "1e200",
+                                "--out", str(out)])
+    assert code == 0 and err == "", err
+    assert out.read_text().splitlines()[1:3] == ["0,4,0", "1e+198,0,0"]
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_out_of_memory_exits_3(capsys, tmp_path, monkeypatch, json_errors):
+    # a stand-in for numpy's allocation failure: no test allocates for real
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type complex128")
+
+    monkeypatch.setattr("qtomo.cli.make_state", out_of_memory)
+    out = tmp_path / "state.json"
+    code, _, err = run(capsys, ["state", "--kind", "random_mixed", "--dim", "100000",
+                                "--out", str(out)] + ["--json-errors"] * json_errors)
+    assert code == 3 and err.count("\n") == 1 and not out.exists(), err
+    if json_errors:
+        payload = json.loads(err)
+        assert payload["error"] == "NumericPreconditionError"
+        err = payload["message"]
+    assert "out of memory: Unable to allocate 74.5 GiB" in err, err
+
+
 def test_route_names_are_listed_once():
     assert set(_ROUTE_FLAGS["sample"]) == set(METHODS)
     assert set(_ROUTE_FLAGS["reconstruct"]) == set(METHODS) | {"nonunitary"}

@@ -20,6 +20,7 @@ from qtomo.operators import (
     pauli,
     quadrature,
     spin_component,
+    spin_frames,
     spin_matrices,
     squeeze,
 )
@@ -176,6 +177,29 @@ class TestSpin:
         sx, sy, sz = spin_matrices(2)
         combo = n[0] * sx.mat + n[1] * sy.mat + n[2] * sz.mat
         assert np.allclose(spin_component(2, n).mat, combo, atol=EXACT)
+
+
+class TestSpinFrames:
+    @pytest.mark.parametrize("twice_s", range(1, 8))
+    def test_batched_frames_equal_one_direction_eigh(self, twice_s):
+        # The spin kernel-table and Weigert dual pins rest on this: LAPACK's batched
+        # eigh gives the bits of one eigh per direction.
+        rng = np.random.default_rng(1700 + twice_s)
+        dirs = rng.standard_normal((200, 3))
+        dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True), np.eye(3)])
+        evals, vecs = spin_frames(twice_s, dirs)
+        d = twice_s + 1
+        assert evals.shape == (203, d) and vecs.shape == (203, d, d)
+        for i, n in enumerate(dirs):
+            w, v = np.linalg.eigh(spin_component(twice_s, n).mat)
+            assert evals[i].tobytes() == w.tobytes() and vecs[i].tobytes() == v.tobytes(), i
+
+    @pytest.mark.parametrize("dirs", [np.full((2, 2), np.sqrt(0.5)), np.array([0.0, 0.0, 1.0]),
+                                      [(0.0, 0.0, 1.0), (1.0, 0.0)], [(np.nan, 0.0, 1.0)],
+                                      [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8001)]])
+    def test_refuses_what_is_not_unit_rows(self, dirs):
+        with pytest.raises(InvalidSpecError):
+            spin_frames(2, dirs)
 
 
 def test_squeeze_zero_is_identity():
