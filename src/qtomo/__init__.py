@@ -15,8 +15,11 @@ recon                streaming accumulation, density-matrix assembly
 serialize            file formats (JSON documents, record CSV)
 cli                  command-line entry point
 
-scipy is imported only inside the functions that call it, so `import qtomo`
-loads numpy only.
+The log-gamma, Laguerre and cubic-spline routines come from _special,
+numpy copies of scipy's that give its bits. scipy is loaded only by
+operators.displacement and operators.squeeze (expm) and by disp_stack beyond
+dim 40 (binom), so `import qtomo` and every state, sample and reconstruct
+route of the benchmark workloads load numpy only.
 """
 
 from .errors import (

@@ -12,6 +12,11 @@ Phase conventions, fixed once for samplers and estimators alike:
   |q_phi> = e^{i phi n} |q>,   <n|q_phi> = e^{i n phi} psi_n(q)
   p(q; phi) = sum_nm rho_nm e^{-i(n-m)phi} psi_n(q) psi_m(q)
   K_nm(q, phi) = e^{+i(n-m)phi} F_nm(q)
+
+Records read F_nm(q) from a not-a-knot cubic spline through a dense q
+grid: qtomo._special.CubicSpline, a numpy copy of scipy.interpolate's
+CubicSpline and PPoly evaluation that tests/test_special.py ties to
+scipy bit for bit, so only the squeezed routes import scipy (for S).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .._special import CubicSpline
 from ..errors import DimensionMismatchError, GridError, NumericPreconditionError
 from ..operators import Operator, squeeze as squeeze_operator
 from ..records import RecordBatch, walk
@@ -138,8 +144,6 @@ def _real_table(f: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _f_spline(dim: int, k_max: float, reg_eps: float):
     """One cubic spline through all d^2 columns of the real F table."""
-    from scipy.interpolate import CubicSpline
-
     qs, f = _dense_f_grid(dim, k_max, reg_eps)
     return qs, CubicSpline(qs, _real_table(f).reshape(dim * dim, -1).T)
 
@@ -154,27 +158,21 @@ def homodyne_kernel_matrix(q: float, phi: float, cfg: EstimatorConfig) -> Operat
 
 
 def _band_splines(a_mat: np.ndarray, cfg: EstimatorConfig):
-    """Per-offset splines of G_d(q) = sum_{n-m=d} A_mn F_nm(q).
+    """The offsets d that A touches, and one spline through their bands
+    G_d(q) = sum_{n-m=d} A_mn F_nm(q), column by column.
 
     Tr[A K(q,phi)] then equals sum_d e^{i d phi} G_d(q), one spline
-    evaluation per diagonal offset instead of a kernel matrix per record.
+    evaluation per record instead of a kernel matrix per record.
     """
-    from scipy.interpolate import CubicSpline
-
     dim = cfg.dim
     qs, f = _dense_f_grid(dim, cfg.k_max, cfg.reg_eps)
-    splines = {}
-    for d in range(-(dim - 1), dim):
-        g = np.zeros(qs.size, dtype=complex)
-        hit = False
-        for m in range(dim):
-            n = m + d
-            if 0 <= n < dim and a_mat[m, n] != 0:
-                g += a_mat[m, n] * f[n, m]
-                hit = True
-        if hit:
-            splines[d] = CubicSpline(qs, g)
-    return qs, splines
+    offsets = [d for d in range(1 - dim, dim) if np.any(np.diagonal(a_mat, d))]
+    bands = np.zeros((qs.size, len(offsets)), dtype=complex)
+    for j, d in enumerate(offsets):
+        for m in range(max(0, -d), min(dim, dim - d)):
+            if a_mat[m, m + d] != 0:
+                bands[:, j] += a_mat[m, m + d] * f[m + d, m]
+    return qs, offsets, CubicSpline(qs, bands)
 
 
 def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: EstimatorConfig,
@@ -211,13 +209,14 @@ def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig,
     if squeeze is not None:
         s = squeeze_operator(squeeze.zeta, cfg.dim).mat
         a_mat = s @ a_mat @ s.conj().T
-    grid, splines = _band_splines(a_mat, cfg)
+    grid, offsets, spline = _band_splines(a_mat, cfg)
 
     def values(settings: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         qc = np.clip(outcomes, grid[0], grid[-1])  # beyond the grid the kernel is ~0
+        bands = spline(qc)
         vals = np.zeros(qc.size, dtype=complex)
-        for d, sp in splines.items():
-            vals += np.exp(1j * d * settings[:, 0]) * sp(qc)
+        for j, d in enumerate(offsets):
+            vals += np.exp(1j * d * settings[:, 0]) * bands[:, j]
         return vals
 
     return walk(records, values)[0]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, GridError, InvalidSpecError, UsageError
+from ..errors import (DimensionMismatchError, GridError, InvalidSpecError,
+                      NumericPreconditionError, UsageError)
 from ..operators import Operator, displacement, parity
 from ..records import RecordBatch, walk
 from ..states import DensityMatrix
@@ -69,10 +70,16 @@ def _parity_signs(dim: int) -> np.ndarray:
 
 
 def _per_displacement(betas: np.ndarray, dim: int, dtype, contract) -> np.ndarray:
-    """contract(blocks) of the (n, dim, dim) D(2b) blocks, _CHUNK displacements at a time."""
+    """contract(blocks) of the (n, dim, dim) D(2b) blocks, _CHUNK displacements at a time.
+    NumericPreconditionError where a contraction is not finite."""
     out = np.empty(betas.size, dtype=dtype)
     for i in range(0, betas.size, _CHUNK):
         out[i : i + _CHUNK] = contract(_cahill.disp_stack(2.0 * betas[i : i + _CHUNK], dim))
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise NumericPreconditionError(
+            f"the displaced-parity kernel at |b| = {abs(betas[bad[0]]):.3g} is not finite "
+            f"at dim {dim}; use a smaller proposal radius")
     return out
 
 
@@ -93,7 +100,7 @@ def _coeff_stack(a_mat: np.ndarray, betas: np.ndarray) -> np.ndarray:
 
 
 def check_parity_boundary(target, cfg: EstimatorConfig) -> None:
-    """Raise GridError when the largest |kernel|/4 on the proposal boundary exceeds 1e-3.
+    """Raise GridError unless the largest |kernel|/4 on the proposal boundary is at most 1e-3.
 
     A kernel that is not negligible at |b| = R has a truncated tail.
     target is an Operator, or None for every matrix unit at once (the
@@ -106,10 +113,13 @@ def check_parity_boundary(target, cfg: EstimatorConfig) -> None:
     else:
         scale = max(1.0, float(np.max(np.abs(target.mat))))
         vals = np.abs(_coeff_stack(target.mat, ring)) / (4.0 * scale)
-    if np.max(vals) > 1e-3:
+    peak = float(np.max(vals))
+    if not peak <= 1e-3:  # a NaN kernel fails too
         raise GridError(
             f"kernel mass at the proposal boundary |b| = {radius:.3g} exceeds 1e-3; "
-            "increase proposal_radius"
+            "increase proposal_radius" if peak > 1e-3 else
+            f"the kernel at the proposal boundary |b| = {radius:.3g} is not finite; "
+            "use a smaller proposal radius"
         )
 
 

@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._special import gammaln
 from .errors import InvalidSpecError, TruncationError
 from .operators import Operator, SqueezeParams, spin_frames
 
@@ -74,8 +75,6 @@ def _pure(vec: np.ndarray) -> DensityMatrix:
 
 
 def _coherent_amplitudes(beta: complex, dim: int) -> np.ndarray:
-    from scipy.special import gammaln
-
     # amplitudes e^{-|b|^2/2} b^n / sqrt(n!) in log space to dodge overflow
     n = np.arange(dim)
     if beta == 0:
@@ -117,8 +116,6 @@ def make_state(spec: StateSpec) -> DensityMatrix:
         return DensityMatrix(rho)
 
     if kind == "squeezed_vacuum":
-        from scipy.special import gammaln
-
         # amplitudes of S(zeta)|0> with Bogoliubov mu = cosh|z|, nu = e^{2i arg z} sinh|z|:
         # only even levels populated, c_{2k} = (-nu/2mu)^k sqrt((2k)!)/k! / sqrt(mu)
         z = complex(spec.zeta)

@@ -445,6 +445,34 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
 
 
+
+# Bad inputs that exit 3, not 2 as BAD_INPUTS' do: parity proposal radii whose kernel
+# overflows into NaN where e^(-|2b|^2/2) underflows. The sampler's G(b), the boundary
+# check and the observable's coefficients refuse it. Their argv ({tmp} is the test
+# directory) and a word the error names.
+NON_FINITE_PARITY = {
+    "sample": (["sample", "--method", "parity", "--dim", "3", "--shots", "2000", "--seed", "1",
+                "--proposal-radius", "1e100"], "not finite"),
+    "reconstruct-matrix": (["reconstruct", "--method", "parity", "--records", "{tmp}/parity.csv",
+                            "--n-max", "2", "--proposal-radius", "1e100"], "not finite"),
+    "reconstruct-number": (["reconstruct", "--method", "parity", "--records", "{tmp}/parity.csv",
+                            "--n-max", "2", "--proposal-radius", "1e100",
+                            "--observable", "number"], "not finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_PARITY))
+def test_non_finite_parity_kernel_exits_3(capsys, tmp_path, case):
+    # in-process, so a numpy RuntimeWarning would fail the test as an error
+    (tmp_path / "parity.csv").write_text(
+        "quorum,s1,s2,s3,o1\nparity,0.1,0.2,,1\nparity,-0.3,0.1,,-1\n")
+    argv, word = NON_FINITE_PARITY[case]
+    out = tmp_path / "out"
+    code, _, err = run(capsys, [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)])
+    assert code == 3 and err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+    assert not out.exists()
+
+
 # The route contract, written out here rather than read from the CLI. A route is a
 # command's --kind, --method or --family. First, a valid value of each flag that some
 # route of the command does not read ({tmp} is the directory of the route_files fixture).
@@ -830,9 +858,12 @@ def test_cli_surface():
     assert offered == {name: opts | common for name, opts in expected.items()}
 
 
-# The Pauli route, the Kerr and homodyne samplers and the quorum commands need
-# numpy alone: scipy is imported only inside the functions that call it. This
-# module imports scipy itself, so the check runs in a fresh interpreter.
+# Every state, sample and reconstruct route of the benchmark workloads (coherent states,
+# homodyne, parity, Kerr and Pauli) and the quorum commands need numpy alone: the
+# log-gamma, Laguerre and spline routines they use are qtomo._special's copies of
+# scipy's, and scipy is imported only by operators.displacement and squeeze and by
+# disp_stack beyond dim 40. This module imports scipy itself, so the check runs in a
+# fresh interpreter.
 NUMPY_ONLY_COMMANDS = """
 import sys
 
@@ -845,10 +876,23 @@ for argv in (
      "--seed", "1", "--out", f"{tmp}/pauli.csv"],
     ["reconstruct", "--method", "pauli", "--records", f"{tmp}/pauli.csv",
      "--reference", f"{tmp}/rho.json", "--out", f"{tmp}/pauli.json"],
+    ["state", "--kind", "coherent", "--dim", "3", "--param", "0.1", "--out", f"{tmp}/coh.json"],
+    ["state", "--kind", "squeezed_vacuum", "--dim", "6", "--param", "0.1",
+     "--out", f"{tmp}/squeezed.json"],
     ["sample", "--method", "kerr", "--dim", "3", "--shots", "20", "--seed", "1",
      "--out", f"{tmp}/kerr.csv"],
+    ["reconstruct", "--method", "kerr", "--records", f"{tmp}/kerr.csv", "--n-max", "2",
+     "--out", f"{tmp}/kerr.json"],
     ["sample", "--method", "homodyne", "--dim", "3", "--shots", "20", "--seed", "1",
      "--out", f"{tmp}/homodyne.csv"],
+    ["reconstruct", "--method", "homodyne", "--records", f"{tmp}/homodyne.csv", "--n-max", "2",
+     "--reference", f"{tmp}/coh.json", "--out", f"{tmp}/homodyne.json"],
+    ["reconstruct", "--method", "homodyne", "--records", f"{tmp}/homodyne.csv", "--n-max", "2",
+     "--observable", "number", "--out", f"{tmp}/number.json"],
+    ["sample", "--method", "parity", "--dim", "3", "--shots", "20", "--seed", "1",
+     "--out", f"{tmp}/parity.csv"],
+    ["reconstruct", "--method", "parity", "--records", f"{tmp}/parity.csv", "--n-max", "2",
+     "--out", f"{tmp}/parity.json"],
     ["quorum", "verify", "--quorum", f"{tmp}/pauli-quorum.json"],
     ["quorum", "dual", "--quorum", f"{tmp}/pauli-quorum.json", "--out", f"{tmp}/dual.json"],
 ):
