@@ -2,9 +2,13 @@
 
 Each sampler draws settings and outcomes from the exact distributions of
 the truncated state and returns them as one RecordBatch. Randomness is
-counter-based: a record stream is a pure function of (seed, substream)
-regardless of how many workers executed the chunks, because chunk i of
-every stream owns the Philox key (seed, substream << 32 | i).
+counter-based: shots come in chunks of CHUNK_SHOTS = 65,536, and chunk i
+of every stream owns the Philox key (seed, substream << 32 | i). Each
+sampler draws its uniforms chunk by chunk, serially, then solves them in
+fixed ROW_BLOCK = 32,768-row blocks on the pool, with numpy's BLAS at one
+thread per worker while the pool runs. Every solve is row-local, so a
+record stream is a pure function of (seed, substream), whatever the block
+size or the number of workers.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
 
 _LEAK_TOL = 1e-6
 _CDF_GRID = 8193
+ROW_BLOCK = 1 << 15  # rows per solve; the pool's unit of work
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,17 +68,27 @@ class RngStream:
         )
 
 
-def _sampled(quorum: str, shots: int, rng: RngStream, draw) -> RecordBatch:
-    """Records of every chunk of CHUNK_SHOTS shots, concatenated in chunk order.
+def _sampled(quorum: str, shots: int, rng: RngStream, uniforms, solve) -> RecordBatch:
+    """The records of shots shots, in shot order.
 
-    draw(gen, start, cnt) returns the (settings, outcomes) arrays of shots
-    start..start+cnt; chunk i draws from rng.generator(i).
+    Chunk i, the CHUNK_SHOTS shots from i * CHUNK_SHOTS on, draws from
+    rng.generator(i): one array of uniforms on [low, high) for each (low, high)
+    in uniforms, in that order. solve(start, *columns) turns the uniforms of
+    the shots start..start + len(column) into their (settings, outcomes)
+    arrays; it runs on the pool, ROW_BLOCK rows at a time.
     """
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
-    parts = chunk_map(lambda i: draw(rng.generator(i), i * CHUNK_SHOTS,
-                                     min(CHUNK_SHOTS, shots - i * CHUNK_SHOTS)),
-                      -(-shots // CHUNK_SHOTS))
+
+    def draw(i: int) -> list:
+        gen, cnt = rng.generator(i), min(CHUNK_SHOTS, shots - i * CHUNK_SHOTS)
+        return [gen.uniform(low, high, cnt) for low, high in uniforms]
+
+    columns = [np.concatenate(c) for c in zip(*map(draw, range(-(-shots // CHUNK_SHOTS))))]
+    parts = chunk_map(lambda b: solve(b * ROW_BLOCK, *(col[b * ROW_BLOCK:(b + 1) * ROW_BLOCK]
+                                                       for col in columns)),
+                      -(-shots // ROW_BLOCK))
+    del columns  # spent: free the uniforms before the records are joined
     settings, outcomes = zip(*parts)
     return RecordBatch(quorum, np.concatenate(settings), np.concatenate(outcomes))
 
@@ -166,9 +181,8 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
     ds = np.arange(1, rho.dim)
     dq = qs[1] - qs[0]
 
-    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
-        phis = gen.uniform(0.0, np.pi, cnt)
-        u = gen.uniform(0.0, 1.0, cnt)
+    def solve(start: int, phis: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        cnt = phis.size
         phases = np.exp(-1j * np.outer(phis, ds))
 
         def value_at(idx):
@@ -184,7 +198,7 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
         q = qs[lo] + frac * dq
         return phis[:, None], q
 
-    return _sampled("homodyne", shots, rng, draw)
+    return _sampled("homodyne", shots, rng, ((0.0, np.pi), (0.0, 1.0)), solve)
 
 
 # spin --------------------------------------------------------------------
@@ -195,9 +209,8 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream) ->
     if rho.dim != dim:
         raise UsageError(f"state dim {rho.dim} vs 2s+1 = {dim}")
 
-    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
-        z = gen.uniform(-1.0, 1.0, cnt)
-        az = gen.uniform(0.0, 2.0 * np.pi, cnt)
+    def solve(start: int, z: np.ndarray, az: np.ndarray,
+              u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         st = np.sqrt(1.0 - z * z)
         dirs = np.stack([st * np.cos(az), st * np.sin(az), z], axis=1)
         vecs = spin_frames(twice_s, dirs)[1]
@@ -205,12 +218,11 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream) ->
                           optimize=True).real
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum(axis=1, keepdims=True)
-        u = gen.uniform(0.0, 1.0, cnt)
         j = (u[:, None] < np.cumsum(probs, axis=1)).argmax(axis=1)
         ms = j - twice_s / 2.0
         return dirs, ms
 
-    return _sampled("spin", shots, rng, draw)
+    return _sampled("spin", shots, rng, ((-1.0, 1.0), (0.0, 2.0 * np.pi), (0.0, 1.0)), solve)
 
 
 def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> RecordBatch:
@@ -219,14 +231,13 @@ def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> RecordBatch:
         raise UsageError("pauli sampling is for qubit states")
     means = [float(np.trace(rho.mat @ pauli(ax).mat).real) for ax in ("x", "y", "z")]
 
-    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
-        axes = (start + np.arange(cnt)) % 3
+    def solve(start: int, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        axes = (start + np.arange(u.size)) % 3
         p_up = 0.5 * (1.0 + np.array(means)[axes])
-        u = gen.uniform(0.0, 1.0, cnt)
         ms = np.where(u < p_up, 0.5, -0.5)
         return axes[:, None], ms
 
-    return _sampled("pauli", shots, rng, draw)
+    return _sampled("pauli", shots, rng, ((0.0, 1.0),), solve)
 
 
 # displaced parity ----------------------------------------------------------
@@ -239,25 +250,25 @@ def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
     _check_leakage(rho)
     radius = cfg.parity_radius()
 
-    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
-        u_r = gen.uniform(0.0, 1.0, cnt)
-        u_t = gen.uniform(0.0, 1.0, cnt)
+    def solve(start: int, u_r: np.ndarray, u_t: np.ndarray,
+              u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         b = radius * np.sqrt(u_r) * np.exp(2j * np.pi * u_t)
         g = displaced_parity_expectation(rho, b)
         p_plus = np.clip(0.5 * (1.0 + g), 0.0, 1.0)
-        u = gen.uniform(0.0, 1.0, cnt)
         s = np.where(u < p_plus, 1.0, -1.0)
         return np.stack([b.real, b.imag], axis=1), s
 
-    return _sampled("parity", shots, rng, draw)
+    return _sampled("parity", shots, rng, ((0.0, 1.0),) * 3, solve)
 
 
 # Kerr phase ----------------------------------------------------------------
 
 _KERR_STEPS = 47  # bisection levels of every outcome
 # Rows per exact evaluation, copied to c's C-ordered (rows, K) layout. The slices bound the last
-# steps' memory, where nearly every row takes cdf(): at coherent beta = 0.6, dim 8, 65,536 rows,
-# none in steps 1-26, then 22,259, 38,624, 59,391 and all 65,536 in steps 44-47.
+# steps' memory, where nearly every row of a block takes cdf(): at coherent beta = 0.6, dim 8, seed 0,
+# a 32,768-row block sends none in steps 1-29, 12,222 over steps 30-43, then 11,295, 19,259, 29,733
+# and all 32,768 in steps 44-47. One call over all 65,536 rows of a chunk raised the peak RSS of
+# a 200,000-shot `qtomo sample` from 90 to 103-106 MB.
 _KERR_SLICE = 4096
 
 
@@ -316,10 +327,9 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
     ds = np.arange(1, dim)
     eps = np.finfo(float).eps
 
-    def draw(gen: np.random.Generator, start: int, cnt: int) -> Tuple[np.ndarray, np.ndarray]:
-        ps = gen.uniform(0.0, 2.0 * np.pi, cnt)
-        u = gen.uniform(0.0, 1.0, cnt)
-        c = kerr_sideband_coefficients(rho, ps)[:, 1:] / (1j * ds)[None, :]
+    def solve(start: int, ps: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        cnt = ps.size
+        c = kerr_sideband_coefficients(rho, ps, first=1) / (1j * ds)[None, :]
         base = np.sum(c, axis=1)  # subtracted so that CDF(0) = 0
         delta = 8 * dim * eps * (1.0 + np.sum(np.abs(c), axis=1))
         ct = np.ascontiguousarray(c.T)  # Horner reads one contiguous row per k
@@ -337,4 +347,4 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
         lo, hi = _bisect(np.zeros(cnt), np.full(cnt, 2.0 * np.pi), _KERR_STEPS, below, _midpoint)
         return ps[:, None], _midpoint(lo, hi)
 
-    return _sampled("kerr", shots, rng, draw)
+    return _sampled("kerr", shots, rng, ((0.0, 2.0 * np.pi), (0.0, 1.0)), solve)

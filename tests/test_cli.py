@@ -707,7 +707,8 @@ def test_bad_thread_count_is_refused(capsys, tmp_path, monkeypatch, value):
 
 
 def test_thread_count_caps_the_pool(monkeypatch):
-    default = min(8, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    default = min(8, cpus or 1)
     monkeypatch.delenv("QTOMO_THREADS", raising=False)
     assert max_workers() == default
     monkeypatch.setenv("QTOMO_THREADS", "")

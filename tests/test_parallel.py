@@ -1,0 +1,66 @@
+"""The pool holds numpy's OpenBLAS at one thread and gives the count back."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from qtomo._parallel import _blas_threads_api, chunk_map
+
+BLAS = _blas_threads_api()
+pytestmark = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread count not found")
+
+
+@pytest.fixture
+def three_blas_threads(monkeypatch):
+    # a count that neither the pool's 1 nor a one-core default can pass for
+    get, put = BLAS
+    monkeypatch.setenv("QTOMO_THREADS", "2")
+    saved = get()
+    put(3)
+    yield get
+    put(saved)
+
+
+def test_pool_runs_blas_at_one_thread(three_blas_threads):
+    get = three_blas_threads
+    # a nested pool must not restore the count while the outer one runs
+    seen = chunk_map(lambda i: (get(), chunk_map(lambda j: get(), 2), get()), 4)
+    assert seen == [(1, [1, 1], 1)] * 4
+    assert get() == 3
+
+
+def test_count_is_restored_when_fn_raises(three_blas_threads):
+    get = three_blas_threads
+
+    def fn(i):
+        if i == 1:
+            raise RuntimeError("chunk 1 failed")
+        return get()
+
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        chunk_map(fn, 4)
+    assert get() == 3
+
+
+def test_serial_map_leaves_blas_alone(three_blas_threads, monkeypatch):
+    get = three_blas_threads
+    monkeypatch.setenv("QTOMO_THREADS", "1")
+    assert chunk_map(lambda i: get(), 3) == [3, 3, 3]
+
+
+def test_concurrent_pools_restore_the_count(three_blas_threads, monkeypatch):
+    # more workers than cores, switching threads often: a lost update of the
+    # hold count would let a pool run at 3 threads or leave the count at 1
+    get = three_blas_threads
+    monkeypatch.setenv("QTOMO_THREADS", "3")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            runs = [callers.submit(chunk_map, lambda i: get(), 16) for _ in range(16)]
+            seen = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [[1] * 16] * 16
+    assert get() == 3

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qtomo import sampler
 from qtomo.cli import main
 from qtomo.errors import InvalidSpecError
 from qtomo.estimators import (
@@ -81,6 +82,15 @@ def test_one_thread_gives_the_same_batch(family, monkeypatch):
     serial = _sample(family)
     assert len(serial) == SHOTS
     assert serial == default
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_CSV))
+def test_solves_are_row_local(family, monkeypatch):
+    # an odd block size cuts the rows where no default block does: a solve that
+    # depends on its block moves a bit here
+    default = _default_threads_sample(family)
+    monkeypatch.setattr(sampler, "ROW_BLOCK", 4099)
+    assert _sample(family) == default
 
 
 # hypothesis strategies -------------------------------------------------------
