@@ -76,21 +76,28 @@ def kerr_phase_distribution(rho: DensityMatrix, psis, phis) -> np.ndarray:
     return np.einsum("qpa,ab,qpb->qp", u.conj(), rho.mat, u, optimize=True).real
 
 
-def kerr_sideband_coefficients(rho: DensityMatrix, psis, *, first: int = 0) -> np.ndarray:
-    """c_d(psi) = sum_{b-a=d} rho_ab e^{i psi (b^2-a^2)} for d = first..dim-1.
+def kerr_sideband_coefficients(rho: DensityMatrix, psis) -> np.ndarray:
+    """c_d(psi) = sum_{b-a=d} rho_ab e^{i psi (b^2-a^2)} for d = 0..dim-1.
 
     These are the Fourier coefficients of the conditional phase density
-    p(phi | psi) = [1 + 2 sum_{d>=1} Re(c_d e^{i d phi})] / 2pi. c_0 = tr rho;
-    the sampler starts at first = 1. Column d has the same bits for any first.
+    p(phi | psi) = [1 + 2 sum_{d>=1} Re(c_d e^{i d phi})] / 2pi.
+    """
+    return _sidebands(rho, psis, range(rho.dim))
+
+
+def _sidebands(rho: DensityMatrix, psis, ds) -> np.ndarray:
+    """The columns c_d(psi) of kerr_sideband_coefficients for d in ds, same bits.
+
+    The Kerr sampler asks for d = 1..dim-1 and skips c_0 = tr rho.
     """
     psis = np.atleast_1d(np.asarray(psis, dtype=float))
     dim = rho.dim
-    out = np.zeros((psis.size, dim - first), dtype=complex)
+    out = np.zeros((psis.size, len(ds)), dtype=complex)
     sq = np.arange(dim) ** 2
-    for d in range(first, dim):
+    for col, d in enumerate(ds):
         a = np.arange(dim - d)
         b = a + d
-        out[:, d - first] = np.exp(1j * np.outer(psis, sq[b] - sq[a])) @ rho.mat[a, b]
+        out[:, col] = np.exp(1j * np.outer(psis, sq[b] - sq[a])) @ rho.mat[a, b]
     return out
 
 

@@ -23,7 +23,7 @@ from ._parallel import CHUNK_SHOTS, chunk_map
 from .errors import InvalidSpecError, TruncationError, UsageError
 from .estimators.config import EstimatorConfig, SqueezeParams
 from .estimators.homodyne import oscillator_wavefunctions
-from .estimators.kerr import kerr_sideband_coefficients
+from .estimators.kerr import _sidebands
 from .estimators.parity import displaced_parity_expectation
 from .operators import pauli, spin_frames, squeeze as squeeze_operator
 from .records import RecordBatch
@@ -329,7 +329,7 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
 
     def solve(start: int, ps: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         cnt = ps.size
-        c = kerr_sideband_coefficients(rho, ps, first=1) / (1j * ds)[None, :]
+        c = _sidebands(rho, ps, ds) / (1j * ds)[None, :]
         base = np.sum(c, axis=1)  # subtracted so that CDF(0) = 0
         delta = 8 * dim * eps * (1.0 + np.sum(np.abs(c), axis=1))
         ct = np.ascontiguousarray(c.T)  # Horner reads one contiguous row per k

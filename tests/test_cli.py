@@ -707,12 +707,17 @@ def test_bad_thread_count_is_refused(capsys, tmp_path, monkeypatch, value):
 
 
 def test_thread_count_caps_the_pool(monkeypatch):
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    default = min(8, cpus or 1)
+    # One usable CPU of four: the default pool counts the CPUs the process may run on.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("QTOMO_THREADS", raising=False)
-    assert max_workers() == default
+    assert max_workers() == 1
     monkeypatch.setenv("QTOMO_THREADS", "")
-    assert max_workers() == default
+    assert max_workers() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert max_workers() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert max_workers() == 4
     monkeypatch.setenv("QTOMO_THREADS", "3")
     assert max_workers() == 3
 
