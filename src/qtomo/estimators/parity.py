@@ -38,7 +38,11 @@ __all__ = [
 _BIAS_ANGLES = 64
 _EXACT_RADIAL = 80  # Gauss-Legendre order of parity_exact_element in the radius
 _EXACT_ANGULAR = 80  # uniform angular points of parity_exact_element
-_CHUNK = 1024  # displacements per disp_stack call in the per-displacement contractions
+# Displacements per disp_stack call in the per-displacement contractions. disp_stack is a
+# few hundred small numpy calls at dim 8; at 1,024 rows the parity sampler's two pool workers
+# spent most of their time handing the GIL back and forth (2 workers took 0.9-1.1 s, 1 took
+# 0.5 s, for 262,144 shots).
+_CHUNK = 4096
 
 
 def displaced_parity_kernel(n: int, d: int, alpha) -> complex:
