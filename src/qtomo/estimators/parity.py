@@ -38,10 +38,9 @@ __all__ = [
 _BIAS_ANGLES = 64
 _EXACT_RADIAL = 80  # Gauss-Legendre order of parity_exact_element in the radius
 _EXACT_ANGULAR = 80  # uniform angular points of parity_exact_element
-# Displacements per disp_stack call in the per-displacement contractions. disp_stack is a
-# few hundred small numpy calls at dim 8; at 1,024 rows the parity sampler's two pool workers
-# spent most of their time handing the GIL back and forth (2 workers took 0.9-1.1 s, 1 took
-# 0.5 s, for 262,144 shots).
+# Displacements per disp_stack call in _coeff_stack. disp_stack is a few hundred small numpy
+# calls at dim 8; at 1,024 rows the parity sampler's two pool workers spent most of their time
+# handing the GIL back and forth (2 workers took 0.9-1.1 s, 1 took 0.5 s, for 262,144 shots).
 _CHUNK = 4096
 
 
@@ -73,34 +72,28 @@ def _parity_signs(dim: int) -> np.ndarray:
     return (-1.0) ** np.arange(dim)
 
 
-def _per_displacement(betas: np.ndarray, dim: int, dtype, contract) -> np.ndarray:
-    """contract(blocks) of the (n, dim, dim) D(2b) blocks, _CHUNK displacements at a time.
-    NumericPreconditionError where a contraction is not finite."""
-    out = np.empty(betas.size, dtype=dtype)
+def displaced_parity_expectation(rho: DensityMatrix, betas) -> np.ndarray:
+    """G(b) = Tr[rho P D(2b)] for a batch of displacements, in [-1, 1]: the estimator's
+    contraction _coeff_stack at A = rho, whose bits do not depend on the BLAS thread count."""
+    b = np.atleast_1d(np.asarray(betas, dtype=complex))
+    return _coeff_stack(rho.mat, b).real / 4.0
+
+
+def _coeff_stack(a_mat: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """4 Tr[A P D(2b)] per displacement, _CHUNK displacements at a time.
+    NumericPreconditionError where a value is not finite."""
+    dim = a_mat.shape[0]
+    signed = a_mat * _parity_signs(dim)[None, :]  # parity signs folded into the column index
+    out = np.empty(betas.size, dtype=complex)
     for i in range(0, betas.size, _CHUNK):
-        out[i : i + _CHUNK] = contract(_cahill.disp_stack(2.0 * betas[i : i + _CHUNK], dim))
+        blocks = _cahill.disp_stack(2.0 * betas[i : i + _CHUNK], dim)
+        out[i : i + _CHUNK] = 4.0 * np.einsum("ij,gji->g", signed, blocks, optimize=True)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise NumericPreconditionError(
             f"the displaced-parity kernel at |b| = {abs(betas[bad[0]]):.3g} is not finite "
             f"at dim {dim}; use a smaller proposal radius")
     return out
-
-
-def displaced_parity_expectation(rho: DensityMatrix, betas) -> np.ndarray:
-    """G(b) = Tr[rho P D(2b)] for a batch of displacements; exactly real, in [-1, 1]."""
-    b = np.atleast_1d(np.asarray(betas, dtype=complex))
-    signs = _parity_signs(rho.dim)
-    return _per_displacement(b, rho.dim, float, lambda blocks: np.einsum(
-        "ij,j,gji->g", rho.mat, signs, blocks, optimize=True).real)
-
-
-def _coeff_stack(a_mat: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """4 Tr[A P D(2b)] per displacement."""
-    dim = a_mat.shape[0]
-    signed = a_mat * _parity_signs(dim)[None, :]  # parity signs folded into the column index
-    return _per_displacement(betas, dim, complex, lambda blocks: 4.0 * np.einsum(
-        "ij,gji->g", signed, blocks, optimize=True))
 
 
 def check_parity_boundary(target, cfg: EstimatorConfig) -> None:

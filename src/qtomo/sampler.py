@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._parallel import CHUNK_SHOTS, chunk_map
-from .errors import InvalidSpecError, TruncationError, UsageError
+from .errors import DimensionMismatchError, InvalidSpecError, TruncationError, UsageError
 from .estimators.config import EstimatorConfig, SqueezeParams
 from .estimators.homodyne import oscillator_wavefunctions
 from .estimators.kerr import _sidebands
@@ -169,7 +169,7 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
     state.
     """
     if cfg.dim != rho.dim:
-        raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
+        raise DimensionMismatchError(f"config dim {cfg.dim} vs state dim {rho.dim}")
     work = rho
     if squeeze is not None and complex(squeeze.zeta) != 0:
         s = squeeze_operator(squeeze.zeta, rho.dim).mat
@@ -207,7 +207,7 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream) ->
     """Directions uniform on the sphere; outcomes from the S.n eigenbasis."""
     dim = twice_s + 1
     if rho.dim != dim:
-        raise UsageError(f"state dim {rho.dim} vs 2s+1 = {dim}")
+        raise DimensionMismatchError(f"state dim {rho.dim} vs 2s+1 = {dim}")
 
     def solve(start: int, z: np.ndarray, az: np.ndarray,
               u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -246,7 +246,7 @@ def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
                             cfg: EstimatorConfig) -> RecordBatch:
     """Displacements uniform on the proposal disk; parity of the displaced state."""
     if cfg.dim != rho.dim:
-        raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
+        raise DimensionMismatchError(f"config dim {cfg.dim} vs state dim {rho.dim}")
     _check_leakage(rho)
     radius = cfg.parity_radius()
 
@@ -264,19 +264,13 @@ def sample_displaced_parity(rho: DensityMatrix, shots: int, rng: RngStream,
 # Kerr phase ----------------------------------------------------------------
 
 _KERR_STEPS = 47  # bisection levels of every outcome
-# Rows per exact evaluation, copied to c's C-ordered (rows, K) layout. The slices bound the last
-# steps' memory, where nearly every row of a block takes cdf(): at coherent beta = 0.6, dim 8, seed 0,
-# a 32,768-row block sends none in steps 1-29, 12,222 over steps 30-43, then 11,295, 19,259, 29,733
-# and all 32,768 in steps 44-47. One call over all 65,536 rows of a chunk raised the peak RSS of
-# a 200,000-shot `qtomo sample` from 90 to 103-106 MB.
-_KERR_SLICE = 4096
 
 
-def _kerr_cdf(phi: np.ndarray, c: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """cdf(phi) of each row: the sum over k as written, from the (n, K) coefficients c."""
-    e = 1j * phi[:, None] * np.arange(1, c.shape[1] + 1)
+def _kerr_cdf(phi: np.ndarray, ct: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """cdf(phi) of each row: the sum over k as written, from the (K, n) coefficients ct."""
+    e = 1j * np.arange(1, ct.shape[0] + 1)[:, None] * phi
     np.exp(e, out=e)
-    return phi / (2.0 * np.pi) + (np.einsum("gd,gd->g", c, e) - base).real / np.pi
+    return phi / (2.0 * np.pi) + (np.einsum("dg,dg->g", ct, e) - base).real / np.pi
 
 
 def _kerr_screen(phi: np.ndarray, ct: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -322,7 +316,7 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
       The factor 2 also covers the rounding of delta and of screen - u.
     """
     if cfg.dim != rho.dim:
-        raise UsageError(f"config dim {cfg.dim} vs state dim {rho.dim}")
+        raise DimensionMismatchError(f"config dim {cfg.dim} vs state dim {rho.dim}")
     dim = rho.dim
     ds = np.arange(1, dim)
     eps = np.finfo(float).eps
@@ -332,16 +326,16 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
         c = _sidebands(rho, ps, ds) / (1j * ds)[None, :]
         base = np.sum(c, axis=1)  # subtracted so that CDF(0) = 0
         delta = 8 * dim * eps * (1.0 + np.sum(np.abs(c), axis=1))
-        ct = np.ascontiguousarray(c.T)  # Horner reads one contiguous row per k
+        ct = np.ascontiguousarray(c.T)  # Horner and cdf() read one contiguous row per k
         del c
 
         def below(mid):
             screen = _kerr_screen(mid, ct, base)
             less = screen < u
+            # one exact call: in steps 44-47 nearly every row is within delta of u (11,295,
+            # 19,259, 29,733 and 32,768 of a 32,768-row block at coherent beta = 0.6, dim 8)
             near = np.flatnonzero(np.abs(screen - u) <= delta)
-            for i in range(0, near.size, _KERR_SLICE):
-                rows = near[i : i + _KERR_SLICE]
-                less[rows] = _kerr_cdf(mid[rows], ct[:, rows].T.copy(), base[rows]) < u[rows]
+            less[near] = _kerr_cdf(mid[near], ct[:, near], base[near]) < u[near]
             return less
 
         lo, hi = _bisect(np.zeros(cnt), np.full(cnt, 2.0 * np.pi), _KERR_STEPS, below, _midpoint)

@@ -1,11 +1,16 @@
-"""The pool holds numpy's OpenBLAS at one thread and gives the count back."""
+"""The pool holds numpy's OpenBLAS at one thread and gives the count back, and the sampled
+quantities do not depend on that count."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from qtomo._parallel import _blas_threads_api, chunk_map
+from qtomo.estimators import EstimatorConfig, kerr_sideband_coefficients
+from qtomo.estimators.parity import displaced_parity_expectation
+from qtomo.states import StateSpec, make_state
 
 BLAS = _blas_threads_api()
 pytestmark = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread count not found")
@@ -64,3 +69,29 @@ def test_concurrent_pools_restore_the_count(three_blas_threads, monkeypatch):
         sys.setswitchinterval(interval)
     assert seen == [[1] * 16] * 16
     assert get() == 3
+
+
+def at_blas_threads(count, fn):
+    get, put = BLAS
+    saved = get()
+    put(count)
+    try:
+        return fn()
+    finally:
+        put(saved)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8, 12])
+def test_sampled_quantities_keep_their_bytes_at_any_blas_count(dim):
+    # the parity sampler's G and the Kerr sampler's sidebands run serially at the process's
+    # BLAS count when a batch fits one block or QTOMO_THREADS=1, and on the pool at one thread
+    rho = make_state(StateSpec(kind="random_mixed", dim=dim, seed=dim))
+    rng = np.random.default_rng(dim)
+    radius = EstimatorConfig(dim=dim).parity_radius()
+    for n in (1_500, 4_096, 50_000, 70_001):
+        betas = radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        psis = rng.uniform(0.0, 2.0 * np.pi, n)
+        for quantity in (lambda: displaced_parity_expectation(rho, betas),
+                         lambda: kerr_sideband_coefficients(rho, psis)):
+            one, three = (at_blas_threads(count, quantity).tobytes() for count in (1, 3))
+            assert one == three

@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from qtomo import sampler
 from qtomo._parallel import CHUNK_SHOTS
-from qtomo.errors import TruncationError, UsageError
+from qtomo.errors import DimensionMismatchError, TruncationError, UsageError
 from qtomo.estimators import EstimatorConfig, kerr_sideband_coefficients
 from qtomo.sampler import (
     RngStream,
@@ -222,17 +222,18 @@ class TestKerrPhase:
         c = kerr_sideband_coefficients(rho, psi)[:, 1:] / (1j * np.arange(1, dim))
         base = np.sum(c, axis=1)
         delta = 8 * dim * np.finfo(float).eps * (1.0 + np.sum(np.abs(c), axis=1))
-        screen = sampler._kerr_screen(phi, np.ascontiguousarray(c.T), base)
-        assert np.all(np.abs(screen - sampler._kerr_cdf(phi, c, base)) <= delta / 2)
+        ct = np.ascontiguousarray(c.T)
+        screen = sampler._kerr_screen(phi, ct, base)
+        assert np.all(np.abs(screen - sampler._kerr_cdf(phi, ct, base)) <= delta / 2)
 
     def test_screen_settles_most_decisions(self, monkeypatch):
         # rows that reach the exact cdf(), summed over the 47 steps: about 3.2 per row here
         rows = []
         real = sampler._kerr_cdf
 
-        def counting(phi, c, base):
+        def counting(phi, ct, base):
             rows.append(phi.size)
-            return real(phi, c, base)
+            return real(phi, ct, base)
 
         monkeypatch.setattr(sampler, "_kerr_cdf", counting)
         kerr_phases(KERR_ORACLE_STATES["coherent-d8"](), 20_000, 544)
@@ -295,3 +296,23 @@ class TestKerrPhase:
         rho = make_state(StateSpec(kind="fock", dim=dim, n=0))
         with pytest.raises(UsageError):
             sample_kerr_phase(rho, 0, RngStream(533), EstimatorConfig(dim=dim))
+
+
+MISMATCHED = {
+    "homodyne": (lambda rho: sample_homodyne(rho, 10, RngStream(1), EstimatorConfig(dim=5)),
+                 "config dim 5 vs state dim 6"),
+    "parity": (lambda rho: sample_displaced_parity(rho, 10, RngStream(1), EstimatorConfig(dim=7)),
+               "config dim 7 vs state dim 6"),
+    "kerr": (lambda rho: sample_kerr_phase(rho, 10, RngStream(1), EstimatorConfig(dim=5)),
+             "config dim 5 vs state dim 6"),
+    "spin": (lambda rho: sample_spin(rho, 3, 10, RngStream(1)), r"state dim 6 vs 2s\+1 = 4"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MISMATCHED))
+def test_dimension_mismatch_is_refused(family):
+    # the estimators' error for the same mistake, still a UsageError (CLI exit 2)
+    run, message = MISMATCHED[family]
+    with pytest.raises(DimensionMismatchError, match=f"^{message}$") as err:
+        run(make_state(StateSpec(kind="fock", dim=6, n=2)))
+    assert isinstance(err.value, UsageError)
