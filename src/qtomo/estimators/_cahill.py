@@ -36,23 +36,23 @@ def _entries(lo: int, d: int, lag: np.ndarray, ex: np.ndarray, facs) -> list:
 # every caller that averages one refuses it.
 @np.errstate(all="ignore")
 def disp_stack(alphas: np.ndarray, dim: int) -> np.ndarray:
-    """(len(alphas), dim, dim) stack of displacement blocks, two elements per Laguerre."""
+    """(dim, dim, len(alphas)) table [row, col, alpha] of <row|D(a)|col>, two rows per Laguerre."""
     a = np.asarray(alphas, dtype=complex).ravel()
     x = np.abs(a) ** 2
     ex = np.exp(-x / 2)
-    out = np.empty((a.size, dim, dim), dtype=complex)
+    out = np.empty((dim, dim, a.size), dtype=complex)
     for d in range(dim):
         facs = [a**d] if d == 0 else [a**d, (-np.conj(a)) ** d]
         for lo, lag in enumerate(genlaguerre_ladder(dim - 1 - d, d, x)):
             vals = _entries(lo, d, lag, ex, facs)
-            out[:, lo + d, lo] = vals[0]
-            out[:, lo, lo + d] = vals[-1]
+            out[lo + d, lo] = vals[0]
+            out[lo, lo + d] = vals[-1]
     return out
 
 
 @np.errstate(all="ignore")
 def disp_entry(alphas: np.ndarray, row: int, col: int) -> np.ndarray:
-    """<row|D(a)|col> for each alpha: the bits of disp_stack(alphas, dim)[:, row, col]."""
+    """<row|D(a)|col> for each alpha: the bits of disp_stack(alphas, dim)[row, col]."""
     a = np.asarray(alphas, dtype=complex).ravel()
     x = np.abs(a) ** 2
     d, lo = abs(row - col), min(row, col)

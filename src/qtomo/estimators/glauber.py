@@ -68,7 +68,8 @@ def displacement_grid_set(dim: int, grid_points: int = 41, alpha_max: float = 4.
     """
     alphas, wt = _grid(grid_points, alpha_max)
     labels = [SettingLabel("weyl", (al.real, al.imag)) for al in alphas.tolist()]
-    return SpanningSet(_cahill.disp_stack(alphas, dim), np.full(alphas.size, wt), labels)
+    return SpanningSet(_cahill.disp_stack(alphas, dim).transpose(2, 0, 1).copy(),
+                       np.full(alphas.size, wt), labels)
 
 
 def fock_envelope(dim: int, sigma: float = _ENVELOPE_SIGMA) -> np.ndarray:
@@ -88,7 +89,7 @@ def glauber_reconstruct(a: Operator, f1: Operator, f2: Operator,
     alphas, wt = _grid(grid_points, alpha_max)
     rec = np.zeros((dim, dim), dtype=complex)
     for i in range(0, alphas.size, _GRID_CHUNK):
-        d_blk = _cahill.disp_stack(alphas[i : i + _GRID_CHUNK], dim)
+        d_blk = _cahill.disp_stack(alphas[i : i + _GRID_CHUNK], dim).transpose(2, 0, 1).copy()
         b_blk = np.einsum("ab,gbc,cd->gad", f1.mat, d_blk, f2.mat, optimize=True)
         c_blk = np.einsum("ab,gcb,cd->gad", f2i, d_blk.conj(), f1i, optimize=True)
         coef = np.einsum("mn,gnm->g", a.mat, b_blk, optimize=True)

@@ -88,7 +88,7 @@ def _k_tables(dim: int, k_max: float, reg_eps: float):
     half = k.size // 2
     if not (np.array_equal(k[:half], -k[: half - 1 : -1]) and np.array_equal(g, g[::-1])):
         raise NumericPreconditionError("the k rule is not mirror-symmetric bit for bit")
-    blocks = _cahill.disp_stack(-0.5j * k, dim)  # (nk, dim, dim)
+    blocks = _cahill.disp_stack(-0.5j * k, dim).transpose(2, 0, 1).copy()  # (nk, dim, dim)
     return k, g, blocks
 
 
@@ -177,20 +177,21 @@ def _band_splines(a_mat: np.ndarray, cfg: EstimatorConfig):
 
 def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: EstimatorConfig,
                           squeeze: Optional[SqueezeParams] = None) -> np.ndarray:
-    """Kernels e^{i(k-n)phi} F_kn(q) for settings phi and outcomes q.
+    """Kernels e^{i(k-n)phi} F_kn(q) for settings phi and outcomes q, as a
+    C-contiguous (dim, dim, n) array [k, n, record].
 
-    With squeeze the block is S^dag K S, the kernel that
-    homodyne_estimate traces against for squeezed records.
+    With squeeze the block is S^dag K S, the kernel that homodyne_estimate traces
+    against for squeezed records, multiplied as (n, dim, dim): matmul bits follow layout.
     """
     dim = cfg.dim
     grid, spline = _f_spline(dim, cfg.k_max, cfg.reg_eps)
     qc = np.clip(outcomes, grid[0], grid[-1])  # beyond the grid the kernel is ~0
-    u = np.exp(1j * settings[:, 0, None] * np.arange(dim))
-    block = u[:, :, None] * u.conj()[:, None, :]
-    block *= spline(qc).reshape(-1, dim, dim)
+    u = np.exp(1j * settings[:, 0] * np.arange(dim)[:, None])  # (dim, n)
+    block = u[:, None, :] * u.conj()[None, :, :]
+    block *= spline(qc).T.reshape(dim, dim, -1)
     if squeeze is not None:
         s = squeeze_operator(squeeze.zeta, dim).mat
-        block = s.conj().T @ block @ s
+        block = (s.conj().T @ block.transpose(2, 0, 1).copy() @ s).transpose(1, 2, 0).copy()
     return block
 
 

@@ -160,12 +160,13 @@ def kerr_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
 
 def kerr_kernel_block(settings: np.ndarray, outcomes: np.ndarray,
                       cfg: EstimatorConfig) -> np.ndarray:
-    """Kernels conj(u_n) u_k for settings psi and outcomes phi.
+    """Kernels conj(u_n) u_k for settings psi and outcomes phi, as a C-contiguous
+    (dim, dim, n) array [k, n, record]; u is copied to (dim, n) so that it is one.
 
     The records do not determine the diagonal; its entries are 1 and the caller skips them.
     """
-    u = _phase_vectors(settings[:, 0], outcomes, cfg.dim)
-    return u[:, :, None] * u.conj()[:, None, :]
+    u = _phase_vectors(settings[:, 0], outcomes, cfg.dim).T.copy()
+    return u[:, None, :] * u.conj()[None, :, :]
 
 
 def kerr_epsilon_sweep(rho: DensityMatrix, n: int, eps_values: Sequence[float],

@@ -80,13 +80,15 @@ def spin_kernel_quadrature(a: Operator, m: float, direction, twice_s: int,
 
 
 def spin_kernel_block(settings: np.ndarray, outcomes: np.ndarray, twice_s: int) -> np.ndarray:
-    """Kernels V diag(c) V^dag for settings n (direction) and outcomes m.
+    """Kernels V diag(c) V^dag for settings n (direction) and outcomes m, as a
+    C-contiguous (2s+1, 2s+1, n) array [k, n, record].
 
-    V holds the S.n eigenvectors and c the closed-form stencil at m.
+    V holds the S.n eigenvectors and c the closed-form stencil at m; the
+    matmul runs per record, on the layout its bits depend on, before the copy.
     """
     c = _stencils(_outcome_indices(outcomes, twice_s), twice_s)
     vecs = spin_frames(twice_s, settings)[1]
-    return (vecs * c[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return ((vecs * c[:, None, :]) @ vecs.conj().transpose(0, 2, 1)).transpose(1, 2, 0).copy()
 
 
 def spin_estimate(a: Operator, records: RecordBatch, twice_s: int):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "SqueezeParams",
     "fock_matrix_unit",
     "spin_matrices",
-    "spin_component",
     "spin_frames",
     "pauli",
 ]
@@ -230,11 +229,6 @@ def _spin_dots(twice_s: int, directions) -> np.ndarray:
                                f"(norm {norms[bad[0]]:.17g}); directions must be unit vectors")
     sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
     return dirs[:, 0, None, None] * sx + dirs[:, 1, None, None] * sy + dirs[:, 2, None, None] * sz
-
-
-def spin_component(twice_s: int, direction: Iterable[float]) -> Operator:
-    """S . n for a unit 3-vector n."""
-    return Operator(_spin_dots(twice_s, [tuple(direction)])[0])
 
 
 def spin_frames(twice_s: int, directions) -> Tuple[np.ndarray, np.ndarray]:

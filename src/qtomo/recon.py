@@ -47,7 +47,7 @@ __all__ = [
     "nearest_physical_state",
 ]
 
-# Bytes of one complex (n, d, d) kernel block in reconstruct_matrix: 8192 records at d = 8.
+# Bytes of one complex (d, d, n) kernel block in reconstruct_matrix: 8192 records at d = 8.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -56,17 +56,14 @@ def _block_elements(batch: RecordBatch, dim: int, block: Callable, diagonal: boo
     """One pass over the records: per chunk one kernel block, one push per element.
 
     block(settings, outcomes, **params) is a family's <family>_kernel_block:
-    the (n, dim, dim) kernel matrices of n records, whose element [i, k, n]
-    estimates <k|rho|n>. Without diagonal the elements <k|rho|k> are skipped.
+    the C-contiguous (dim, dim, n) kernels of n records, whose element [k, n, i]
+    estimates <k|rho|n>; the rows pushed are a reshape of the block, not a copy.
+    Without diagonal the elements <k|rho|k> are skipped.
     """
     keys = [(k, n) for k in range(dim) for n in range(dim) if diagonal or k != n]
 
     def columns(settings: np.ndarray, outcomes: np.ndarray) -> List[np.ndarray]:
-        kb = block(settings, outcomes, **params).reshape(-1, dim * dim)
-        # Element-major copy, in cache-sized slabs: d^2 strided column reads cost more.
-        rows = np.empty((dim * dim, kb.shape[0]), dtype=complex)
-        for i in range(0, kb.shape[0], 256):
-            rows[:, i : i + 256] = kb[i : i + 256].T
+        rows = block(settings, outcomes, **params).reshape(dim * dim, -1)
         return [rows[k * dim + n] for k, n in keys]
 
     step = max(1, _BLOCK_BYTES // (16 * dim * dim))

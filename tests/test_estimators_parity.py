@@ -55,7 +55,7 @@ class TestKernel:
         # the block is R^2 s 4 P D(2b) = R^2 s 4 D(b)^dag P D(b); at |b|^2 <= 2 the
         # truncated exponential at 40 levels is an independent route to it
         cfg = EstimatorConfig(dim=dim)
-        block = parity_kernel_block(np.array([[re, im]]), np.array([s]), cfg)[0]
+        block = parity_kernel_block(np.array([[re, im]]), np.array([s]), cfg)[..., 0]
         dm = displacement(complex(re, im), 40).mat
         oracle = (4.0 * dm.conj().T @ parity(40).mat @ dm)[:dim, :dim]
         assert np.max(np.abs(block / (cfg.parity_radius() ** 2 * s) - oracle)) <= 1e-12

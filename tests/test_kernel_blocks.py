@@ -15,6 +15,9 @@ from qtomo.estimators import (
     spin_estimate,
 )
 from qtomo.estimators.homodyne import _real_table, homodyne_kernel_block
+from qtomo.estimators.kerr import kerr_kernel_block
+from qtomo.estimators.parity import parity_kernel_block
+from qtomo.estimators.spin import spin_kernel_block
 from qtomo.operators import fock_matrix_unit, identity
 from qtomo.recon import reconstruct_matrix
 from qtomo.records import RecordBatch
@@ -101,6 +104,34 @@ def test_one_pass_matches_per_element_estimates(case, monkeypatch):
             assert got.n_samples == want.n_samples == SHOTS
 
 
+BLOCKS = {"homodyne": homodyne_kernel_block, "parity": parity_kernel_block,
+          "kerr": kerr_kernel_block, "spin": spin_kernel_block}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_blocks_are_element_major(case, monkeypatch):
+    # each block is a C-contiguous (d, d, n) array, so the reconstruct pass pushes every
+    # element's row straight out of the block, with no copy and no strided read
+    method, build = CASES[case]
+    recs, dim, kwargs, _ = build()
+    made, pushed = [], []
+
+    def block(settings, outcomes, **params):
+        made.append(BLOCKS[method](settings, outcomes, **params))
+        return made[-1]
+
+    def walk(batch, values, columns, step):
+        pushed.extend(values(batch.settings[:step], batch.outcomes[:step]))
+        return [None] * columns
+
+    monkeypatch.setattr(recon, "walk", walk)
+    recon._block_elements(recs, dim, block, **recon.method_params(method, dim - 1, **kwargs))
+    (kb,) = made
+    assert kb.shape == (dim, dim, len(recs)) and kb.flags.c_contiguous
+    assert len(pushed) == dim * dim
+    assert all(row.flags.c_contiguous and np.shares_memory(row, kb) for row in pushed)
+
+
 @pytest.mark.parametrize("dim", [4, 8])
 def test_homodyne_spline_block_matches_direct_kernel(dim):
     cfg = EstimatorConfig(dim=dim)
@@ -110,7 +141,7 @@ def test_homodyne_spline_block_matches_direct_kernel(dim):
     block = homodyne_kernel_block(phis[:, None], qs, cfg)
     for i in range(qs.size):
         direct = homodyne_kernel_matrix(qs[i], phis[i], cfg).mat
-        assert np.max(np.abs(block[i] - direct)) <= 2e-6
+        assert np.max(np.abs(block[..., i] - direct)) <= 2e-6
 
 
 def test_complex_pattern_table_is_refused():

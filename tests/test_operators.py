@@ -19,7 +19,6 @@ from qtomo.operators import (
     parity,
     pauli,
     quadrature,
-    spin_component,
     spin_frames,
     spin_matrices,
     squeeze,
@@ -112,7 +111,7 @@ class TestDisplacement:
         # generator exponential is an independent route to the closed form
         alpha = complex(re, im)
         oracle = displacement(alpha, 40).mat[:dim, :dim]
-        assert np.max(np.abs(disp_stack(np.array([alpha]), dim)[0] - oracle)) <= 1e-12
+        assert np.max(np.abs(disp_stack(np.array([alpha]), dim)[..., 0] - oracle)) <= 1e-12
 
     def test_one_entry_is_the_stack_entry_bit_for_bit(self):
         rng = np.random.default_rng(7)
@@ -120,7 +119,7 @@ class TestDisplacement:
         stack = disp_stack(alphas, 8)
         for r in range(8):
             for c in range(8):
-                assert np.array_equal(disp_entry(alphas, r, c), stack[:, r, c])
+                assert np.array_equal(disp_entry(alphas, r, c), stack[r, c])
 
     def test_overlap_grid(self):
         # self-overlap is exactly the dimension; cross-overlaps fall off
@@ -170,13 +169,14 @@ class TestSpin:
 
     def test_component_requires_unit_vector(self):
         with pytest.raises(InvalidSpecError):
-            spin_component(2, (1.0, 1.0, 0.0))
+            spin_frames(2, [(1.0, 1.0, 0.0)])
 
     def test_component_matches_combination(self):
         n = np.array([1.0, 2.0, 2.0]) / 3.0
         sx, sy, sz = spin_matrices(2)
         combo = n[0] * sx.mat + n[1] * sy.mat + n[2] * sz.mat
-        assert np.allclose(spin_component(2, n).mat, combo, atol=EXACT)
+        (w,), (v,) = spin_frames(2, [n])
+        assert np.allclose((v * w) @ v.conj().T, combo, atol=EXACT)
 
 
 class TestSpinFrames:
@@ -190,8 +190,10 @@ class TestSpinFrames:
         evals, vecs = spin_frames(twice_s, dirs)
         d = twice_s + 1
         assert evals.shape == (203, d) and vecs.shape == (203, d, d)
+        assert np.allclose(evals, np.arange(d) - twice_s / 2, atol=EXACT)  # m = -s..s
+        sx, sy, sz = (s.mat for s in spin_matrices(twice_s))
         for i, n in enumerate(dirs):
-            w, v = np.linalg.eigh(spin_component(twice_s, n).mat)
+            w, v = np.linalg.eigh(n[0] * sx + n[1] * sy + n[2] * sz)
             assert evals[i].tobytes() == w.tobytes() and vecs[i].tobytes() == v.tobytes(), i
 
     @pytest.mark.parametrize("dirs", [np.full((2, 2), np.sqrt(0.5)), np.array([0.0, 0.0, 1.0]),
