@@ -17,9 +17,10 @@ cli                  command-line entry point
 
 The log-gamma, Laguerre and cubic-spline routines come from _special,
 numpy copies of scipy's that give its bits. scipy is loaded only by
-operators.displacement and operators.squeeze (expm) and by disp_stack beyond
-dim 40 (binom), so `import qtomo` and every state, sample and reconstruct
-route of the benchmark workloads load numpy only.
+operators.displacement and by operators.squeeze at zeta != 0 (expm) and by
+disp_stack beyond dim 40 (binom), so `import qtomo`, every state, sample and
+reconstruct route of the benchmark workloads and homodyne at --squeeze 0
+load numpy only.
 """
 
 from .errors import (

@@ -557,6 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's ValueErrors for a shape whose size in bytes its index type cannot hold
+_UNREPRESENTABLE = ("array is too big", "Maximum allowed dimension exceeded")
+
+
 def _report_failure(args, exc: Exception, code: int) -> int:
     if getattr(args, "json_errors", False):
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
@@ -580,7 +584,9 @@ def main(argv=None) -> int:
         return _report_failure(args, exc, 3)
     except OSError as exc:
         return _report_failure(args, UsageError(f"cannot open {exc.filename}: {exc.strerror}"), 2)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_UNREPRESENTABLE):
+            raise
         return _report_failure(args, NumericPreconditionError(
             f"out of memory: {str(exc) or 'an allocation failed'}"), 3)
     return 0

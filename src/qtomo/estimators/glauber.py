@@ -80,21 +80,22 @@ def fock_envelope(dim: int, sigma: float = _ENVELOPE_SIGMA) -> np.ndarray:
 
 def glauber_reconstruct(a: Operator, f1: Operator, f2: Operator,
                         grid_points: int = 41, alpha_max: float = 4.0) -> Operator:
-    """Grid sum of Tr[A F1 D(a) F2] F2^-1 D^dag(a) F1^-1 d^2a/pi, at the dimension of A."""
+    """Grid sum of Tr[A F1 D(a) F2] F2^-1 D^dag(a) F1^-1 d^2a/pi, at the dimension of A.
+
+    Tr[A F1 D(a) F2] = Tr[B D(a)] with B = F2 A F1, so the sum is F2^-1 W F1^-1
+    where W = sum Tr[B D(a)] D^dag(a) d^2a/pi is the plain Weyl resolution of B.
+    """
     dim = a.dim
     if f1.dim != dim or f2.dim != dim:
         raise DimensionMismatchError("F1/F2 dims must match the operator dim")
-    f1i = np.linalg.inv(f1.mat)
-    f2i = np.linalg.inv(f2.mat)
+    b = f2.mat @ a.mat @ f1.mat
     alphas, wt = _grid(grid_points, alpha_max)
-    rec = np.zeros((dim, dim), dtype=complex)
+    w = np.zeros((dim, dim), dtype=complex)
     for i in range(0, alphas.size, _GRID_CHUNK):
-        d_blk = _cahill.disp_stack(alphas[i : i + _GRID_CHUNK], dim).transpose(2, 0, 1).copy()
-        b_blk = np.einsum("ab,gbc,cd->gad", f1.mat, d_blk, f2.mat, optimize=True)
-        c_blk = np.einsum("ab,gcb,cd->gad", f2i, d_blk.conj(), f1i, optimize=True)
-        coef = np.einsum("mn,gnm->g", a.mat, b_blk, optimize=True)
-        rec += np.einsum("g,gnm->nm", wt * coef, c_blk, optimize=True)
-    return Operator(rec)
+        d_blk = _cahill.disp_stack(alphas[i : i + _GRID_CHUNK], dim)  # [row, col, alpha]
+        coef = np.einsum("mn,nmg->g", b, d_blk, optimize=True)
+        w += np.einsum("g,mng->nm", wt * coef, d_blk.conj(), optimize=True)
+    return Operator(np.linalg.solve(f2.mat, w) @ np.linalg.inv(f1.mat))
 
 
 def generalized_glauber_check(f1: Operator, f2: Operator, grid_points: int = 41,
@@ -103,12 +104,10 @@ def generalized_glauber_check(f1: Operator, f2: Operator, grid_points: int = 41,
     dim = f1.dim
     if f2.dim != dim:
         raise DimensionMismatchError("F1/F2 dims must match")
-    cond_f1 = float(np.linalg.cond(f1.mat))
-    cond_f2 = float(np.linalg.cond(f2.mat))
-    if not np.isfinite(cond_f1) or cond_f1 > _COND_LIMIT:
-        raise RankDeficientError(f"F1 is numerically singular (cond {cond_f1:.2e})")
-    if not np.isfinite(cond_f2) or cond_f2 > _COND_LIMIT:
-        raise RankDeficientError(f"F2 is numerically singular (cond {cond_f2:.2e})")
+    cond_f1, cond_f2 = (float(np.linalg.cond(f.mat)) for f in (f1, f2))
+    for name, cond in (("F1", cond_f1), ("F2", cond_f2)):
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise RankDeficientError(f"{name} is numerically singular (cond {cond:.2e})")
 
     w = fock_envelope(dim)
     w2 = np.outer(w, w)

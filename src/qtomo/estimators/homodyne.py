@@ -16,7 +16,7 @@ Phase conventions, fixed once for samplers and estimators alike:
 Records read F_nm(q) from a not-a-knot cubic spline through a dense q
 grid: qtomo._special.CubicSpline, a numpy copy of scipy.interpolate's
 CubicSpline and PPoly evaluation that tests/test_special.py ties to
-scipy bit for bit, so only the squeezed routes import scipy (for S).
+scipy bit for bit, so only the squeezed routes at zeta != 0 import scipy (for S).
 """
 
 from __future__ import annotations

@@ -77,15 +77,6 @@ def nonunitary_phase_trace(rho: DensityMatrix, q: int, psi: float) -> complex:
     return direct
 
 
-def _support_profile(a_mat: np.ndarray):
-    rows, cols = np.nonzero(np.abs(a_mat) > 0)
-    if rows.size == 0:
-        return -1, 0
-    support_max = int(max(rows.max(), cols.max()))
-    bandwidth = int(np.max(np.abs(rows - cols)))
-    return support_max, bandwidth
-
-
 def nonunitary_reconstruct(a: Operator, rho: DensityMatrix) -> complex:
     """sum_n int dphi/2pi Tr[A R_n^dag(phi)] Tr[rho R_n(phi)].
 
@@ -97,9 +88,9 @@ def nonunitary_reconstruct(a: Operator, rho: DensityMatrix) -> complex:
     dim = rho.dim
     if a.dim != dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs state dim {rho.dim}")
-    support_max, bandwidth = _support_profile(a.mat)
-    if support_max < 0:
-        return 0j
+    rows, cols = np.nonzero(a.mat)  # none for the zero operator, whose sum is 0j
+    support_max = int(np.max(np.r_[rows, cols], initial=-1))
+    bandwidth = int(np.max(np.abs(rows - cols), initial=0))
     if support_max + bandwidth > dim:
         raise TruncationError(
             f"operator reaches index {support_max} with shift {bandwidth}; "

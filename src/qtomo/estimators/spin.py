@@ -136,12 +136,10 @@ def spin_quadrature_expectation(a: Operator, rho: DensityMatrix, twice_s: int) -
         raise DimensionMismatchError("operator/state dims must equal 2s+1")
     dirs, weights = sphere_rule(twice_s)
     stencils = _stencils(np.arange(twice_s + 1), twice_s)  # row j: outcome index j
-    total = 0.0 + 0.0j
-    for w, vecs in zip(weights, spin_frames(twice_s, dirs)[1]):
-        diag_a = np.einsum("aj,ab,bj->j", vecs.conj(), a.mat, vecs, optimize=True)
-        probs = np.einsum("aj,ab,bj->j", vecs.conj(), rho.mat, vecs, optimize=True).real
-        total += w * (probs @ (stencils @ diag_a))
-    return complex(total)
+    vecs = spin_frames(twice_s, dirs)[1]
+    diag_a = np.einsum("gaj,ab,gbj->gj", vecs.conj(), a.mat, vecs, optimize=True)
+    probs = np.einsum("gaj,ab,gbj->gj", vecs.conj(), rho.mat, vecs, optimize=True).real
+    return complex(weights @ np.einsum("gj,jk,gk->g", probs, stencils, diag_a))
 
 
 def pauli_estimate(a: Operator, records: RecordBatch):

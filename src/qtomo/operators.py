@@ -131,12 +131,13 @@ def squeeze(zeta: complex, dim: int) -> Operator:
 
     Its Bogoliubov action is S^dag a S = mu a + nu a^dag with
     mu = cosh|zeta| and nu = e^{2i arg zeta} sinh|zeta|, as in SqueezeParams.
+    zeta = 0 gives the identity, without loading scipy.
     """
-    from scipy.linalg import expm
-
     z = complex(zeta)
     if z == 0:
         return identity(dim)
+    from scipy.linalg import expm
+
     xi = abs(z) * np.exp(2j * np.angle(z))
     a = annihilation(dim).mat
     ad = a.conj().T

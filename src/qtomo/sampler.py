@@ -171,7 +171,7 @@ def sample_homodyne(rho: DensityMatrix, shots: int, rng: RngStream,
     if cfg.dim != rho.dim:
         raise DimensionMismatchError(f"config dim {cfg.dim} vs state dim {rho.dim}")
     work = rho
-    if squeeze is not None and complex(squeeze.zeta) != 0:
+    if squeeze is not None:
         s = squeeze_operator(squeeze.zeta, rho.dim).mat
         work = DensityMatrix(s @ rho.mat @ s.conj().T)
     _check_leakage(work)
@@ -228,7 +228,7 @@ def sample_spin(rho: DensityMatrix, twice_s: int, shots: int, rng: RngStream) ->
 def sample_pauli(rho: DensityMatrix, shots: int, rng: RngStream) -> RecordBatch:
     """Round-robin x, y, z axis measurements on a qubit; outcomes +-1/2."""
     if rho.dim != 2:
-        raise UsageError("pauli sampling is for qubit states")
+        raise DimensionMismatchError("pauli sampling is for qubit states")
     means = [float(np.trace(rho.mat @ pauli(ax).mat).real) for ax in ("x", "y", "z")]
 
     def solve(start: int, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

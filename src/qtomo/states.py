@@ -106,7 +106,7 @@ def make_state(spec: StateSpec) -> DensityMatrix:
     if kind == "coherent":
         b = complex(spec.beta)
         n_max = d - 1
-        if abs(b) ** 2 + 4 * abs(b) > n_max:
+        if abs(b) * abs(b) + 4 * abs(b) > n_max:  # a product overflows to inf, a power raises
             raise TruncationError(
                 f"coherent amplitude {abs(b):.4g} needs |b|^2 + 4|b| <= {n_max}"
             )
@@ -139,8 +139,6 @@ def make_state(spec: StateSpec) -> DensityMatrix:
         nb = float(spec.mean_n)
         if nb < 0:
             raise InvalidSpecError("thermal mean_n must be >= 0")
-        if nb == 0:
-            return make_state(StateSpec(kind="fock", dim=d, n=0))
         x = nb / (nb + 1.0)
         tail = x**d  # geometric tail mass past the cutoff
         if tail > 1e-6:

@@ -314,7 +314,7 @@ BAD_INPUTS = {
         ["kernels", "eval", "--family", "homodyne", "--observable", "number", "--dim", "4",
          "--phi", "nan"], "--phi"),
     **{f"{command}-s-{s}": (argv + ["--s", s], "spin s")
-       for s in ("nan", "inf")
+       for s in ("nan", "inf", "abc")
        for command, argv in (
            ("state", ["state", "--kind", "spin_pure", "--direction", "0,0,1"]),
            ("sample", ["sample", "--method", "spin", "--shots", "10", "--seed", "1"]),
@@ -353,6 +353,29 @@ BAD_INPUTS = {
     "spin-s-disagrees-with-state": (
         ["sample", "--method", "spin", "--s", "1", "--state", "{tmp}/qubit.json",
          "--shots", "10", "--seed", "1"], "--s"),
+    "coherent-param-not-complex": (
+        ["state", "--kind", "coherent", "--dim", "8", "--param", "1+"], "'1+'"),
+    "squeeze-not-complex": (
+        ["sample", "--method", "homodyne", "--shots", "10", "--seed", "1", "--squeeze", "abc"],
+        "'abc'"),
+    "kernels-phi-abc": (
+        ["kernels", "eval", "--family", "homodyne", "--observable", "number", "--dim", "4",
+         "--phi", "abc"], "--phi"),
+    "kernels-points-abc": (["kernels", "eval", "--family", "parity", "--points", "abc"],
+                           "--points"),
+    "spin-pure-direction-two-numbers": (
+        ["state", "--kind", "spin_pure", "--s", "1", "--direction", "1,0"], "three"),
+    "spin-pure-direction-words": (
+        ["state", "--kind", "spin_pure", "--s", "1", "--direction", "a,b,c"], "'a,b,c'"),
+    **{f"observable-{name}": (
+        ["reconstruct", "--method", "homodyne", "--records", "{tmp}/homodyne.csv",
+         "--n-max", "3", "--observable", observable], word)
+       for name, observable, word in (("quadrature-abc", "quadrature:abc", "quadrature:abc"),
+                                      ("matrix-unit-words", "matrix_unit:a,b", "matrix_unit:a,b"),
+                                      ("matrix-unit-outside", "matrix_unit:9,0", "[0,4)"),
+                                      ("bogus", "bogus", "'bogus'"))},
+    "nonunitary-neither-n-max-nor-observable": (
+        ["reconstruct", "--method", "nonunitary", "--state", "{tmp}/vacuum.json"], "--n-max"),
     # phi (d - 1) and psi (d - 1)^2 overflow to inf: refused before any kernel is built
     "homodyne-phase-overflows": (
         ["reconstruct", "--method", "homodyne", "--records", "{tmp}/homodyne-phi.csv",
@@ -665,6 +688,37 @@ def test_overflowing_parity_grid_is_quiet(capsys, tmp_path):
     assert out.read_text().splitlines()[1:3] == ["0,4,0", "1e+198,0,0"]
 
 
+# Inputs too large for a double or for an array: refused with one line on the exit-3 path
+# before a file is written. numpy refuses each shape before it allocates anything.
+# Their argv, the error's type and a word it names.
+TOO_LARGE = {
+    "coherent-1e308": (["state", "--kind", "coherent", "--dim", "8", "--param", "1e308"],
+                       "TruncationError", "coherent amplitude"),
+    "coherent-1e200j": (["state", "--kind", "coherent", "--dim", "8", "--param", "1e200j"],
+                        "TruncationError", "coherent amplitude"),
+    "random-mixed-dim-1e11": (["state", "--kind", "random_mixed", "--dim", "100000000000"],
+                              "NumericPreconditionError", "out of memory: array is too big"),
+    "spin-s-1e9": (["sample", "--method", "spin", "--s", "1e9", "--shots", "10", "--seed", "1"],
+                   "NumericPreconditionError", "out of memory: array is too big"),
+    "fock-dim-2**64": (["state", "--kind", "fock", "--dim", str(2**64)],
+                       "NumericPreconditionError", "out of memory: Maximum allowed dimension"),
+}
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("case", list(TOO_LARGE))
+def test_too_large_input_exits_3(capsys, tmp_path, case, json_errors):
+    argv, error, word = TOO_LARGE[case]
+    out = tmp_path / "out"
+    code, _, err = run(capsys, argv + ["--out", str(out)] + ["--json-errors"] * json_errors)
+    assert code == 3 and err.count("\n") == 1 and not out.exists(), err
+    if json_errors:
+        payload = json.loads(err)
+        assert payload["error"] == error and word in payload["message"], err
+    else:
+        assert err.startswith("error: ") and word in err, err
+
+
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_out_of_memory_exits_3(capsys, tmp_path, monkeypatch, json_errors):
     # a stand-in for numpy's allocation failure: no test allocates for real
@@ -865,11 +919,11 @@ def test_cli_surface():
 
 
 # Every state, sample and reconstruct route of the benchmark workloads (coherent states,
-# homodyne, parity, Kerr and Pauli) and the quorum commands need numpy alone: the
-# log-gamma, Laguerre and spline routines they use are qtomo._special's copies of
-# scipy's, and scipy is imported only by operators.displacement and squeeze and by
-# disp_stack beyond dim 40. This module imports scipy itself, so the check runs in a
-# fresh interpreter.
+# homodyne, parity, Kerr and Pauli), homodyne at --squeeze 0 and the quorum commands
+# need numpy alone: the log-gamma, Laguerre and spline routines they use are
+# qtomo._special's copies of scipy's, and scipy is imported only by
+# operators.displacement, by squeeze at zeta != 0 and by disp_stack beyond dim 40.
+# This module imports scipy itself, so the check runs in a fresh interpreter.
 NUMPY_ONLY_COMMANDS = """
 import sys
 
@@ -895,6 +949,12 @@ for argv in (
      "--reference", f"{tmp}/coh.json", "--out", f"{tmp}/homodyne.json"],
     ["reconstruct", "--method", "homodyne", "--records", f"{tmp}/homodyne.csv", "--n-max", "2",
      "--observable", "number", "--out", f"{tmp}/number.json"],
+    ["sample", "--method", "homodyne", "--dim", "3", "--shots", "20", "--seed", "1",
+     "--squeeze", "0", "--out", f"{tmp}/homodyne-squeeze-0.csv"],
+    ["reconstruct", "--method", "homodyne", "--records", f"{tmp}/homodyne.csv", "--n-max", "2",
+     "--squeeze", "0", "--out", f"{tmp}/homodyne-squeeze-0.json"],
+    ["reconstruct", "--method", "homodyne", "--records", f"{tmp}/homodyne.csv", "--n-max", "2",
+     "--squeeze", "0", "--observable", "number", "--out", f"{tmp}/number-squeeze-0.json"],
     ["sample", "--method", "parity", "--dim", "3", "--shots", "20", "--seed", "1",
      "--out", f"{tmp}/parity.csv"],
     ["reconstruct", "--method", "parity", "--records", f"{tmp}/parity.csv", "--n-max", "2",
@@ -916,6 +976,28 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_COMMANDS, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_zero_squeeze_is_plain_homodyne(capsys, tmp_path):
+    # --squeeze 0 takes the squeezed route with S = identity: the bytes of no --squeeze
+    rho = str(tmp_path / "rho.json")
+    assert run(capsys, ["state", "--kind", "coherent", "--param", "0.3", "--dim", "8",
+                        "--out", rho])[0] == 0
+
+    def outputs(name, squeeze):
+        out = tmp_path / name
+        out.mkdir()
+        records = str(out / "records.csv")
+        for argv in (["sample", "--method", "homodyne", "--state", rho, "--shots", "2000",
+                      "--seed", "3", "--out", records],
+                     ["reconstruct", "--method", "homodyne", "--records", records,
+                      "--n-max", "7", "--out", str(out / "matrix.json")],
+                     ["reconstruct", "--method", "homodyne", "--records", records,
+                      "--n-max", "7", "--observable", "number", "--out", str(out / "number.json")]):
+            assert run(capsys, argv + squeeze)[0] == 0, argv
+        return [(out / f).read_bytes() for f in ("records.csv", "matrix.json", "number.json")]
+
+    assert outputs("plain", []) == outputs("squeeze-0", ["--squeeze", "0"])
 
 
 class TestReconstructNonunitary:

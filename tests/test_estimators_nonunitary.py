@@ -103,6 +103,10 @@ class TestReconstruct:
         with pytest.raises(TruncationError):
             nonunitary_reconstruct(a, rho)
 
+    def test_zero_operator(self):
+        rho = make_state(StateSpec(kind="fock", dim=4, n=1))
+        assert nonunitary_reconstruct(Operator(np.zeros((4, 4))), rho) == 0j
+
     def test_random_banded_operators(self):
         rng = np.random.default_rng(47)
         dim = 8

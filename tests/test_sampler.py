@@ -17,6 +17,7 @@ from qtomo.sampler import (
     sample_displaced_parity,
     sample_homodyne,
     sample_kerr_phase,
+    sample_pauli,
     sample_spin,
 )
 from qtomo.states import DensityMatrix, StateSpec, make_state
@@ -306,6 +307,8 @@ MISMATCHED = {
     "kerr": (lambda rho: sample_kerr_phase(rho, 10, RngStream(1), EstimatorConfig(dim=5)),
              "config dim 5 vs state dim 6"),
     "spin": (lambda rho: sample_spin(rho, 3, 10, RngStream(1)), r"state dim 6 vs 2s\+1 = 4"),
+    "pauli": (lambda rho: sample_pauli(rho, 10, RngStream(1)),
+              "pauli sampling is for qubit states"),
 }
 
 

@@ -80,6 +80,13 @@ def test_thermal_geometric_populations():
     assert got_n == pytest.approx(nb, abs=1e-6)
 
 
+def test_thermal_zero_is_the_vacuum():
+    # mean_n = 0 takes the geometric formula and gives the vacuum's Fock-state bits
+    thermal = make_state(StateSpec(kind="thermal", dim=5, mean_n=0.0))
+    vacuum = make_state(StateSpec(kind="fock", dim=5, n=0))
+    assert thermal.mat.tobytes() == vacuum.mat.tobytes()
+
+
 def test_thermal_truncation_guard():
     with pytest.raises(TruncationError):
         make_state(StateSpec(kind="thermal", dim=6, mean_n=5.0))
