@@ -4,11 +4,17 @@ Work is always split into fixed-size pieces keyed by index, never by
 worker count, so outputs are identical whether the pieces run serially
 or on a pool. The samplers draw their randomness per CHUNK_SHOTS =
 65,536-shot Philox chunk and solve it in fixed 32,768-row blocks
-(sampler.ROW_BLOCK). QTOMO_THREADS caps the pool; unset, it falls back to
-the CPUs this process may run on, at most 8. While a pool of two or more
-workers runs, numpy's bundled OpenBLAS runs one thread per worker, so
-the pool, not BLAS, owns the cores; the previous BLAS count comes back
-when the pool ends.
+(sampler.ROW_BLOCK). The homodyne pattern table (estimators.homodyne._f_at)
+is built in pieces of at most 128 q columns, each contracted in the order
+that its 256-column chunk fixes, with OpenBLAS held at one thread at any
+pool size. The calling thread allocates one phase buffer per worker and
+the pieces borrow them: memory a worker thread allocates stays in glibc's
+per-thread arena, where the calling thread's later allocations cannot reuse it.
+
+QTOMO_THREADS caps the pool; unset, it falls back to the CPUs this process
+may run on, at most 8. While a pool of two or more workers runs, numpy's
+bundled OpenBLAS runs one thread per worker, so the pool, not BLAS, owns
+the cores; the previous BLAS count comes back when the pool ends.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ Each function takes the grid as grid_points per side on [-alpha_max, alpha_max].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -78,16 +79,27 @@ def fock_envelope(dim: int, sigma: float = _ENVELOPE_SIGMA) -> np.ndarray:
     return np.exp(-(n * n) / (2.0 * sigma * sigma))
 
 
+def _conditions(f1: Operator, f2: Operator) -> Tuple[float, float]:
+    """cond(F1) and cond(F2); RankDeficientError if either is numerically singular."""
+    conds = tuple(float(np.linalg.cond(f.mat)) for f in (f1, f2))
+    for name, cond in zip(("F1", "F2"), conds):
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise RankDeficientError(f"{name} is numerically singular (cond {cond:.2e})")
+    return conds
+
+
 def glauber_reconstruct(a: Operator, f1: Operator, f2: Operator,
                         grid_points: int = 41, alpha_max: float = 4.0) -> Operator:
     """Grid sum of Tr[A F1 D(a) F2] F2^-1 D^dag(a) F1^-1 d^2a/pi, at the dimension of A.
 
     Tr[A F1 D(a) F2] = Tr[B D(a)] with B = F2 A F1, so the sum is F2^-1 W F1^-1
     where W = sum Tr[B D(a)] D^dag(a) d^2a/pi is the plain Weyl resolution of B.
+    RankDeficientError if F1 or F2 has a condition number above 1e12.
     """
     dim = a.dim
     if f1.dim != dim or f2.dim != dim:
         raise DimensionMismatchError("F1/F2 dims must match the operator dim")
+    _conditions(f1, f2)
     b = f2.mat @ a.mat @ f1.mat
     alphas, wt = _grid(grid_points, alpha_max)
     w = np.zeros((dim, dim), dtype=complex)
@@ -104,10 +116,7 @@ def generalized_glauber_check(f1: Operator, f2: Operator, grid_points: int = 41,
     dim = f1.dim
     if f2.dim != dim:
         raise DimensionMismatchError("F1/F2 dims must match")
-    cond_f1, cond_f2 = (float(np.linalg.cond(f.mat)) for f in (f1, f2))
-    for name, cond in (("F1", cond_f1), ("F2", cond_f2)):
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise RankDeficientError(f"{name} is numerically singular (cond {cond:.2e})")
+    cond_f1, cond_f2 = _conditions(f1, f2)
 
     w = fock_envelope(dim)
     w2 = np.outer(w, w)

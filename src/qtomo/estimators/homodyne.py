@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import functools
 import math
+import queue
 from typing import Optional, Tuple
 
 import numpy as np
 
+from .. import _parallel
 from .._special import CubicSpline
 from ..errors import DimensionMismatchError, GridError, NumericPreconditionError
 from ..operators import Operator, squeeze as squeeze_operator
@@ -49,6 +51,8 @@ _PANEL_ORDER = 16
 # Radians of e^{ikq} one k panel may span: 20 keeps the d = 8 table within 1e-10 of k_max = 40
 _MAX_PANEL_PHASE = 20.0
 _DENSE_Q_POINTS = 4097
+_Q_CHUNK = 256  # fixes each chunk's contraction order, as the table was first built
+_Q_PIECE = 128  # columns per pool task: an 8 MB phase buffer per worker at nk = 4096
 _IMAG_TOL = 1e-10
 
 
@@ -94,25 +98,61 @@ def _k_tables(dim: int, k_max: float, reg_eps: float):
 
 def _f_at(qs: np.ndarray, dim: int, k_max: float, reg_eps: float) -> np.ndarray:
     """F[n,m](q) = int dk |k|/4 e^{ikq} e^{-eps k^2} <n|D(-ik/2)|m>; shape (d,d,nq).
+
     e^{ikq} is cos + i sin for k >= 0; the k < 0 rows are its exact conjugate. GridError
-    if a k panel spans over _MAX_PANEL_PHASE at max |q|, never below the dense grid's."""
+    if a k panel spans over _MAX_PANEL_PHASE at max |q|, never below the dense grid's.
+
+    The q values fall into _Q_CHUNK-column chunks, the last one shorter, and a chunk of
+    width w contracts with g in the order that einsum("k,knm,kq->nmq", optimize=True)
+    picks for it: g into the blocks first when d^2 <= w (one (d^2, nk) matrix per call),
+    else g into the phases first. Each chunk runs as pieces of at most _Q_PIECE columns
+    on _parallel.chunk_map, every piece in its chunk's order, with OpenBLAS held at one
+    thread throughout; a GEMM column does not depend on the other columns, so the table
+    has the same bytes at any pool size. The calling thread allocates one phase buffer
+    per worker, and the pieces borrow them, so no worker thread allocates the big arrays
+    (glibc keeps what a thread frees in that thread's arena).
+    """
     q_max = max(float(np.max(np.abs(qs), initial=0.0)), math.sqrt(dim) + 6.0)
     if k_max / (_PANELS // 2) * q_max > _MAX_PANEL_PHASE:
         raise GridError(f"k_max = {k_max:g} is too large: a k panel spans over "
                         f"{_MAX_PANEL_PHASE:g} rad of e^(ikq) at |q| = {q_max:.3g}")
     k, g, blocks = _k_tables(dim, k_max, reg_eps)
-    half = k.size // 2
+    nk, half, d2 = k.size, k.size // 2, dim * dim
     out = np.empty((dim, dim, qs.size), dtype=complex)
-    buf = np.empty(k.size * min(qs.size, 256), dtype=complex)
-    for i in range(0, qs.size, 256):
-        qc = qs[i : i + 256]
-        ph = buf[: k.size * qc.size].reshape(k.size, qc.size)  # (nk, nq)
-        kq = np.outer(k[half:], qc)
-        np.cos(kq, out=ph.real[half:])
-        np.sin(kq, out=ph.imag[half:])
-        ph.real[:half] = ph.real[: half - 1 : -1]
-        np.negative(ph.imag[: half - 1 : -1], out=ph.imag[:half])
-        out[:, :, i : i + 256] = np.einsum("k,knm,kq->nmq", g, blocks, ph, optimize=True)
+    flat = out.reshape(d2, qs.size)
+    pieces = []  # (first column, end column, width of its chunk)
+    for start in range(0, qs.size, _Q_CHUNK):
+        end = min(start + _Q_CHUNK, qs.size)
+        pieces += [(lo, min(lo + _Q_PIECE, end), end - start)
+                   for lo in range(start, end, _Q_PIECE)]
+    b2 = blocks.reshape(nk, d2)
+    lhs = (g[:, None] * b2).T if any(d2 <= w for _, _, w in pieces) else None
+    width = min(qs.size, _Q_PIECE)
+    buffers = queue.SimpleQueue()
+    for buf in np.empty((min(_parallel.max_workers(), len(pieces)), nk * width), dtype=complex):
+        buffers.put(buf)
+
+    def piece(i: int) -> None:
+        lo, hi, w = pieces[i]
+        buf = buffers.get()
+        try:
+            ph = buf[: nk * (hi - lo)].reshape(nk, hi - lo)
+            kq = ph.imag[half:]  # np.outer's products, then their sines in place
+            np.multiply(k[half:, None], qs[None, lo:hi], out=kq)
+            np.cos(kq, out=ph.real[half:])
+            np.sin(kq, out=kq)
+            ph.real[:half] = ph.real[: half - 1 : -1]
+            np.negative(ph.imag[: half - 1 : -1], out=ph.imag[:half])
+            if d2 <= w:
+                flat[:, lo:hi] = np.dot(lhs, ph)
+            else:
+                ph *= g[:, None]
+                flat[:, lo:hi] = np.dot(ph.T, b2).T
+        finally:
+            buffers.put(buf)
+
+    with _parallel._one_blas_thread():
+        _parallel.chunk_map(piece, len(pieces))
     return out
 
 
@@ -129,7 +169,7 @@ def _real_table(f: np.ndarray) -> np.ndarray:
     """F.real, after checking that the imaginary part is summation roundoff.
 
     F_nm(q) is real analytically: the k and -k blocks are conjugates and
-    _f_at builds their phases as exact conjugates, so the einsum rounds alone.
+    _f_at builds their phases as exact conjugates, so the contraction rounds alone.
     """
     scale = float(np.max(np.abs(f)))
     imag = float(np.max(np.abs(f.imag)))

@@ -173,11 +173,12 @@ def records_to_csv(path, batch: RecordBatch) -> None:
 def records_from_csv(path) -> RecordBatch:
     """The records of a CSV that holds one quorum, parsed by numpy's C reader.
 
-    The first row names the quorum. Every error names the file, and the
-    line where it can be told.
+    The first data row names the quorum, and so the arity of the one parse.
+    Every error names the file, and the line where it can be told.
     """
     with open(path, "rb") as fh:  # decoding only the header line; numpy decodes the rest
         header = fh.readline().decode("utf-8", "replace").rstrip("\r\n").split(",")
+        first = next((line for line in fh if line.rstrip(b"\r\n")), b"")
     if header != _CSV_HEADER:
         raise InvalidSpecError(f"{path}: unexpected CSV header {header}")
 
@@ -190,25 +191,28 @@ def records_from_csv(path) -> RecordBatch:
 
     # One byte more than the longest family name, so a longer name cannot compare equal.
     name_dtype = f"S{max(map(len, FAMILIES)) + 1}"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # numpy warns on a file without rows
-        quorums = read(dtype=name_dtype, usecols=0)
-    if len(quorums) == 0:
-        raise InvalidSpecError(f"{path}: no records")
-    quorum = quorums[0].decode()
-    if quorum not in FAMILIES:
-        raise InvalidSpecError(f"{path}: line {_line(path, 0)}: unknown quorum {quorum!r}; "
-                               f"known families: {', '.join(FAMILIES)}")
-    other = np.flatnonzero(quorums != quorums[0])
-    if len(other):
-        raise InvalidSpecError(f"{path}: line {_line(path, other[0])}: quorum "
-                               f"{quorums[other[0]].decode()!r} in a file of {quorum!r} records")
-    arity = FAMILIES[quorum].arity
     slots = _CSV_HEADER[1 : 1 + _MAX_SETTING]
-    fields = ([("quorum", name_dtype)]
-              + [(s, "f8" if i < arity else "S1") for i, s in enumerate(slots)]
-              + [("o1", "f8")])
-    table = read(dtype=fields)
+
+    def parse(quorum: str) -> np.ndarray:
+        arity = FAMILIES[quorum].arity
+        return read(dtype=[("quorum", name_dtype)]
+                    + [(s, "f8" if i < arity else "S1") for i, s in enumerate(slots)]
+                    + [("o1", "f8")])
+
+    quorum = first.split(b",", 1)[0].decode("utf-8", "replace")
+    try:
+        table = parse(quorum) if quorum in FAMILIES else None
+    except InvalidSpecError:
+        table = None
+    if table is None:
+        # The quorum column alone: an unknown or second quorum is told before a row's
+        # own fault, and a quoted first name is read as numpy reads it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy warns on a file without rows
+            quorum = _one_quorum(path, read(dtype=name_dtype, usecols=0))
+        table = parse(quorum)
+    _one_quorum(path, table["quorum"])
+    arity = FAMILIES[quorum].arity
     for s in slots[arity:]:
         used = np.flatnonzero(table[s] != b"")
         if len(used):
@@ -219,6 +223,21 @@ def records_from_csv(path) -> RecordBatch:
                            table["o1"])
     except InvalidSpecError as exc:
         raise InvalidSpecError(f"{path}: {exc}") from None
+
+
+def _one_quorum(path, quorums: np.ndarray) -> str:
+    """The one known family that every record of a file names."""
+    if len(quorums) == 0:
+        raise InvalidSpecError(f"{path}: no records")
+    quorum = quorums[0].decode()
+    if quorum not in FAMILIES:
+        raise InvalidSpecError(f"{path}: line {_line(path, 0)}: unknown quorum {quorum!r}; "
+                               f"known families: {', '.join(FAMILIES)}")
+    other = np.flatnonzero(quorums != quorums[0])
+    if len(other):
+        raise InvalidSpecError(f"{path}: line {_line(path, other[0])}: quorum "
+                               f"{quorums[other[0]].decode()!r} in a file of {quorum!r} records")
+    return quorum
 
 
 def _line(path, row: int) -> int:

@@ -392,7 +392,16 @@ BAD_INPUTS = {
        for method, extra in (("homodyne", ["--n-max", "3"]), ("kerr", ["--n-max", "3"]),
                              ("parity", ["--n-max", "3"]), ("spin", ["--s", "0.5"]),
                              ("pauli", []))},
+    # the homodyne pattern table builds on the pool (run with BAD_THREADS below); the
+    # unusual --k-max keeps the table out of the cache that other tests fill
+    **{f"homodyne-{command}-threads-abc": (argv, "QTOMO_THREADS") for command, argv in (
+        ("reconstruct", ["reconstruct", "--method", "homodyne", "--records",
+                         "{tmp}/homodyne.csv", "--n-max", "3", "--k-max", "7.75"]),
+        ("kernels", ["kernels", "eval", "--family", "homodyne", "--observable", "number",
+                     "--dim", "4"]))},
 }
+# the QTOMO_THREADS that a BAD_INPUTS case runs under, where it is not the caller's
+BAD_THREADS = {case: "abc" for case in BAD_INPUTS if case.endswith("-threads-abc")}
 
 # Each malformed quorum document: its role, dim and elements, and a word its error names.
 # Element 0 is well formed; the bad field sits in element 1.
@@ -430,7 +439,9 @@ BAD_INPUTS.update({f"quorum-{case}": (["quorum", "verify", "--quorum", f"{{tmp}}
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, case):
+    if case in BAD_THREADS:
+        monkeypatch.setenv("QTOMO_THREADS", BAD_THREADS[case])
     def state(dim, entries):
         return json.dumps({"version": 1, "kind": "state", "dim": dim, "entries": entries})
 

@@ -52,6 +52,17 @@ def test_singular_deformation_rejected():
         generalized_glauber_check(Operator(f), identity(dim))
 
 
+@pytest.mark.parametrize("last", [0.0, 1e-300])
+@pytest.mark.parametrize("side", ["F1", "F2"])
+def test_reconstruct_refuses_a_singular_deformation(side, last):
+    dim = 3
+    f = np.eye(dim, dtype=complex)
+    f[-1, -1] = last
+    fs = (Operator(f), identity(dim)) if side == "F1" else (identity(dim), Operator(f))
+    with pytest.raises(RankDeficientError, match=f"{side} is numerically singular"):
+        glauber_reconstruct(identity(dim), *fs)
+
+
 def test_report_carries_raw_error():
     rep = generalized_glauber_check(identity(4), identity(4))
     assert rep.raw_error >= rep.weighted_error

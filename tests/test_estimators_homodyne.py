@@ -14,6 +14,7 @@ from qtomo.estimators import (
     homodyne_kernel_matrix,
     oscillator_wavefunctions,
 )
+from qtomo._parallel import _blas_threads_api, _one_blas_thread
 from qtomo.estimators import homodyne
 from qtomo.errors import GridError, InvalidSpecError, NumericPreconditionError, UsageError
 from qtomo.operators import Operator, annihilation, fock_matrix_unit, identity, number
@@ -80,6 +81,23 @@ class TestKernelMatrix:
             assert abs(lhs - rhs) <= 1e-3
 
 
+def f_at_oracle(qs, dim, k_max, reg_eps):
+    """F table of one three-operand einsum per 256-column chunk, serial."""
+    k, g, blocks = homodyne._k_tables(dim, k_max, reg_eps)
+    half = k.size // 2
+    out = np.empty((dim, dim, qs.size), dtype=complex)
+    for i in range(0, qs.size, 256):
+        qc = qs[i : i + 256]
+        ph = np.empty((k.size, qc.size), dtype=complex)
+        kq = np.outer(k[half:], qc)
+        np.cos(kq, out=ph.real[half:])
+        np.sin(kq, out=ph.imag[half:])
+        ph.real[:half] = ph.real[: half - 1 : -1]
+        np.negative(ph.imag[: half - 1 : -1], out=ph.imag[:half])
+        out[:, :, i : i + 256] = np.einsum("k,knm,kq->nmq", g, blocks, ph, optimize=True)
+    return out
+
+
 class TestPatternTable:
     # SHA-256 of the tables a d = 8 homodyne reconstruct builds at the
     # default k_max and reg_eps: all 17 q-chunks of the dense grid, the
@@ -94,6 +112,19 @@ class TestPatternTable:
     def test_displacement_blocks_bytes_are_pinned(self):
         blocks = homodyne._k_tables(8, 40.0, 1e-3)[2]
         assert hashlib.sha256(blocks.tobytes()).hexdigest() == self.BLOCKS_SHA256
+
+    @pytest.mark.skipif(_blas_threads_api() is None,
+                        reason="numpy's OpenBLAS thread count not found")
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 12, 16, 17, 20])
+    def test_pieces_match_the_einsum_oracle(self, dim):
+        # d^2 on both sides of the 256-column chunks and of the shorter last chunks
+        q_max = np.sqrt(dim) + 6.0
+        sizes = [1, 21, 255, 257, 513] + ([4097] if dim in (8, 17) else [])
+        with _one_blas_thread():
+            for size in sizes:
+                qs = np.linspace(-q_max, q_max, size)
+                ours = homodyne._f_at(qs, dim, 40.0, 1e-3)
+                assert ours.tobytes() == f_at_oracle(qs, dim, 40.0, 1e-3).tobytes(), size
 
     @pytest.mark.parametrize("nudged", ["node", "weight"])
     def test_asymmetric_k_rule_refused(self, monkeypatch, nudged):

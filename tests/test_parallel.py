@@ -1,5 +1,5 @@
 """The pool holds numpy's OpenBLAS at one thread and gives the count back, and the sampled
-quantities do not depend on that count."""
+quantities and the homodyne pattern table do not depend on that count."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qtomo._parallel import _blas_threads_api, chunk_map
-from qtomo.estimators import EstimatorConfig, kerr_sideband_coefficients
+from qtomo.estimators import EstimatorConfig, homodyne, kerr_sideband_coefficients
 from qtomo.estimators.parity import displaced_parity_expectation
 from qtomo.states import StateSpec, make_state
 
@@ -95,3 +95,37 @@ def test_sampled_quantities_keep_their_bytes_at_any_blas_count(dim):
                          lambda: kerr_sideband_coefficients(rho, psis)):
             one, three = (at_blas_threads(count, quantity).tobytes() for count in (1, 3))
             assert one == three
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 11, 17])
+def test_pattern_table_keeps_its_bytes_at_any_pool_and_blas_count(dim, monkeypatch):
+    # single-column and odd last chunks, on both sides of d^2 = chunk width; the table
+    # holds OpenBLAS at one thread itself, so the caller's count must not reach it
+    q_max = np.sqrt(dim) + 6.0
+    for size in (1, 21, 257, 513):
+        qs = np.linspace(-q_max, q_max, size)
+        tables = set()
+        for workers in ("1", "2"):
+            monkeypatch.setenv("QTOMO_THREADS", workers)
+            for count in (1, 3):
+                table = at_blas_threads(count, lambda: homodyne._f_at(qs, dim, 40.0, 1e-3))
+                tables.add(table.tobytes())
+        assert len(tables) == 1, size
+
+
+def test_pattern_table_pieces_borrow_buffers_under_more_workers_than_cores(monkeypatch):
+    # pieces share the caller's buffers: two pieces in one buffer at once, or a buffer
+    # not given back, would change the bytes or leave a piece waiting forever
+    qs = np.linspace(-9.0, 9.0, 1025)
+    monkeypatch.setenv("QTOMO_THREADS", "1")
+    serial = homodyne._f_at(qs, 8, 40.0, 1e-3).tobytes()
+    monkeypatch.setenv("QTOMO_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    caller = ThreadPoolExecutor(max_workers=1)
+    try:
+        pooled = caller.submit(homodyne._f_at, qs, 8, 40.0, 1e-3).result(timeout=60)
+    finally:
+        caller.shutdown(wait=False)
+        sys.setswitchinterval(interval)
+    assert pooled.tobytes() == serial

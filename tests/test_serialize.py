@@ -179,6 +179,37 @@ class TestRecordsCsv:
         with pytest.raises(InvalidSpecError, match=r"records\.csv: " + message):
             records_from_csv(p)
 
+    def test_valid_file_is_parsed_once(self, tmp_path, monkeypatch):
+        recs = self.sample_records()[0]
+        p = tmp_path / "records.csv"
+        records_to_csv(p, recs)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("usecols"))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        assert records_from_csv(p) == recs
+        assert calls == [None]
+
+    def test_second_quorum_is_told_before_its_malformed_row(self, tmp_path):
+        # the row does not parse as a homodyne record, and its quorum is the fault to tell
+        p = tmp_path / "records.csv"
+        p.write_text("quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1\n\npauli,x,,,0.5\n")
+        with pytest.raises(InvalidSpecError,
+                           match=r"records\.csv: line 4: quorum 'pauli' in a file of 'homodyne'"):
+            records_from_csv(p)
+
+    @pytest.mark.parametrize("first", ["\u03c9", "toolongname", ""])
+    def test_first_name_that_is_not_a_family_is_told_at_its_line(self, tmp_path, first):
+        p = tmp_path / "records.csv"
+        p.write_text(f"quorum,s1,s2,s3,o1\n\n{first},0.5,0,,1\nparity,0,0,,1\n",
+                     encoding="utf-8")
+        with pytest.raises(InvalidSpecError, match=r"records\.csv: line 3: "):
+            records_from_csv(p)
+
     def test_invalid_utf8_rejected(self, tmp_path):
         p = tmp_path / "records.csv"
         p.write_bytes(b"quorum,s1,s2,s3,o1\nparity,0,0,,1\nparity,0,0,,\xff\n")
