@@ -55,8 +55,8 @@ def max_workers() -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _blas_threads_api() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
-    """(get, set) of the thread count of numpy's bundled OpenBLAS; None where it is not found."""
+def _openblas() -> Optional[Tuple[ctypes.CDLL, str, str]]:
+    """numpy's bundled OpenBLAS with its symbol prefix and suffix; None where it is not found."""
     import numpy
 
     pattern = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")
@@ -67,13 +67,37 @@ def _blas_threads_api() -> Optional[Tuple[Callable[[], int], Callable[[int], Non
             continue
         for prefix in _BLAS_PREFIXES:
             for suffix in _BLAS_SUFFIXES:
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    put.restype, put.argtypes = None, [ctypes.c_int]
-                    return get, put
+                if (hasattr(lib, f"{prefix}get_num_threads{suffix}")
+                        and hasattr(lib, f"{prefix}set_num_threads{suffix}")):
+                    return lib, prefix, suffix
     return None
+
+
+def _blas_function(name: str, restype, argtypes) -> Optional[Callable]:
+    """OpenBLAS's function name (without its prefix and suffix); None where it is not found."""
+    found = _openblas()
+    if found is None:
+        return None
+    lib, prefix, suffix = found
+    fn = getattr(lib, f"{prefix}{name}{suffix}", None)
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_threads_api() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS; None where it is not found."""
+    if _openblas() is None:
+        return None
+    return (_blas_function("get_num_threads", ctypes.c_int, []),
+            _blas_function("set_num_threads", None, [ctypes.c_int]))
+
+
+def blas_corename() -> Optional[str]:
+    """The CPU core whose kernels numpy's bundled OpenBLAS runs; None where it is not found."""
+    fn = _blas_function("get_corename", ctypes.c_char_p, [])
+    return None if fn is None else fn().decode("ascii", "replace")
 
 
 _blas_lock = threading.Lock()

@@ -17,6 +17,8 @@ Records read F_nm(q) from a not-a-knot cubic spline through a dense q
 grid: qtomo._special.CubicSpline, a numpy copy of scipy.interpolate's
 CubicSpline and PPoly evaluation that tests/test_special.py ties to
 scipy bit for bit, so only the squeezed routes at zeta != 0 import scipy (for S).
+The dense table is kept on disk (qtomo._tablecache): a process that finds
+its key there loads it with the same bytes instead of building it.
 """
 
 from __future__ import annotations
@@ -158,10 +160,14 @@ def _f_at(qs: np.ndarray, dim: int, k_max: float, reg_eps: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _dense_f_grid(dim: int, k_max: float, reg_eps: float):
-    """Dense q-grid F table (d, d, nq) for the spline fast paths."""
+    """Dense q-grid F table (d, d, nq) for the spline fast paths, from the table cache."""
+    from .. import _tablecache  # its hashlib loads OpenSSL, 3.7 MB that only this route needs
+
     q_max = math.sqrt(dim) + 6.0
     qs = np.linspace(-q_max, q_max, _DENSE_Q_POINTS)
-    f = _f_at(qs, dim, k_max, reg_eps)
+    key = ("homodyne-f", int(dim), float(k_max).hex(), float(reg_eps).hex())
+    f = _tablecache.cached(key, (dim, dim, qs.size), complex,
+                           lambda: _f_at(qs, dim, k_max, reg_eps))
     return qs, f
 
 
@@ -224,6 +230,7 @@ def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: Estim
     against for squeezed records, multiplied as (n, dim, dim): matmul bits follow layout.
     """
     dim = cfg.dim
+    _parallel.max_workers()  # refuses a bad QTOMO_THREADS, which a cached table never reads
     grid, spline = _f_spline(dim, cfg.k_max, cfg.reg_eps)
     qc = np.clip(outcomes, grid[0], grid[-1])  # beyond the grid the kernel is ~0
     u = np.exp(1j * settings[:, 0] * np.arange(dim)[:, None])  # (dim, n)
@@ -246,6 +253,7 @@ def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig,
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
     records.require("homodyne", 2, cfg.dim)
+    _parallel.max_workers()  # refuses a bad QTOMO_THREADS, which a cached table never reads
     a_mat = a.mat
     if squeeze is not None:
         s = squeeze_operator(squeeze.zeta, cfg.dim).mat

@@ -392,11 +392,13 @@ BAD_INPUTS = {
        for method, extra in (("homodyne", ["--n-max", "3"]), ("kerr", ["--n-max", "3"]),
                              ("parity", ["--n-max", "3"]), ("spin", ["--s", "0.5"]),
                              ("pauli", []))},
-    # the homodyne pattern table builds on the pool (run with BAD_THREADS below); the
-    # unusual --k-max keeps the table out of the cache that other tests fill
+    # the homodyne pattern table builds on the pool (run with BAD_THREADS below), and
+    # the reconstructs run again once a good count has left the table on disk
     **{f"homodyne-{command}-threads-abc": (argv, "QTOMO_THREADS") for command, argv in (
         ("reconstruct", ["reconstruct", "--method", "homodyne", "--records",
-                         "{tmp}/homodyne.csv", "--n-max", "3", "--k-max", "7.75"]),
+                         "{tmp}/homodyne.csv", "--n-max", "3"]),
+        ("observable", ["reconstruct", "--method", "homodyne", "--records",
+                        "{tmp}/homodyne.csv", "--n-max", "3", "--observable", "number"]),
         ("kernels", ["kernels", "eval", "--family", "homodyne", "--observable", "number",
                      "--dim", "4"]))},
 }
@@ -439,7 +441,8 @@ BAD_INPUTS.update({f"quorum-{case}": (["quorum", "verify", "--quorum", f"{{tmp}}
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, case):
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, table_cache,
+                                               forget_tables, case):
     if case in BAD_THREADS:
         monkeypatch.setenv("QTOMO_THREADS", BAD_THREADS[case])
     def state(dim, entries):
@@ -474,9 +477,15 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, ca
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if argv[:2] != ["quorum", "verify"]:  # verify writes nothing and refuses --out
         argv += ["--out", str(tmp_path / "out")]
-    code, _, err = run(capsys, argv)
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+    for warm in (False, True) if case in BAD_THREADS and argv[0] == "reconstruct" else (False,):
+        if warm:  # a run under a good count leaves the pattern table on disk
+            monkeypatch.delenv("QTOMO_THREADS")
+            assert run(capsys, argv)[0] == 0 and list(table_cache.iterdir())
+            forget_tables()
+            monkeypatch.setenv("QTOMO_THREADS", BAD_THREADS[case])
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
 
 
 

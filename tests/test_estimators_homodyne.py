@@ -1,6 +1,8 @@
 """Quadrature-kernel estimators against exact averages and sampled records."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from qtomo.estimators import (
     homodyne_kernel_matrix,
     oscillator_wavefunctions,
 )
+from qtomo import _tablecache
 from qtomo._parallel import _blas_threads_api, _one_blas_thread
+from qtomo.cli import main
 from qtomo.estimators import homodyne
 from qtomo.errors import GridError, InvalidSpecError, NumericPreconditionError, UsageError
 from qtomo.operators import Operator, annihilation, fock_matrix_unit, identity, number
@@ -158,6 +162,132 @@ class TestPatternTable:
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(ref))
         with pytest.raises(GridError, match="k_max = 300"):
             homodyne._f_at(qs, 8, 300.0, 1e-3)
+
+
+def count_builds(monkeypatch):
+    """The tables _f_at builds from now on, as (dim, k_max, reg_eps)."""
+    builds = []
+    f_at = homodyne._f_at
+
+    def counted(qs, *key):
+        builds.append(key)
+        return f_at(qs, *key)
+
+    monkeypatch.setattr(homodyne, "_f_at", counted)
+    return builds
+
+
+class TestTableCache:
+    def test_warm_load_gives_the_pinned_bytes(self, table_cache, forget_tables, monkeypatch):
+        cold = homodyne._dense_f_grid(8, 40.0, 1e-3)[1]
+        assert len(list(table_cache.iterdir())) == 1
+        forget_tables()
+        builds = count_builds(monkeypatch)
+        warm = homodyne._dense_f_grid(8, 40.0, 1e-3)[1]
+        assert builds == [] and homodyne._k_tables.cache_info().currsize == 0
+        assert warm.tobytes() == cold.tobytes()
+        assert hashlib.sha256(warm.tobytes()).hexdigest() == TestPatternTable.DENSE_F_SHA256
+
+    def test_outputs_are_the_same_cold_warm_and_unwritable(self, tmp_path, monkeypatch, capsys,
+                                                           forget_tables):
+        records = str(tmp_path / "records.csv")
+        assert main(["sample", "--method", "homodyne", "--dim", "4", "--shots", "3000",
+                     "--seed", "5", "--out", records]) == 0
+
+        def outputs(cache_home):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+            forget_tables()
+            files = []
+            for extra in ([], ["--observable", "number"]):
+                out = tmp_path / "out.json"
+                code = main(["reconstruct", "--method", "homodyne", "--records", records,
+                             "--n-max", "3", *extra, "--out", str(out)])
+                assert code == 0 and capsys.readouterr().err == ""
+                files.append(out.read_bytes())
+            return files
+
+        cold = outputs(tmp_path / "xdg")
+        builds = count_builds(monkeypatch)
+        warm = outputs(tmp_path / "xdg")
+        assert builds == []
+        # the cache directory would sit under a file, so it cannot be made
+        (tmp_path / "file").write_text("")
+        unwritable = outputs(tmp_path / "file")
+        assert builds == [(4, 40.0, 1e-3)]
+        assert cold == warm == unwritable
+
+    @pytest.mark.parametrize("damage", ["truncated", "checksum", "magic", "shape", "data"])
+    def test_damaged_file_is_rebuilt(self, table_cache, forget_tables, monkeypatch, damage):
+        table = homodyne._dense_f_grid(3, 40.0, 1e-3)[1].tobytes()
+        (path,) = table_cache.iterdir()
+        whole = path.read_bytes()
+        data = bytearray(whole)
+        if damage == "truncated":
+            del data[len(data) - 1000 :]
+        else:
+            at = {"checksum": 0, "magic": 33, "shape": data.index(b"4097"),
+                  "data": len(data) // 2}[damage]
+            data[at] ^= 1
+        path.write_bytes(bytes(data))
+        forget_tables()
+        builds = count_builds(monkeypatch)
+        assert homodyne._dense_f_grid(3, 40.0, 1e-3)[1].tobytes() == table
+        assert builds == [(3, 40.0, 1e-3)]
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("change", ["reg_eps", "fingerprint"])
+    def test_another_key_is_a_miss(self, table_cache, forget_tables, monkeypatch, change):
+        homodyne._dense_f_grid(3, 40.0, 1e-3)
+        forget_tables()
+        builds = count_builds(monkeypatch)
+        reg_eps = 1e-3
+        if change == "reg_eps":
+            reg_eps = float(np.nextafter(1e-3, 1.0))
+        else:
+            monkeypatch.setattr(_tablecache, "fingerprint", lambda: "another build")
+        homodyne._dense_f_grid(3, 40.0, reg_eps)
+        assert builds == [(3, 40.0, reg_eps)]
+        assert len(list(table_cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("xdg", ["/var/cache/me", "", "cache"])
+    def test_directory_is_xdg_or_the_home_default(self, tmp_path, monkeypatch, xdg):
+        # an empty or relative XDG_CACHE_HOME is ignored, as the XDG base directory spec says
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        base = xdg if xdg.startswith("/") else str(tmp_path / ".cache")
+        assert str(_tablecache.directory()) == base + "/qtomo"
+
+    def test_concurrent_builders_leave_one_valid_file(self, table_cache):
+        # both threads miss, build and write at once, switching threads often
+        rng = np.random.default_rng(24)
+        table = rng.normal(size=(8, 8, 4097)) + 1j * rng.normal(size=(8, 8, 4097))
+        barrier = threading.Barrier(2, timeout=60)
+        got, errors = [], []
+
+        def build():
+            barrier.wait()
+            return table.copy()
+
+        def builder():
+            try:
+                got.append(_tablecache.cached(("race", 8), table.shape, complex, build))
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=builder) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert [g.tobytes() for g in got] == [table.tobytes()] * 2
+        (path,) = table_cache.iterdir()  # no temporary file left behind
+        assert _tablecache._load(path, table.shape, np.dtype(complex)).tobytes() == table.tobytes()
 
 
 class TestHomodyneEstimate:
