@@ -1,11 +1,11 @@
 """numpy copies of the scipy routines on the state, sample and reconstruct routes.
 
 gammaln, eval_genlaguerre (with its binom) and the not-a-knot CubicSpline
-each follow scipy 1.17.1's code term for term over the inputs this library
-passes them, so every bit is scipy's without importing it. These bits rest
-on the host's arithmetic as scipy's do: glibc log, a dgtsv built without FMA
-contraction. tests/test_special.py compares each copy with scipy by
-tobytes() over those inputs.
+with its PPoly evaluation each follow scipy 1.17.1's code term for term over
+the inputs this library passes them, so every bit is scipy's without importing
+it. These bits rest on the host's arithmetic as scipy's do: glibc log, a dgtsv
+built without FMA contraction. tests/test_special.py compares each copy with
+scipy by tobytes() over those inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericPreconditionError
 
-__all__ = ["gammaln", "genlaguerre_ladder", "CubicSpline"]
+__all__ = ["gammaln", "genlaguerre_ladder", "PPoly", "CubicSpline"]
 
 # cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients for 13 <= x < 1000
 _LS2PI = 0.91893853320467274178
@@ -115,46 +115,25 @@ def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> None:
 _SLAB = 1 << 13
 
 
-class CubicSpline:
-    """scipy.interpolate.CubicSpline(x, y) with not-a-knot ends, for strictly increasing
-    x of at least 4 points and finite real or complex y; evaluated only inside [x[0], x[-1]].
+class PPoly:
+    """scipy.interpolate.PPoly's evaluation of a piecewise cubic: breakpoints x, strictly
+    increasing, and coefficients c in scipy's layout (4, len(x) - 1) + trailing shape,
+    real or complex; evaluated only inside [x[0], x[-1]].
 
-    A complex y is solved and evaluated as two real columns, its real and imaginary parts:
-    scipy's complex arithmetic there multiplies and divides by reals alone.
+    PPoly(x, c) takes c as it is, so a spline whose coefficients were kept (the
+    c of a CubicSpline, say) evaluates with the same bits as the spline itself.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+    def __init__(self, x: np.ndarray, c: np.ndarray) -> None:
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
-        if not np.all(np.isfinite(y)):
-            raise NumericPreconditionError("spline values must be finite")
-        n = x.size
-        dx = np.diff(x)
-        dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / dxr
-        # scipy's banded system: diagonal, upper and lower diagonals, right-hand side
-        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-        upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
-        lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
-        b = np.empty((n,) + y.shape[1:], dtype=y.dtype)
-        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        d = x[2] - x[0]
-        b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        b[-1] = ((dxr[-1]**2*slope[-2] + (2*d + dxr[-1])*dxr[-2]*slope[-1]) / d)
-        s = np.ascontiguousarray(b.reshape(n, -1))
-        _gtsv(lower, diag, upper, s.view(float))
-        s = s.reshape(b.shape)
-        # CubicHermiteSpline's coefficients, real columns: a complex one is two
-        t = (s[:-1] + s[1:] - 2 * slope) / dxr
-        c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+        c = np.ascontiguousarray(c)
         self.x = x
-        self._y = y[:0]  # y's dtype and trailing shape
-        self._c = c.reshape(4, n - 1, -1).view(float)
+        self._y = np.empty((0,) + c.shape[2:], dtype=c.dtype)  # the values' dtype and shape
+        self._c = c.reshape(4, x.size - 1, -1).view(float)  # real columns: a complex one is two
 
     @property
     def c(self) -> np.ndarray:
-        """The coefficients in scipy's layout, (4, len(x) - 1) + y.shape[1:]."""
+        """The coefficients in scipy's layout, (4, len(x) - 1) + the values' trailing shape."""
         return self._c.view(self._y.dtype).reshape((4, self.x.size - 1) + self._y.shape[1:])
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
@@ -180,3 +159,41 @@ class CubicSpline:
                 o += ck
                 z *= s_lo
         return out.view(self._y.dtype).reshape(xs.shape + self._y.shape[1:])
+
+
+class CubicSpline(PPoly):
+    """scipy.interpolate.CubicSpline(x, y) with not-a-knot ends, for strictly increasing
+    x of at least 4 points and finite real or complex y; a PPoly, evaluated as one.
+
+    A complex y is solved and evaluated as two real columns, its real and imaginary parts:
+    scipy's complex arithmetic there multiplies and divides by reals alone. Every column
+    is solved and evaluated on its own, so a column's bits do not depend on the others.
+    The solve runs once: PPoly(spline.x, spline.c) is the same spline, bit for bit,
+    so its coefficients can be kept and the spline rebuilt from them without solving.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=complex if np.iscomplexobj(y) else float)
+        if not np.all(np.isfinite(y)):
+            raise NumericPreconditionError("spline values must be finite")
+        n = x.size
+        dx = np.diff(x)
+        dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        # scipy's banded system: diagonal, upper and lower diagonals, right-hand side
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
+        lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+        b = np.empty((n,) + y.shape[1:], dtype=y.dtype)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        d = x[2] - x[0]
+        b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        b[-1] = ((dxr[-1]**2*slope[-2] + (2*d + dxr[-1])*dxr[-2]*slope[-1]) / d)
+        s = np.ascontiguousarray(b.reshape(n, -1))
+        _gtsv(lower, diag, upper, s.view(float))
+        s = s.reshape(b.shape)
+        # CubicHermiteSpline's coefficients
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        super().__init__(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))

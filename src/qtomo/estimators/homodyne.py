@@ -17,8 +17,13 @@ Records read F_nm(q) from a not-a-knot cubic spline through a dense q
 grid: qtomo._special.CubicSpline, a numpy copy of scipy.interpolate's
 CubicSpline and PPoly evaluation that tests/test_special.py ties to
 scipy bit for bit, so only the squeezed routes at zeta != 0 import scipy (for S).
-The dense table is kept on disk (qtomo._tablecache): a process that finds
-its key there loads it with the same bytes instead of building it.
+F_nm = F_mn bit for bit, so the reconstruct spline runs through the d(d+1)/2
+columns n <= m alone and F_mn reads F_nm's column. The dense table and that
+spline's coefficients are kept on disk (qtomo._tablecache): a process that
+finds a key there loads it with the same bytes instead of building it, so a
+warm reconstruct reads the coefficients and neither builds nor reads F.
+The kernel block is built in _SLICE-record slices whose arrays stay in cache;
+every kernel is row-local, so a slice has the bits of the whole.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import _parallel
-from .._special import CubicSpline
+from .._special import CubicSpline, PPoly
 from ..errors import DimensionMismatchError, GridError, NumericPreconditionError
 from ..operators import Operator, squeeze as squeeze_operator
 from ..records import RecordBatch, walk
@@ -56,6 +61,7 @@ _DENSE_Q_POINTS = 4097
 _Q_CHUNK = 256  # fixes each chunk's contraction order, as the table was first built
 _Q_PIECE = 128  # columns per pool task: an 8 MB phase buffer per worker at nk = 4096
 _IMAG_TOL = 1e-10
+_SLICE = 1024  # kernel-block records per slice: at d = 8 its arrays fit in a 2 MB L2
 
 
 def oscillator_wavefunctions(dim: int, q: np.ndarray) -> np.ndarray:
@@ -158,13 +164,18 @@ def _f_at(qs: np.ndarray, dim: int, k_max: float, reg_eps: float) -> np.ndarray:
     return out
 
 
+def _dense_q(dim: int) -> np.ndarray:
+    """The dense q grid of the spline fast paths."""
+    q_max = math.sqrt(dim) + 6.0
+    return np.linspace(-q_max, q_max, _DENSE_Q_POINTS)
+
+
 @functools.lru_cache(maxsize=4)
 def _dense_f_grid(dim: int, k_max: float, reg_eps: float):
     """Dense q-grid F table (d, d, nq) for the spline fast paths, from the table cache."""
     from .. import _tablecache  # its hashlib loads OpenSSL, 3.7 MB that only this route needs
 
-    q_max = math.sqrt(dim) + 6.0
-    qs = np.linspace(-q_max, q_max, _DENSE_Q_POINTS)
+    qs = _dense_q(dim)
     key = ("homodyne-f", int(dim), float(k_max).hex(), float(reg_eps).hex())
     f = _tablecache.cached(key, (dim, dim, qs.size), complex,
                            lambda: _f_at(qs, dim, k_max, reg_eps))
@@ -189,9 +200,30 @@ def _real_table(f: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _f_spline(dim: int, k_max: float, reg_eps: float):
-    """One cubic spline through all d^2 columns of the real F table."""
-    qs, f = _dense_f_grid(dim, k_max, reg_eps)
-    return qs, CubicSpline(qs, _real_table(f).reshape(dim * dim, -1).T)
+    """The dense q grid, one cubic spline through the d(d+1)/2 columns F_kn, k <= n, of the
+    real F table, and the (d^2,) map from element k d + n to its spline column.
+
+    F_nk equals F_kn bit for bit, which the build checks, and the spline solves and
+    evaluates each column on its own, so every element reads the bits that a spline
+    through all d^2 columns gives it. The coefficients come from the table cache.
+    """
+    from .. import _tablecache
+
+    qs = _dense_q(dim)
+
+    def build() -> np.ndarray:
+        f = _real_table(_dense_f_grid(dim, k_max, reg_eps)[1])
+        if not np.array_equal(f.view(np.int64), f.transpose(1, 0, 2).view(np.int64)):
+            raise NumericPreconditionError(
+                "pattern-function table is not symmetric bit for bit: F_kn != F_nk")
+        return CubicSpline(qs, f[np.triu_indices(dim)].T).c
+
+    key = ("homodyne-spline", int(dim), float(k_max).hex(), float(reg_eps).hex())
+    c = _tablecache.cached(key, (4, qs.size - 1, dim * (dim + 1) // 2), float, build)
+    upper = np.triu_indices(dim)  # after the table, so that one too large to build fails first
+    col = np.empty((dim, dim), dtype=np.intp)
+    col[upper] = col.T[upper] = np.arange(upper[0].size)
+    return qs, PPoly(qs, c), col.ravel()
 
 
 def homodyne_kernel_matrix(q: float, phi: float, cfg: EstimatorConfig) -> Operator:
@@ -231,11 +263,15 @@ def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: Estim
     """
     dim = cfg.dim
     _parallel.max_workers()  # refuses a bad QTOMO_THREADS, which a cached table never reads
-    grid, spline = _f_spline(dim, cfg.k_max, cfg.reg_eps)
-    qc = np.clip(outcomes, grid[0], grid[-1])  # beyond the grid the kernel is ~0
-    u = np.exp(1j * settings[:, 0] * np.arange(dim)[:, None])  # (dim, n)
-    block = u[:, None, :] * u.conj()[None, :, :]
-    block *= spline(qc).T.reshape(dim, dim, -1)
+    grid, spline, col = _f_spline(dim, cfg.k_max, cfg.reg_eps)
+    block = np.empty((dim, dim, outcomes.size), dtype=complex)
+    for lo in range(0, outcomes.size, _SLICE):
+        rows = slice(lo, lo + _SLICE)
+        qc = np.clip(outcomes[rows], grid[0], grid[-1])  # beyond the grid the kernel is ~0
+        u = np.exp(1j * settings[rows, 0] * np.arange(dim)[:, None])  # (dim, records)
+        part = block[:, :, rows]
+        np.multiply(u[:, None, :], u.conj()[None, :, :], out=part)
+        part *= spline(qc).T[col].reshape(dim, dim, -1)
     if squeeze is not None:
         s = squeeze_operator(squeeze.zeta, dim).mat
         block = (s.conj().T @ block.transpose(2, 0, 1).copy() @ s).transpose(1, 2, 0).copy()

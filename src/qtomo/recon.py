@@ -58,16 +58,17 @@ def _block_elements(batch: RecordBatch, dim: int, block: Callable, diagonal: boo
     block(settings, outcomes, **params) is a family's <family>_kernel_block:
     the C-contiguous (dim, dim, n) kernels of n records, whose element [k, n, i]
     estimates <k|rho|n>; the rows pushed are a reshape of the block, not a copy.
-    Without diagonal the elements <k|rho|k> are skipped.
+    Without diagonal the elements <k|rho|k> are skipped. The keys are made
+    after the pass, so a block too large to build fails before d^2 of them are.
     """
-    keys = [(k, n) for k in range(dim) for n in range(dim) if diagonal or k != n]
-
     def columns(settings: np.ndarray, outcomes: np.ndarray) -> List[np.ndarray]:
         rows = block(settings, outcomes, **params).reshape(dim * dim, -1)
-        return [rows[k * dim + n] for k, n in keys]
+        return [row for i, row in enumerate(rows) if diagonal or i % (dim + 1)]
 
     step = max(1, _BLOCK_BYTES // (16 * dim * dim))
-    return dict(zip(keys, walk(batch, columns, len(keys), step)))
+    results = walk(batch, columns, dim * dim if diagonal else dim * (dim - 1), step)
+    keys = ((k, n) for k in range(dim) for n in range(dim) if diagonal or k != n)
+    return dict(zip(keys, results))
 
 
 def _parity_elements(batch: RecordBatch, dim: int,

@@ -185,11 +185,16 @@ def walk(records: RecordBatch, values: Callable, columns: Optional[int] = None,
     values returns the kernel values of one chunk's records, an array of
     shape (n,); with columns given, a sequence of that many such arrays,
     one per average. Each array is one Accumulator push; one result comes
-    back per average.
+    back per average. The accumulators are made after the first chunk, so a
+    kernel table too large to build fails before columns of them are made.
     """
-    accs = [Accumulator() for _ in range(1 if columns is None else columns)]
+    accs = None
     for lo in range(0, len(records), step):
         chunk = values(records.settings[lo : lo + step], records.outcomes[lo : lo + step])
+        if accs is None:
+            accs = [Accumulator() for _ in range(1 if columns is None else columns)]
         for acc, column in zip(accs, (chunk,) if columns is None else chunk):
             acc.push(column)
+    if accs is None:  # no records: one empty average, whose result refuses them
+        accs = [Accumulator()]
     return [acc.result() for acc in accs]

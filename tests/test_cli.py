@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -756,6 +757,45 @@ def test_out_of_memory_exits_3(capsys, tmp_path, monkeypatch, json_errors):
         assert payload["error"] == "NumericPreconditionError"
         err = payload["message"]
     assert "out of memory: Unable to allocate 74.5 GiB" in err, err
+
+
+# The CLI in a child whose address space is capped at 1 GiB, so that code which fills memory
+# before it fails cannot take the machine's. Last it prints its own peak RSS in kB, VmHWM:
+# ru_maxrss would count the pages of the test process that started it.
+CAPPED_CLI = """
+import resource, sys
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import qtomo.cli
+try:
+    code = qtomo.cli.main(sys.argv[1:])
+finally:
+    with open("/proc/self/status") as status:
+        print(*[line.split()[1] for line in status if line.startswith("VmHWM:")])
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_huge_n_max_fails_before_it_fills_memory(tmp_path):
+    # at --n-max 3000 the homodyne pattern table would take 550 GiB, so that allocation must
+    # be the first to fail: not after 9 million element keys and accumulators
+    records = tmp_path / "records.csv"
+    records.write_text("quorum,s1,s2,s3,o1\nhomodyne,0.4,,,0.38\nhomodyne,2.15,,,-0.76\n"
+                       "homodyne,2.0,,,-0.12\n")
+    src = str(pathlib.Path(qtomo.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, "reconstruct", "--method", "homodyne",
+                           "--records", str(records), "--n-max", "3000", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3 and not out.exists(), proc.stderr
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert elapsed < 5.0
+    assert int(proc.stdout.split()[-1]) < 100 * 1024, proc.stdout  # kB
 
 
 def test_route_names_are_listed_once():

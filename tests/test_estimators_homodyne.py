@@ -130,6 +130,34 @@ class TestPatternTable:
                 ours = homodyne._f_at(qs, dim, 40.0, 1e-3)
                 assert ours.tobytes() == f_at_oracle(qs, dim, 40.0, 1e-3).tobytes(), size
 
+    @pytest.mark.parametrize("dim", range(1, 21))
+    def test_real_table_is_symmetric_bit_for_bit(self, tmp_path, monkeypatch, forget_tables, dim):
+        # the reconstruct spline runs through the columns F_kn, k <= n, alone, and F_nk reads
+        # F_kn's; _f_spline's build checks the symmetry, here with no table kept on disk
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        forget_tables()
+        try:
+            f = homodyne._real_table(homodyne._dense_f_grid(dim, 40.0, 1e-3)[1])
+            assert f.tobytes() == f.transpose(1, 0, 2).tobytes()
+            homodyne._f_spline(dim, 40.0, 1e-3)
+        finally:
+            forget_tables()
+
+    def test_asymmetric_real_table_is_refused(self, table_cache, monkeypatch):
+        grid = homodyne._dense_f_grid
+
+        def lopsided(*key):
+            qs, f = grid(*key)
+            f = f.copy()
+            f.real[0, 1, 1000] = np.nextafter(f.real[0, 1, 1000], np.inf)
+            return qs, f
+
+        monkeypatch.setattr(homodyne, "_dense_f_grid", lopsided)
+        with pytest.raises(NumericPreconditionError, match="not symmetric bit for bit"):
+            homodyne._f_spline(3, 40.0, 1e-3)
+        assert [p.name for p in table_cache.iterdir() if "spline" in p.name] == []
+
     @pytest.mark.parametrize("nudged", ["node", "weight"])
     def test_asymmetric_k_rule_refused(self, monkeypatch, nudged):
         # the k < 0 phases are the mirror of the k >= 0 ones, so a rule
@@ -177,6 +205,24 @@ def count_builds(monkeypatch):
     return builds
 
 
+DAMAGE = ["truncated", "checksum", "magic", "shape", "data"]
+
+
+def damage_file(path, damage, shape):
+    """Cut the end off the table file at path, or flip one bit of it: in its checksum, the
+    .npy magic, the shape (the first bytes that read shape) or the data; its old bytes."""
+    whole = path.read_bytes()
+    data = bytearray(whole)
+    if damage == "truncated":
+        del data[len(data) - 1000 :]
+    else:
+        at = {"checksum": 0, "magic": 33, "shape": data.index(shape),
+              "data": len(data) // 2}[damage]
+        data[at] ^= 1
+    path.write_bytes(bytes(data))
+    return whole
+
+
 class TestTableCache:
     def test_warm_load_gives_the_pinned_bytes(self, table_cache, forget_tables, monkeypatch):
         cold = homodyne._dense_f_grid(8, 40.0, 1e-3)[1]
@@ -216,24 +262,52 @@ class TestTableCache:
         assert builds == [(4, 40.0, 1e-3)]
         assert cold == warm == unwritable
 
-    @pytest.mark.parametrize("damage", ["truncated", "checksum", "magic", "shape", "data"])
+    @pytest.mark.parametrize("damage", DAMAGE)
     def test_damaged_file_is_rebuilt(self, table_cache, forget_tables, monkeypatch, damage):
         table = homodyne._dense_f_grid(3, 40.0, 1e-3)[1].tobytes()
         (path,) = table_cache.iterdir()
-        whole = path.read_bytes()
-        data = bytearray(whole)
-        if damage == "truncated":
-            del data[len(data) - 1000 :]
-        else:
-            at = {"checksum": 0, "magic": 33, "shape": data.index(b"4097"),
-                  "data": len(data) // 2}[damage]
-            data[at] ^= 1
-        path.write_bytes(bytes(data))
+        whole = damage_file(path, damage, b"4097")
         forget_tables()
         builds = count_builds(monkeypatch)
         assert homodyne._dense_f_grid(3, 40.0, 1e-3)[1].tobytes() == table
         assert builds == [(3, 40.0, 1e-3)]
         assert path.read_bytes() == whole
+
+    def test_warm_spline_reads_only_its_coefficients(self, table_cache, forget_tables,
+                                                     monkeypatch):
+        qs, cold, col = homodyne._f_spline(8, 40.0, 1e-3)
+        names = sorted(path.name.split("-")[1] for path in table_cache.iterdir())
+        assert names == ["f", "spline"]
+        forget_tables()
+        builds = count_builds(monkeypatch)
+        _, warm, warm_col = homodyne._f_spline(8, 40.0, 1e-3)
+        assert builds == [] and homodyne._dense_f_grid.cache_info().currsize == 0  # F unread
+        assert warm.c.tobytes() == cold.c.tobytes() and warm.c.shape == (4, 4096, 36)
+        assert warm_col.tobytes() == col.tobytes()
+        xs = np.linspace(qs[0], qs[-1], 10_001)
+        assert warm(xs).tobytes() == cold(xs).tobytes()
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_damaged_spline_file_is_rebuilt(self, table_cache, forget_tables, monkeypatch,
+                                            damage):
+        coefficients = homodyne._f_spline(3, 40.0, 1e-3)[1].c.tobytes()
+        (path,) = table_cache.glob("homodyne-spline-*")
+        whole = damage_file(path, damage, b"4096")
+        forget_tables()
+        builds = count_builds(monkeypatch)
+        assert homodyne._f_spline(3, 40.0, 1e-3)[1].c.tobytes() == coefficients
+        assert builds == []  # the F table came from its own file
+        assert homodyne._dense_f_grid.cache_info().currsize == 1
+        assert path.read_bytes() == whole
+
+    def test_another_reg_eps_is_a_spline_miss(self, table_cache, forget_tables, monkeypatch):
+        homodyne._f_spline(3, 40.0, 1e-3)
+        forget_tables()
+        builds = count_builds(monkeypatch)
+        reg_eps = float(np.nextafter(1e-3, 1.0))
+        homodyne._f_spline(3, 40.0, reg_eps)
+        assert builds == [(3, 40.0, reg_eps)]
+        assert len(list(table_cache.glob("homodyne-spline-*"))) == 2
 
     @pytest.mark.parametrize("change", ["reg_eps", "fingerprint"])
     def test_another_key_is_a_miss(self, table_cache, forget_tables, monkeypatch, change):

@@ -14,11 +14,13 @@ from qtomo.estimators import (
     parity_estimate,
     spin_estimate,
 )
+from qtomo._special import CubicSpline
+from qtomo.estimators import homodyne
 from qtomo.estimators.homodyne import _real_table, homodyne_kernel_block
 from qtomo.estimators.kerr import kerr_kernel_block
 from qtomo.estimators.parity import parity_kernel_block
 from qtomo.estimators.spin import spin_kernel_block
-from qtomo.operators import fock_matrix_unit, identity
+from qtomo.operators import fock_matrix_unit, identity, squeeze
 from qtomo.recon import reconstruct_matrix
 from qtomo.records import RecordBatch
 from qtomo.sampler import (
@@ -142,6 +144,28 @@ def test_homodyne_spline_block_matches_direct_kernel(dim):
     for i in range(qs.size):
         direct = homodyne_kernel_matrix(qs[i], phis[i], cfg).mat
         assert np.max(np.abs(block[..., i] - direct)) <= 2e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 12])
+def test_homodyne_block_has_the_bits_of_the_unsliced_formula(dim):
+    # the block is built in slices of records from a spline through F's upper triangle;
+    # it must keep the bits of the whole-chunk formula through all d^2 columns of F
+    cfg = EstimatorConfig(dim=dim)
+    qs, f = homodyne._dense_f_grid(dim, cfg.k_max, cfg.reg_eps)
+    spline = CubicSpline(qs, _real_table(f).reshape(dim * dim, -1).T)
+    sq = SqueezeParams(0.05 + 0.05j)
+    s = squeeze(sq.zeta, dim).mat
+    gen = np.random.default_rng(dim)
+    for n in (1, 2, 1023, 1024, 1025, 8192, 8193):
+        phis = gen.uniform(0.0, np.pi, (n, 1))
+        q = gen.uniform(1.2 * qs[0], 1.2 * qs[-1], n)  # some beyond the grid, clipped
+        u = np.exp(1j * phis[:, 0] * np.arange(dim)[:, None])
+        want = u[:, None, :] * u.conj()[None, :, :]
+        want *= spline(np.clip(q, qs[0], qs[-1])).T.reshape(dim, dim, -1)
+        got = homodyne_kernel_block(phis, q, cfg)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), n
+        want = (s.conj().T @ want.transpose(2, 0, 1).copy() @ s).transpose(1, 2, 0).copy()
+        assert homodyne_kernel_block(phis, q, cfg, squeeze=sq).tobytes() == want.tobytes(), n
 
 
 def test_complex_pattern_table_is_refused():

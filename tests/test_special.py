@@ -12,7 +12,7 @@ from scipy import special
 from scipy.interpolate import CubicSpline as ScipySpline
 
 from qtomo import _special
-from qtomo._special import CubicSpline, gammaln, genlaguerre_ladder
+from qtomo._special import CubicSpline, PPoly, gammaln, genlaguerre_ladder
 from qtomo.errors import NumericPreconditionError
 from qtomo.estimators import _cahill, homodyne
 from qtomo.estimators.config import EstimatorConfig
@@ -90,13 +90,15 @@ def eval_points(qs: np.ndarray, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 12])
 def test_spline_through_the_real_pattern_table(dim):
+    # ours runs through the d(d+1)/2 columns F_kn, k <= n, and F_nk reads F_kn's column:
+    # the bits of scipy's spline through those columns, and through all d^2 of them
     cfg = EstimatorConfig(dim=dim)
     qs, f = homodyne._dense_f_grid(dim, cfg.k_max, cfg.reg_eps)
-    _, ours = homodyne._f_spline(dim, cfg.k_max, cfg.reg_eps)
-    theirs = ScipySpline(qs, homodyne._real_table(f).reshape(dim * dim, -1).T)
-    assert same_bits(ours.c, theirs.c)
+    _, ours, col = homodyne._f_spline(dim, cfg.k_max, cfg.reg_eps)
+    real = homodyne._real_table(f)
+    assert same_bits(ours.c, ScipySpline(qs, real[np.triu_indices(dim)].T).c)
     xs = eval_points(qs, dim)
-    assert same_bits(ours(xs), theirs(xs))
+    assert same_bits(ours(xs)[:, col], ScipySpline(qs, real.reshape(dim * dim, -1).T)(xs))
 
 
 def test_random_complex_splines_column_by_column():
@@ -106,6 +108,7 @@ def test_random_complex_splines_column_by_column():
     ours = CubicSpline(qs, bands)
     xs = eval_points(qs, 18)
     values = ours(xs)
+    assert same_bits(PPoly(qs, ours.c)(xs), values)  # the spline again from its coefficients
     for j in range(bands.shape[1]):
         theirs = ScipySpline(qs, bands[:, j])
         assert same_bits(ours.c[..., j], theirs.c), j
