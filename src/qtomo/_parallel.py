@@ -3,8 +3,9 @@
 Work is always split into fixed-size pieces keyed by index, never by
 worker count, so outputs are identical whether the pieces run serially
 or on a pool. The samplers draw their randomness per CHUNK_SHOTS =
-65,536-shot Philox chunk and solve it in fixed 32,768-row blocks
-(sampler.ROW_BLOCK). The homodyne pattern table (estimators.homodyne._f_at)
+65,536-shot Philox chunk and solve it in fixed 8,192-row blocks
+(sampler.ROW_BLOCK), small because each worker's arena keeps its block's
+transients. The homodyne pattern table (estimators.homodyne._f_at)
 is built in pieces of at most 128 q columns, each contracted in the order
 that its 256-column chunk fixes, with OpenBLAS held at one thread at any
 pool size. The calling thread allocates one phase buffer per worker and

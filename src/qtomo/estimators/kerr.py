@@ -10,7 +10,9 @@ returns the coherence <n+d|rho|n>. On uniform grids with at least
 2*dim+1 phases and 2*dim^2+1 Kerr strengths every surviving Fourier
 frequency is resolved exactly, so the grid average is not approximate.
 The diagonal (d = 0) only admits the regularized kernel, whose eps -> 0
-behavior is reported, not asserted.
+behavior is reported, not asserted. kerr_estimate fills each walk chunk in
+_SLICE-record slices; every kernel is row-local, so a slice has the bits
+of the whole.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "kerr_kernel_block",
     "kerr_epsilon_sweep",
 ]
+
+_SLICE = 1 << 13  # kerr_estimate records per slice: bounds its working set, not its pushes
 
 
 def kerr_kernel(n: int, d: int, phi, psi):
@@ -151,9 +155,13 @@ def kerr_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig):
     a_mat = _observable_offdiag(a)
 
     def values(settings: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        u = _phase_vectors(settings[:, 0], outcomes, cfg.dim)
-        # value_i = sum_{r != c} A_rc conj(u_r) u_c; equals the kernel sum over elements
-        return np.einsum("gr,rc,gc->g", u.conj(), a_mat, u, optimize=True)
+        out = np.empty(outcomes.size, dtype=complex)
+        for lo in range(0, outcomes.size, _SLICE):
+            rows = slice(lo, lo + _SLICE)
+            u = _phase_vectors(settings[rows, 0], outcomes[rows], cfg.dim)
+            # value_i = sum_{r != c} A_rc conj(u_r) u_c; equals the kernel sum over elements
+            out[rows] = np.einsum("gr,rc,gc->g", u.conj(), a_mat, u, optimize=True)
+        return out
 
     return walk(records, values)[0]
 

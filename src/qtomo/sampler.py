@@ -5,10 +5,11 @@ the truncated state and returns them as one RecordBatch. Randomness is
 counter-based: shots come in chunks of CHUNK_SHOTS = 65,536, and chunk i
 of every stream owns the Philox key (seed, substream << 32 | i). Each
 sampler draws its uniforms chunk by chunk, serially, then solves them in
-fixed ROW_BLOCK = 32,768-row blocks on the pool, with numpy's BLAS at one
-thread per worker while the pool runs. Every solve is row-local, so a
-record stream is a pure function of (seed, substream), whatever the block
-size or the number of workers.
+fixed ROW_BLOCK = 8,192-row blocks on the pool, with numpy's BLAS at one
+thread per worker while the pool runs. Each worker thread's glibc arena
+holds on to the memory of its block's transients, so the block is small.
+Every solve is row-local, so a record stream is a pure function of
+(seed, substream), whatever the block size or the number of workers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
 
 _LEAK_TOL = 1e-6
 _CDF_GRID = 8193
-ROW_BLOCK = 1 << 15  # rows per solve; the pool's unit of work
+ROW_BLOCK = 1 << 13  # rows per solve; the pool's unit of work
 
 
 @dataclasses.dataclass(frozen=True)
@@ -332,8 +333,8 @@ def sample_kerr_phase(rho: DensityMatrix, shots: int, rng: RngStream,
         def below(mid):
             screen = _kerr_screen(mid, ct, base)
             less = screen < u
-            # one exact call: in steps 44-47 nearly every row is within delta of u (11,295,
-            # 19,259, 29,733 and 32,768 of a 32,768-row block at coherent beta = 0.6, dim 8)
+            # one exact call: in steps 44-47 nearly every row is within delta of u (about 34,
+            # 59, 91 and 100 % of a block's rows at coherent beta = 0.6, dim 8)
             near = np.flatnonzero(np.abs(screen - u) <= delta)
             less[near] = _kerr_cdf(mid[near], ct[:, near], base[near]) < u[near]
             return less

@@ -1,5 +1,6 @@
 """The pool holds numpy's OpenBLAS at one thread and gives the count back, and the sampled
-quantities and the homodyne pattern table do not depend on that count."""
+quantities, the sliced Kerr estimate and the homodyne pattern table do not depend on that
+count."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 from qtomo._parallel import _blas_threads_api, chunk_map
-from qtomo.estimators import EstimatorConfig, homodyne, kerr_sideband_coefficients
+from qtomo.estimators import EstimatorConfig, homodyne, kerr_estimate, kerr_sideband_coefficients
+from qtomo.estimators.kerr import _phase_vectors
 from qtomo.estimators.parity import displaced_parity_expectation
+from qtomo.operators import Operator
+from qtomo.records import RecordBatch, walk
 from qtomo.states import StateSpec, make_state
 
 BLAS = _blas_threads_api()
@@ -95,6 +99,27 @@ def test_sampled_quantities_keep_their_bytes_at_any_blas_count(dim):
                          lambda: kerr_sideband_coefficients(rho, psis)):
             one, three = (at_blas_threads(count, quantity).tobytes() for count in (1, 3))
             assert one == three
+
+
+@pytest.mark.parametrize("dim", [2, 8, 12])
+def test_kerr_estimate_slices_move_no_bit(dim):
+    # 70,001 records end in a short slice of a short second chunk, 73,729 in a one-record
+    # slice; the reference contracts each whole 65,536-record walk chunk at once
+    rng = np.random.default_rng(dim)
+    a_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    np.fill_diagonal(a_mat, 0.0)
+
+    def whole(settings, outcomes):
+        u = _phase_vectors(settings[:, 0], outcomes, dim)
+        return np.einsum("gr,rc,gc->g", u.conj(), a_mat, u, optimize=True)
+
+    for n in (70_001, 73_729):
+        records = RecordBatch("kerr", rng.uniform(0.0, 2.0 * np.pi, (n, 1)),
+                              rng.uniform(0.0, 2.0 * np.pi, n))
+        for count in (1, 3):
+            sliced = at_blas_threads(
+                count, lambda: kerr_estimate(Operator(a_mat), records, EstimatorConfig(dim=dim)))
+            assert sliced == at_blas_threads(count, lambda: walk(records, whole)[0]), (n, count)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 11, 17])
