@@ -5,15 +5,12 @@ worker count, so outputs are identical whether the pieces run serially
 or on a pool. The samplers draw their randomness per CHUNK_SHOTS =
 65,536-shot Philox chunk and solve it in fixed 8,192-row blocks
 (sampler.ROW_BLOCK), small because each worker's arena keeps its block's
-transients. The homodyne pattern table (estimators.homodyne._f_at)
-is built in pieces of at most 128 q columns, each contracted in the order
-that its 256-column chunk fixes, with OpenBLAS held at one thread at any
-pool size. The calling thread allocates one phase buffer per worker and
-the pieces borrow them: memory a worker thread allocates stays in glibc's
-per-thread arena, where the calling thread's later allocations cannot reuse it.
+transients. chunk_map serves the samplers alone; the homodyne pattern
+table (estimators.homodyne._f_at) builds serially under _one_blas_thread.
 
 QTOMO_THREADS caps the pool; unset, it falls back to the CPUs this process
-may run on, at most 8. While a pool of two or more workers runs, numpy's
+may run on, at most 8. cli.main reads it once at entry, so every command
+refuses a bad value. While a pool of two or more workers runs, numpy's
 bundled OpenBLAS runs one thread per worker, so the pool, not BLAS, owns
 the cores; the previous BLAS count comes back when the pool ends.
 """

@@ -7,7 +7,8 @@ for numeric-precondition failures (truncation, rank deficiency, a kernel the
 proposal disk cuts off or that is not finite, a --k-max the homodyne k rule
 cannot resolve, out of memory). With --json-errors the failure is also written
 to stderr as a one-line JSON object. File formats are frozen in
-docs/formats.md; QTOMO_THREADS, an integer >= 1, caps internal parallelism.
+docs/formats.md; QTOMO_THREADS, an integer >= 1, caps the samplers' pool, and
+every command refuses another value with exit 2 before it reads any input.
 
 Each route (a command's --kind, --method or --family, or quorum's action)
 reads its own flags, and _ROUTE_FLAGS names them. A flag its route does not
@@ -28,6 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import __version__
+from ._parallel import max_workers
 from .errors import NumericPreconditionError, UsageError
 from .frames import check_biorthogonality, irreducibility_rank
 from .dualbasis import gram_schmidt_dual, pseudoinverse_dual
@@ -577,6 +579,7 @@ def main(argv=None) -> int:
     args = argparse.Namespace(json_errors="--json-errors" in argv)
     try:
         args = parser.parse_args(argv)
+        max_workers()  # refuses a bad QTOMO_THREADS on every command, not only where a pool runs
         args.func(args)
     except UsageError as exc:
         return _report_failure(args, exc, 2)

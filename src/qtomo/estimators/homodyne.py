@@ -22,6 +22,8 @@ columns n <= m alone and F_mn reads F_nm's column. The dense table and that
 spline's coefficients are kept on disk (qtomo._tablecache): a process that
 finds a key there loads it with the same bytes instead of building it, so a
 warm reconstruct reads the coefficients and neither builds nor reads F.
+A cold table builds serially in one phase buffer with OpenBLAS held at one
+thread, so its bytes depend on neither QTOMO_THREADS nor the caller's BLAS count.
 The kernel block is built in _SLICE-record slices whose arrays stay in cache;
 every kernel is row-local, so a slice has the bits of the whole.
 """
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import queue
 from typing import Optional, Tuple
 
 import numpy as np
@@ -59,7 +60,7 @@ _PANEL_ORDER = 16
 _MAX_PANEL_PHASE = 20.0
 _DENSE_Q_POINTS = 4097
 _Q_CHUNK = 256  # fixes each chunk's contraction order, as the table was first built
-_Q_PIECE = 128  # columns per pool task: an 8 MB phase buffer per worker at nk = 4096
+_Q_PIECE = 128  # columns per piece: an 8 MB phase buffer at nk = 4096
 _IMAG_TOL = 1e-10
 _SLICE = 1024  # kernel-block records per slice: at d = 8 its arrays fit in a 2 MB L2
 
@@ -114,11 +115,9 @@ def _f_at(qs: np.ndarray, dim: int, k_max: float, reg_eps: float) -> np.ndarray:
     width w contracts with g in the order that einsum("k,knm,kq->nmq", optimize=True)
     picks for it: g into the blocks first when d^2 <= w (one (d^2, nk) matrix per call),
     else g into the phases first. Each chunk runs as pieces of at most _Q_PIECE columns
-    on _parallel.chunk_map, every piece in its chunk's order, with OpenBLAS held at one
-    thread throughout; a GEMM column does not depend on the other columns, so the table
-    has the same bytes at any pool size. The calling thread allocates one phase buffer
-    per worker, and the pieces borrow them, so no worker thread allocates the big arrays
-    (glibc keeps what a thread frees in that thread's arena).
+    that reuse one phase buffer, every piece in its chunk's order, with OpenBLAS held at
+    one thread; a GEMM column does not depend on the other columns, so the pieces give
+    the chunk's bytes, at any BLAS count the caller runs.
     """
     q_max = max(float(np.max(np.abs(qs), initial=0.0)), math.sqrt(dim) + 6.0)
     if k_max / (_PANELS // 2) * q_max > _MAX_PANEL_PHASE:
@@ -128,39 +127,26 @@ def _f_at(qs: np.ndarray, dim: int, k_max: float, reg_eps: float) -> np.ndarray:
     nk, half, d2 = k.size, k.size // 2, dim * dim
     out = np.empty((dim, dim, qs.size), dtype=complex)
     flat = out.reshape(d2, qs.size)
-    pieces = []  # (first column, end column, width of its chunk)
-    for start in range(0, qs.size, _Q_CHUNK):
-        end = min(start + _Q_CHUNK, qs.size)
-        pieces += [(lo, min(lo + _Q_PIECE, end), end - start)
-                   for lo in range(start, end, _Q_PIECE)]
     b2 = blocks.reshape(nk, d2)
-    lhs = (g[:, None] * b2).T if any(d2 <= w for _, _, w in pieces) else None
-    width = min(qs.size, _Q_PIECE)
-    buffers = queue.SimpleQueue()
-    for buf in np.empty((min(_parallel.max_workers(), len(pieces)), nk * width), dtype=complex):
-        buffers.put(buf)
-
-    def piece(i: int) -> None:
-        lo, hi, w = pieces[i]
-        buf = buffers.get()
-        try:
-            ph = buf[: nk * (hi - lo)].reshape(nk, hi - lo)
-            kq = ph.imag[half:]  # np.outer's products, then their sines in place
-            np.multiply(k[half:, None], qs[None, lo:hi], out=kq)
-            np.cos(kq, out=ph.real[half:])
-            np.sin(kq, out=kq)
-            ph.real[:half] = ph.real[: half - 1 : -1]
-            np.negative(ph.imag[: half - 1 : -1], out=ph.imag[:half])
-            if d2 <= w:
-                flat[:, lo:hi] = np.dot(lhs, ph)
-            else:
-                ph *= g[:, None]
-                flat[:, lo:hi] = np.dot(ph.T, b2).T
-        finally:
-            buffers.put(buf)
-
+    lhs = (g[:, None] * b2).T if d2 <= min(qs.size, _Q_CHUNK) else None
+    buf = np.empty(nk * min(qs.size, _Q_PIECE), dtype=complex)
     with _parallel._one_blas_thread():
-        _parallel.chunk_map(piece, len(pieces))
+        for start in range(0, qs.size, _Q_CHUNK):
+            end = min(start + _Q_CHUNK, qs.size)
+            for lo in range(start, end, _Q_PIECE):
+                hi = min(lo + _Q_PIECE, end)
+                ph = buf[: nk * (hi - lo)].reshape(nk, hi - lo)
+                kq = ph.imag[half:]  # np.outer's products, then their sines in place
+                np.multiply(k[half:, None], qs[None, lo:hi], out=kq)
+                np.cos(kq, out=ph.real[half:])
+                np.sin(kq, out=kq)
+                ph.real[:half] = ph.real[: half - 1 : -1]
+                np.negative(ph.imag[: half - 1 : -1], out=ph.imag[:half])
+                if d2 <= end - start:
+                    flat[:, lo:hi] = np.dot(lhs, ph)
+                else:
+                    ph *= g[:, None]
+                    flat[:, lo:hi] = np.dot(ph.T, b2).T
     return out
 
 
@@ -262,7 +248,6 @@ def homodyne_kernel_block(settings: np.ndarray, outcomes: np.ndarray, cfg: Estim
     against for squeezed records, multiplied as (n, dim, dim): matmul bits follow layout.
     """
     dim = cfg.dim
-    _parallel.max_workers()  # refuses a bad QTOMO_THREADS, which a cached table never reads
     grid, spline, col = _f_spline(dim, cfg.k_max, cfg.reg_eps)
     block = np.empty((dim, dim, outcomes.size), dtype=complex)
     for lo in range(0, outcomes.size, _SLICE):
@@ -289,7 +274,6 @@ def homodyne_estimate(a: Operator, records: RecordBatch, cfg: EstimatorConfig,
     if a.dim != cfg.dim:
         raise DimensionMismatchError(f"operator dim {a.dim} vs config dim {cfg.dim}")
     records.require("homodyne", 2, cfg.dim)
-    _parallel.max_workers()  # refuses a bad QTOMO_THREADS, which a cached table never reads
     a_mat = a.mat
     if squeeze is not None:
         s = squeeze_operator(squeeze.zeta, cfg.dim).mat

@@ -393,15 +393,26 @@ BAD_INPUTS = {
        for method, extra in (("homodyne", ["--n-max", "3"]), ("kerr", ["--n-max", "3"]),
                              ("parity", ["--n-max", "3"]), ("spin", ["--s", "0.5"]),
                              ("pauli", []))},
-    # the homodyne pattern table builds on the pool (run with BAD_THREADS below), and
-    # the reconstructs run again once a good count has left the table on disk
-    **{f"homodyne-{command}-threads-abc": (argv, "QTOMO_THREADS") for command, argv in (
-        ("reconstruct", ["reconstruct", "--method", "homodyne", "--records",
-                         "{tmp}/homodyne.csv", "--n-max", "3"]),
-        ("observable", ["reconstruct", "--method", "homodyne", "--records",
-                        "{tmp}/homodyne.csv", "--n-max", "3", "--observable", "number"]),
-        ("kernels", ["kernels", "eval", "--family", "homodyne", "--observable", "number",
-                     "--dim", "4"]))},
+    # every command reads QTOMO_THREADS at entry (run with BAD_THREADS below), so each of
+    # these, which exit 0 under a good count, refuses a bad one whether a pool runs or not
+    **{f"{name}-threads-abc": (argv, "QTOMO_THREADS") for name, argv in (
+        ("state", ["state", "--kind", "fock", "--dim", "3"]),
+        ("quorum-verify", ["quorum", "verify", "--quorum", "{tmp}/pauli-quorum.json"]),
+        ("homodyne-reconstruct", ["reconstruct", "--method", "homodyne", "--records",
+                                  "{tmp}/homodyne.csv", "--n-max", "3"]),
+        ("homodyne-observable", ["reconstruct", "--method", "homodyne", "--records",
+                                 "{tmp}/homodyne.csv", "--n-max", "3", "--observable", "number"]),
+        ("homodyne-kernels", ["kernels", "eval", "--family", "homodyne", "--observable", "number",
+                              "--dim", "4"]),
+        ("parity-reconstruct", ["reconstruct", "--method", "parity", "--records",
+                                "{tmp}/parity.csv", "--n-max", "1"]),
+        ("kerr-reconstruct", ["reconstruct", "--method", "kerr", "--records", "{tmp}/kerr.csv",
+                              "--n-max", "1"]),
+        ("spin-reconstruct", ["reconstruct", "--method", "spin", "--s", "0.5", "--records",
+                              "{tmp}/spin.csv"]),
+        ("pauli-reconstruct", ["reconstruct", "--method", "pauli", "--records",
+                               "{tmp}/pauli-pairs.csv"]),
+        ("parity-kernels", ["kernels", "eval", "--family", "parity"]))},
 }
 # the QTOMO_THREADS that a BAD_INPUTS case runs under, where it is not the caller's
 BAD_THREADS = {case: "abc" for case in BAD_INPUTS if case.endswith("-threads-abc")}
@@ -442,8 +453,7 @@ BAD_INPUTS.update({f"quorum-{case}": (["quorum", "verify", "--quorum", f"{{tmp}}
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, table_cache,
-                                               forget_tables, case):
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, case):
     if case in BAD_THREADS:
         monkeypatch.setenv("QTOMO_THREADS", BAD_THREADS[case])
     def state(dim, entries):
@@ -458,9 +468,15 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, ta
     (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
     (tmp_path / "pauli.csv").write_text(
         "quorum,s1,s2,s3,o1\npauli,0,,,0.5\npauli,1,,,-0.5\npauli,2,,,0.5\n")
+    (tmp_path / "pauli-pairs.csv").write_text(
+        "quorum,s1,s2,s3,o1\n" + "".join(f"pauli,{axis},,,{o}\n" for axis in range(3)
+                                        for o in (0.5, -0.5)))
     (tmp_path / "homodyne.csv").write_text(
         "quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,0.1,,,-0.3\n")
     (tmp_path / "kerr.csv").write_text("quorum,s1,s2,s3,o1\nkerr,0.5,,,1.25\nkerr,2.5,,,4\n")
+    (tmp_path / "parity.csv").write_text(
+        "quorum,s1,s2,s3,o1\nparity,0.1,0.2,,1\nparity,-0.3,0.1,,-1\n")
+    (tmp_path / "spin.csv").write_text("quorum,s1,s2,s3,o1\nspin,0,0,1,0.5\nspin,1,0,0,-0.5\n")
     (tmp_path / "homodyne-phi.csv").write_text(
         "quorum,s1,s2,s3,o1\nhomodyne,0.5,,,1.25\nhomodyne,1e308,,,-0.3\n")
     (tmp_path / "kerr-psi.csv").write_text("quorum,s1,s2,s3,o1\nkerr,0.5,,,1.25\nkerr,1e307,,,4\n")
@@ -470,6 +486,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, ta
     for method, row in (("homodyne", "0.5,,,1.25"), ("kerr", "0.5,,,1.25"),
                         ("parity", "0.1,0.2,,1"), ("spin", "0,0,1,0.5"), ("pauli", "0,,,0.5")):
         (tmp_path / f"one-{method}.csv").write_text(f"quorum,s1,s2,s3,o1\n{method},{row}\n")
+    write_pauli_quorum(tmp_path / "pauli-quorum.json")
     for name, (role, dim, elements, _) in BAD_QUORUMS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({
             "version": 1, "kind": "quorum", "role": role, "dim": dim,
@@ -478,15 +495,9 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, ta
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if argv[:2] != ["quorum", "verify"]:  # verify writes nothing and refuses --out
         argv += ["--out", str(tmp_path / "out")]
-    for warm in (False, True) if case in BAD_THREADS and argv[0] == "reconstruct" else (False,):
-        if warm:  # a run under a good count leaves the pattern table on disk
-            monkeypatch.delenv("QTOMO_THREADS")
-            assert run(capsys, argv)[0] == 0 and list(table_cache.iterdir())
-            forget_tables()
-            monkeypatch.setenv("QTOMO_THREADS", BAD_THREADS[case])
-        code, _, err = run(capsys, argv)
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
 
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ class TestPatternTable:
                 qs = np.linspace(-q_max, q_max, size)
                 ours = homodyne._f_at(qs, dim, 40.0, 1e-3)
                 assert ours.tobytes() == f_at_oracle(qs, dim, 40.0, 1e-3).tobytes(), size
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_build_peaks_at_one_phase_buffer(self, threads, monkeypatch):
+        # above the k tables: the table, g times the blocks and one 128-column phase
+        # buffer, about 16 MiB; with one phase buffer per worker it peaked at 24.3 MiB
+        # on two workers
+        monkeypatch.setenv("QTOMO_THREADS", threads)
+        homodyne._k_tables(8, 40.0, 1e-3)
+        qs = homodyne._dense_q(8)
+        tracemalloc.start()
+        try:
+            homodyne._f_at(qs, 8, 40.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 << 20
 
     @pytest.mark.parametrize("dim", range(1, 21))
     def test_real_table_is_symmetric_bit_for_bit(self, tmp_path, monkeypatch, forget_tables, dim):

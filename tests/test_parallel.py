@@ -137,20 +137,3 @@ def test_pattern_table_keeps_its_bytes_at_any_pool_and_blas_count(dim, monkeypat
                 tables.add(table.tobytes())
         assert len(tables) == 1, size
 
-
-def test_pattern_table_pieces_borrow_buffers_under_more_workers_than_cores(monkeypatch):
-    # pieces share the caller's buffers: two pieces in one buffer at once, or a buffer
-    # not given back, would change the bytes or leave a piece waiting forever
-    qs = np.linspace(-9.0, 9.0, 1025)
-    monkeypatch.setenv("QTOMO_THREADS", "1")
-    serial = homodyne._f_at(qs, 8, 40.0, 1e-3).tobytes()
-    monkeypatch.setenv("QTOMO_THREADS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    caller = ThreadPoolExecutor(max_workers=1)
-    try:
-        pooled = caller.submit(homodyne._f_at, qs, 8, 40.0, 1e-3).result(timeout=60)
-    finally:
-        caller.shutdown(wait=False)
-        sys.setswitchinterval(interval)
-    assert pooled.tobytes() == serial
